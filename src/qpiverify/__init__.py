@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .congruences import (
     GcdNotCoprime,
-    ModPoly,
     ModulusContext,
     ModulusKind,
     NonInvertibleDenominator,
@@ -30,7 +29,7 @@ from .numerics import (
     limit_scan,
     q_gamma,
 )
-from .polys import LaurentPoly, Poly, cyclotomic, poly_gcd, poly_gcd_ext
+from .polys import Poly, cyclotomic, poly_gcd, poly_gcd_ext
 from .qseries import QPochSpec, SeriesId, partial_sum, q_integer, q_pochhammer, summand
 from .ratfunc import RatFunc, ZeroDenominator
 from .wz import (
@@ -48,8 +47,6 @@ __all__ = [
     "EvalReport",
     "GcdNotCoprime",
     "IdentityId",
-    "LaurentPoly",
-    "ModPoly",
     "ModulusContext",
     "ModulusKind",
     "NonInvertibleDenominator",

@@ -28,6 +28,7 @@ from .congruences import (
     verify_sun,
 )
 from .numerics import (
+    LIMIT_JS,
     ConvergenceBudgetExceeded,
     check_identity_numeric,
     classical_target,
@@ -237,6 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_digits(digits: int) -> None:
+    if digits < 1:
+        raise ValueError("--digits must be >= 1")
+
+
 def _build_cases(args) -> tuple[dict, list[tuple]]:
     """Resolve defaults and return (params echo, ordered case specs)."""
     cmd = args.command
@@ -316,17 +322,23 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         ]
     elif cmd == "eval":
         ident = args.identity
-        if ident in ("pi1", "pi2"):
-            digits = args.digits if args.digits is not None else 40
+        classical = ident in ("pi1", "pi2")
+        digits = args.digits if args.digits is not None else (40 if classical else 50)
+        _check_digits(digits)
+        if classical:
             params = {"identity": ident, "digits": digits}
             specs = [
                 ("eval-classical", f"{ident} digits={digits}", {"which": ident, "digits": digits})
             ]
         else:
-            digits = args.digits if args.digits is not None else 50
             qs = [args.q] if args.q else ["1/4", "1/3", "1/2"]
             for q in qs:
-                Fraction(q)  # validates the syntax early
+                try:
+                    inside = 0 < Fraction(q) < 1
+                except ZeroDivisionError:
+                    inside = False
+                if not inside:
+                    raise ValueError(f"q = {q} must lie strictly between 0 and 1")
             params = {"identity": ident, "digits": digits, "q": qs}
             specs = [
                 (
@@ -338,6 +350,9 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
             ]
     elif cmd == "limit":
         lo, hi = _parse_range(args.j_range)
+        if lo not in LIMIT_JS or hi not in LIMIT_JS:
+            raise ValueError(f"j must lie in {LIMIT_JS[0]}..{LIMIT_JS[-1]}")
+        _check_digits(args.digits)
         params = {"which": args.which, "j_range": f"{lo}..{hi}", "digits": args.digits}
         specs = [
             ("limit", f"limit {args.which} j={j}", {"which": args.which, "j": j, "digits": args.digits})

@@ -18,18 +18,20 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .factored import (
-    BracketProduct,
+from .factored import BracketProduct, sum_terms, sum_terms_mod
+from .polys import (
+    Poly,
+    divisors,
     expand_bracket_powers,
+    expand_cyclo_powers,
+    list_add,
     list_mod_monic,
     list_mul,
     list_scale,
-    list_trim,
-    sum_terms,
-    sum_terms_mod,
+    poly_gcd,
+    poly_gcd_ext,
 )
-from .polys import LaurentPoly, Poly, cyclotomic, divisors, poly_gcd, poly_gcd_ext
-from .qseries import SeriesId, q_integer, series_terms
+from .qseries import SeriesId, series_terms
 from .ratfunc import RatFunc
 from .wz import CheckResult, WzPairId, parity_power, wz_term_brackets
 
@@ -59,14 +61,12 @@ class ModulusContext:
 
     n: int
     kind: ModulusKind
-    modulus: Poly
+    coeffs: tuple[int, ...]  # the monic modulus, as integer coefficients
     factor_mults: tuple[tuple[int, int], ...]  # (cyclotomic index, multiplicity)
 
-
-@dataclass(frozen=True)
-class ModPoly:
-    residue: Poly
-    context: ModulusContext
+    @property
+    def modulus(self) -> Poly:
+        return Poly(self.coeffs)
 
 
 def modulus_build(n: int, kind: ModulusKind) -> ModulusContext:
@@ -74,47 +74,36 @@ def modulus_build(n: int, kind: ModulusKind) -> ModulusContext:
     if n < 1 or n % 2 == 0:
         raise ValueError("modulus index must be odd and >= 1")
     if kind is ModulusKind.PHI_SQUARED:
-        phi = cyclotomic(n)
-        return ModulusContext(n, kind, phi * phi, ((n, 2),))
-    if kind is ModulusKind.N_PHI:
-        modulus = q_integer(n) * cyclotomic(n)
+        mults = {n: 2}
+    elif kind is ModulusKind.N_PHI:
+        # [n] is the product of Phi_d over the divisors d > 1 of n, so both
+        # modulus kinds coincide for prime n.
         mults = {d: 1 for d in divisors(n) if d > 1}
         mults[n] = mults.get(n, 0) + 1
-        if _is_prime(n):
-            # [n] = Phi_n for prime n, so both modulus kinds coincide there.
-            assert modulus == cyclotomic(n) * cyclotomic(n)
-        return ModulusContext(n, kind, modulus, tuple(sorted(mults.items())))
-    raise ValueError(f"unknown modulus kind {kind}")
+    else:
+        raise ValueError(f"unknown modulus kind {kind}")
+    return ModulusContext(n, kind, tuple(expand_cyclo_powers(mults)), tuple(sorted(mults.items())))
 
 
-_mod_int_cache: dict[tuple[int, ModulusKind], list[int]] = {}
+def _residue(num: Poly, den: Poly, modulus: Poly) -> Poly:
+    """num / den in Q[q]/(modulus), through the inverse of den that the
+    extended gcd certifies."""
+    g, s, _ = poly_gcd_ext(den, modulus)
+    if g.degree > 0:
+        raise NonInvertibleDenominator(
+            f"denominator shares the factor {g!r} with the modulus"
+        )
+    return (num * s) % modulus
 
 
-def _mod_ints(ctx: ModulusContext) -> list[int]:
-    key = (ctx.n, ctx.kind)
-    cached = _mod_int_cache.get(key)
-    if cached is None:
-        assert all(c.denominator == 1 for c in ctx.modulus.coeffs)
-        cached = [int(c) for c in ctx.modulus.coeffs]
-        _mod_int_cache[key] = cached
-    return cached
-
-
-def mod_reduce(r: RatFunc, ctx: ModulusContext) -> ModPoly:
+def mod_reduce(r: RatFunc, ctx: ModulusContext) -> Poly:
     """Residue of a rational function in Q[q]/(modulus).
 
     Negative q-powers live in the denominator of `r` and are cleared through
     the same inverse computation; q itself is always invertible here since
     the modulus has nonzero constant term.
     """
-    g, s, _ = poly_gcd_ext(r.den, ctx.modulus)
-    if g.degree > 0:
-        raise NonInvertibleDenominator(
-            f"denominator shares the factor {g!r} with the modulus"
-        )
-    # g is the constant 1, so s is the inverse of den modulo the modulus.
-    residue = (r.num * s) % ctx.modulus
-    return ModPoly(residue, ctx)
+    return _residue(r.num, r.den, ctx.modulus)
 
 
 def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckResult:
@@ -126,9 +115,7 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
         raise GcdNotCoprime(f"{label}: denominator shares {g!r} with the modulus")
     if (r.num % m).is_zero():
         return CheckResult(True, label)
-    _, s, _ = poly_gcd_ext(r.den, m)
-    residue = (r.num * s) % m
-    return CheckResult(False, label, witness=RatFunc.from_poly(residue))
+    return CheckResult(False, label, witness=RatFunc.from_poly(_residue(r.num, r.den, m)))
 
 
 def _rhs_poly_parts(rhs: BracketProduct) -> tuple[int, int, list[int]]:
@@ -143,7 +130,7 @@ def _rhs_poly_parts(rhs: BracketProduct) -> tuple[int, int, list[int]]:
 def _check_congruence_modular(
     terms, rhs: BracketProduct, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    mod = _mod_ints(ctx)
+    mod = ctx.coeffs
     acc, den, den_brackets = sum_terms_mod(terms, mod)
     # The accumulated denominator is an integer times a q-power times brackets
     # (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
@@ -162,21 +149,15 @@ def _check_congruence_modular(
         rhs_side = list_mod_monic([0] * shift + rhs_side, mod)
     else:
         lhs_side = list_mod_monic([0] * (-shift) + lhs_side, mod)
-    if list_trim(lhs_side) == list_trim(rhs_side):
+    if lhs_side == rhs_side:
         return CheckResult(True, label)
     # Witness: residue of (sum - rhs); the cleared q-power rejoins the
     # denominator so both verification paths report the same residue.
-    diff = Poly([a - b for a, b in _zip_pad(lhs_side, rhs_side)])
+    diff = Poly(list_add(lhs_side, list_scale(rhs_side, -1)))
     den_poly = Poly(den)
     den_full = den_poly if shift >= 0 else den_poly.shifted(-shift)
-    _, s, _ = poly_gcd_ext(den_full, ctx.modulus)
-    residue = (diff * s) % ctx.modulus
+    residue = _residue(diff, den_full, ctx.modulus)
     return CheckResult(False, label, witness=RatFunc.from_poly(residue))
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
 def _check_congruence_exact(
@@ -199,8 +180,7 @@ def _check_congruence_exact(
         raise GcdNotCoprime(f"{label}: reduced denominator shares a factor with the modulus")
     if not failed:
         return CheckResult(True, label)
-    residue = mod_reduce(fs.to_ratfunc(), ctx).residue
-    return CheckResult(False, label, witness=RatFunc.from_poly(residue))
+    return CheckResult(False, label, witness=RatFunc.from_poly(mod_reduce(fs.to_ratfunc(), ctx)))
 
 
 def verify_modsun(n: int, path: str = "auto") -> CheckResult:
@@ -368,20 +348,14 @@ def verify_sun(p: int, min_valuation: int = 3) -> tuple[PadicWitness, CheckResul
     Legendre/Euler-number closed form, requiring valuation >= min_valuation."""
     if p < 5 or not _is_prime(p):
         raise ValueError("p must be a prime >= 5")
-    total = Fraction(0)
-    c = 1  # binom(2k, k), by the multiplicative recurrence
-    for k in range((p - 1) // 2 + 1):
-        if k:
-            c = c * 2 * (2 * k - 1)
-            assert c % k == 0
-            c //= k
-        total += Fraction(c, 8**k)
+    total = sum(Fraction(math.comb(2 * k, k), 8**k) for k in range((p - 1) // 2 + 1))
     closed = legendre_symbol(2, p) + Fraction(legendre_symbol(-2, p) * p * p, 4) * euler_number(p - 3)
     diff = total - closed
     if diff == 0:
         valuation = min_valuation  # unreachable for a genuine congruence; defensive
     else:
-        assert diff.denominator % p != 0, "denominator not coprime to p"
+        if diff.denominator % p == 0:
+            raise ArithmeticError(f"p = {p} divides the denominator of the difference")
         num = abs(diff.numerator)
         valuation = 0
         while num % p == 0:
@@ -395,12 +369,11 @@ def verify_sun(p: int, min_valuation: int = 3) -> tuple[PadicWitness, CheckResul
 def check_square_completion(n: int, j: int) -> bool:
     """Exact Laurent identity
     (1-q^(n-2j+1))(1-q^(n+2j-1)) + (1-q^(2j-1))^2 q^(n-2j+1) = (1-q^n)^2."""
-    one = LaurentPoly.one()
+    bracket = BracketProduct.from_exponent
     a = n - 2 * j + 1
-    b = n + 2 * j - 1
-    fa = one - LaurentPoly.monomial(1, a)
-    fb = one - LaurentPoly.monomial(1, b)
-    fj = one - LaurentPoly.monomial(1, 2 * j - 1)
-    lhs = fa * fb + fj * fj * LaurentPoly.monomial(1, a)
-    fn = one - LaurentPoly.monomial(1, n)
-    return lhs == fn * fn
+    terms = [
+        bracket(a) * bracket(n + 2 * j - 1),
+        (bracket(2 * j - 1) ** 2).times_q_power(a),
+        -(bracket(n) ** 2),
+    ]
+    return sum_terms(terms).is_zero()

@@ -16,180 +16,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .polys import Poly, cyclotomic, divisors, mobius
+from .polys import (
+    Poly,
+    cyclotomic_int,
+    divisors,
+    expand_bracket_powers,
+    expand_cyclo_powers,
+    list_add,
+    list_bracket_div,
+    list_bracket_mul,
+    list_div_exact_monic,
+    list_is_zero,
+    list_mod_monic,
+    list_mul,
+    list_scale,
+    list_scale_div_exact,
+    list_trim,
+)
 from .ratfunc import RatFunc
-
-
-class InexactDivision(ArithmeticError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Integer coefficient-list kernels.  A polynomial is a list of ints, index i
-# holding the coefficient of q^i; trailing zeros are allowed and trimmed
-# lazily.  The zero polynomial is any all-zero list (canonically []).
-# ---------------------------------------------------------------------------
-
-
-def list_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def list_is_zero(c: Sequence[int]) -> bool:
-    return not any(c)
-
-
-def list_bracket_mul(c: Sequence[int], m: int) -> list[int]:
-    """c * (1 - q**m)."""
-    if not c:
-        return []
-    out = list(c) + [0] * m
-    for i, v in enumerate(c):
-        if v:
-            out[i + m] -= v
-    return out
-
-
-def list_bracket_div(c: Sequence[int], m: int) -> list[int]:
-    """Exact division by (1 - q**m); raises InexactDivision otherwise."""
-    c = list(c)
-    list_trim(c)
-    if not c:
-        return []
-    if len(c) <= m:
-        raise InexactDivision(f"not divisible by 1 - q^{m}")
-    out = [0] * (len(c) - m)
-    for i in range(len(out)):
-        out[i] = c[i] + (out[i - m] if i >= m else 0)
-    for i in range(len(out), len(c)):
-        carry = out[i - m] if i >= m else 0
-        if c[i] + carry != 0:
-            raise InexactDivision(f"not divisible by 1 - q^{m}")
-    return out
-
-
-def list_scale(c: Sequence[int], k: int) -> list[int]:
-    if k == 1:
-        return list(c)
-    return [v * k for v in c]
-
-
-def list_scale_div_exact(c: Sequence[int], k: int) -> list[int]:
-    if k == 1:
-        return list(c)
-    out = []
-    for v in c:
-        d, r = divmod(v, k)
-        if r:
-            raise InexactDivision(f"coefficient {v} not divisible by {k}")
-        out.append(d)
-    return out
-
-
-def list_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if list_is_zero(a) or list_is_zero(b):
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def list_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def list_divmod_monic(c: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by a monic integer polynomial."""
-    assert d and d[-1] == 1, "divisor must be monic"
-    rem = list(c)
-    dn = len(d)
-    if len(rem) < dn:
-        return [], rem
-    quot = [0] * (len(rem) - dn + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        f = rem[i + dn - 1]
-        if f:
-            quot[i] = f
-            for j in range(dn - 1):
-                rem[i + j] -= f * d[j]
-            rem[i + dn - 1] = 0
-    return quot, list_trim(rem[: dn - 1])
-
-
-def list_mod_monic(c: Sequence[int], d: Sequence[int]) -> list[int]:
-    dn = len(d)
-    if len(c) < dn:
-        return list(c)
-    rem = list(c)
-    for i in range(len(rem) - dn, -1, -1):
-        f = rem[i + dn - 1]
-        if f:
-            for j in range(dn - 1):
-                rem[i + j] -= f * d[j]
-            rem[i + dn - 1] = 0
-    del rem[dn - 1 :]
-    return rem
-
-
-def list_div_exact_monic(c: Sequence[int], d: Sequence[int]) -> list[int] | None:
-    """Quotient by a monic integer polynomial if the division is exact."""
-    quot, rem = list_divmod_monic(c, d)
-    if rem:
-        return None
-    return quot
-
-
-_cyclo_int_cache: dict[int, list[int]] = {}
-
-
-def cyclotomic_int(n: int) -> list[int]:
-    cached = _cyclo_int_cache.get(n)
-    if cached is None:
-        cached = [int(c) for c in cyclotomic(n).coeffs]
-        _cyclo_int_cache[n] = cached
-    return cached
-
-
-def expand_bracket_powers(exps: Mapping[int, int]) -> list[int]:
-    """Expand prod_m (1 - q**m)**exps[m]; the result must be a polynomial."""
-    out = [1]
-    for m, e in sorted(exps.items()):
-        for _ in range(e):
-            out = list_bracket_mul(out, m)
-    for m, e in sorted(exps.items()):
-        for _ in range(-e):
-            out = list_bracket_div(out, m)
-    return out
-
-
-def expand_cyclo_powers(mults: Mapping[int, int]) -> list[int]:
-    """Expand prod_d Phi_d(q)**mults[d] (all multiplicities >= 0); monic."""
-    brackets: dict[int, int] = {}
-    sign = 1
-    for d, e in mults.items():
-        if e < 0:
-            raise ValueError("cyclotomic multiplicities must be >= 0")
-        if e == 0:
-            continue
-        if d == 1 and e % 2:
-            sign = -sign
-        for t in divisors(d):
-            mu = mobius(d // t)
-            if mu:
-                brackets[t] = brackets.get(t, 0) + mu * e
-    out = list_scale(expand_bracket_powers(brackets), sign)
-    assert out and out[-1] == 1, "cyclotomic product must be monic"
-    return out
 
 
 def divide_out_cyclotomic(c: list[int], d: int, cap: int) -> tuple[int, list[int]]:
@@ -467,12 +311,6 @@ def _as_int_coeffs(terms: Sequence[BracketProduct]) -> tuple[Fraction, list[int]
     return Fraction(g, lcm), [v // g for v in ints]
 
 
-def _expand_cofactor(exps: Mapping[int, int], scale: int, offset: int) -> list[int]:
-    out = expand_bracket_powers(exps)
-    out = list_scale(out, scale)
-    return [0] * offset + out
-
-
 def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     """Exact sum of factored terms over their least common denominator."""
     live = [t for t in terms if not t.is_zero()]
@@ -492,27 +330,25 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     ]
     offsets = [t.shift - min_shift for t in live]
 
-    term_list = _expand_cofactor(resids[0], int_coeffs[0], offsets[0])
+    # Each cofactor is int_coeffs[i] * q**offsets[i] * prod (1 - q**m)**r with
+    # every r >= 0, so dividing out a bracket the previous cofactor contains is
+    # exact, and the coefficient ratio's denominator divides int_coeffs[i - 1].
+    term_list = [0] * offsets[0] + list_scale(expand_bracket_powers(resids[0]), int_coeffs[0])
     acc = list(term_list)
     for i in range(1, len(live)):
-        try:
-            bare = term_list[offsets[i - 1] :] if offsets[i - 1] else list(term_list)
-            touched = set(resids[i]) | set(resids[i - 1])
-            for m in sorted(touched):
-                delta = resids[i].get(m, 0) - resids[i - 1].get(m, 0)
-                for _ in range(delta):
-                    bare = list_bracket_mul(bare, m)
-                for _ in range(-delta):
-                    bare = list_bracket_div(bare, m)
-            if int_coeffs[i] != int_coeffs[i - 1]:
-                r = Fraction(int_coeffs[i], int_coeffs[i - 1])
-                bare = list_scale(bare, r.numerator)
-                bare = list_scale_div_exact(bare, r.denominator)
-            term_list = [0] * offsets[i] + bare
-        except InexactDivision:
-            # Consecutive summands are expected to divide exactly; rebuild
-            # from scratch if a caller hands over an irregular sequence.
-            term_list = _expand_cofactor(resids[i], int_coeffs[i], offsets[i])
+        bare = term_list[offsets[i - 1] :] if offsets[i - 1] else list(term_list)
+        touched = set(resids[i]) | set(resids[i - 1])
+        for m in sorted(touched):
+            delta = resids[i].get(m, 0) - resids[i - 1].get(m, 0)
+            for _ in range(delta):
+                bare = list_bracket_mul(bare, m)
+            for _ in range(-delta):
+                bare = list_bracket_div(bare, m)
+        if int_coeffs[i] != int_coeffs[i - 1]:
+            r = Fraction(int_coeffs[i], int_coeffs[i - 1])
+            bare = list_scale(bare, r.numerator)
+            bare = list_scale_div_exact(bare, r.denominator)
+        term_list = [0] * offsets[i] + bare
         acc = list_add(acc, term_list)
     list_trim(acc)
     return FactoredSum(prefactor, acc)
@@ -526,18 +362,18 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # ---------------------------------------------------------------------------
 
 
-def _mod_bracket_mul(c: list[int], m: int, mod: list[int]) -> list[int]:
+def _mod_bracket_mul(c: list[int], m: int, mod: Sequence[int]) -> list[int]:
     return list_mod_monic(list_bracket_mul(c, m), mod)
 
 
-def _mod_shift(c: list[int], delta: int, mod: list[int]) -> list[int]:
+def _mod_shift(c: list[int], delta: int, mod: Sequence[int]) -> list[int]:
     if not c or delta == 0:
         return c
     return list_mod_monic([0] * delta + c, mod)
 
 
 def sum_terms_mod(
-    terms: Iterable[BracketProduct], mod: list[int]
+    terms: Iterable[BracketProduct], mod: Sequence[int]
 ) -> tuple[list[int], list[int], dict[int, int]]:
     """Residues (A, D) with sum(terms) = A / D in Q[q]/(mod), plus the bracket
     multiset of D.
@@ -546,7 +382,8 @@ def sum_terms_mod(
     coprimality with a cyclotomic modulus can be read off the returned
     multiset: Phi_d divides (1 - q**m) exactly when d | m.
     """
-    assert mod and mod[-1] == 1 and len(mod) >= 2, "modulus must be monic, degree >= 1"
+    if len(mod) < 2 or mod[-1] != 1:
+        raise ValueError("modulus must be monic, degree >= 1")
     live = [t for t in terms if not t.is_zero()]
     if not live:
         return [], [1], {}
@@ -599,4 +436,4 @@ def sum_terms_mod(
             term = list_mod_monic(term, mod)
         acc = list_add(acc, term)
         prev = t
-    return list_trim(list_mod_monic(acc, mod)), list_trim(list_mod_monic(den, mod)), den_brackets
+    return list_mod_monic(acc, mod), list_mod_monic(den, mod), den_brackets

@@ -10,6 +10,7 @@ ambient precision state.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +70,37 @@ def _check_q(qm) -> None:
 _SERIES = (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS)
 
 
+def _series_terms(sid: SeriesId, qm):
+    """The terms t_1, t_2, ... of one of the three series at qm (t_0 = 1),
+    by their product recurrences; the caller fixes the working precision."""
+    one = mpmath.mpf(1)
+    one_minus_q = one - qm
+    p_odd = one  # (q; q^2)_k
+    p_even2 = one  # (q^2; q^4)_k
+    p_four = one  # (q^4; q^4)_k
+    q_sq = one  # q^(k^2)
+    q_3sq = one  # q^(3k^2)
+    k = 0
+    while True:
+        k += 1
+        p_odd *= one - qm ** (2 * k - 1)
+        p_four *= one - qm ** (4 * k)
+        q_sq *= qm ** (2 * k - 1)
+        if sid is SeriesId.J2_LHS:
+            p_even2 *= one - qm ** (4 * k - 2)
+            bracket = (one - qm ** (6 * k + 1)) / one_minus_q
+            term = q_sq * bracket * p_odd * p_odd * p_even2 / (p_four**3)
+        elif sid is SeriesId.L2_LHS:
+            q_3sq *= qm ** (6 * k - 3)
+            bracket = (one - qm ** (6 * k + 1)) / one_minus_q
+            term = q_3sq * bracket * p_odd**3 / (p_four**3)
+            if k % 2:
+                term = -term
+        else:
+            term = q_sq * p_odd / p_four
+        yield term
+
+
 def eval_series(
     sid: SeriesId,
     q,
@@ -91,42 +123,17 @@ def eval_series(
         epsm = _to_mpf(eps)
         if epsm <= 0:
             raise ValueError("eps must be positive")
-        one = mpmath.mpf(1)
-        one_minus_q = one - qm
-        total = one  # k = 0 term of all three series
-        p_odd = one  # (q; q^2)_k
-        p_even2 = one  # (q^2; q^4)_k
-        p_four = one  # (q^4; q^4)_k
-        q_sq = one  # q^(k^2)
-        q_3sq = one  # q^(3k^2)
-        k = 0
-        while True:
-            k += 1
-            if k > max_terms:
-                raise ConvergenceBudgetExceeded(
-                    f"{sid.value} at q={mpmath.nstr(qm, 8)}: no tail bound within {max_terms} terms"
-                )
-            p_odd *= one - qm ** (2 * k - 1)
-            p_four *= one - qm ** (4 * k)
-            q_sq *= qm ** (2 * k - 1)
-            if sid is SeriesId.J2_LHS:
-                p_even2 *= one - qm ** (4 * k - 2)
-                bracket = (one - qm ** (6 * k + 1)) / one_minus_q
-                term = q_sq * bracket * p_odd * p_odd * p_even2 / (p_four**3)
-            elif sid is SeriesId.L2_LHS:
-                q_3sq *= qm ** (6 * k - 3)
-                bracket = (one - qm ** (6 * k + 1)) / one_minus_q
-                term = q_3sq * bracket * p_odd**3 / (p_four**3)
-                if k % 2:
-                    term = -term
-            else:
-                term = q_sq * p_odd / p_four
+        total = mpmath.mpf(1)  # k = 0 term of all three series
+        for k, term in enumerate(itertools.islice(_series_terms(sid, qm), max_terms), 1):
             total += term
             ratio_bound = _ratio_bound(sid, qm, k)
             if ratio_bound < 1:
                 tail = abs(term) * ratio_bound / (1 - ratio_bound)
                 if tail <= epsm:
                     return EvalReport(total, tail, k + 1)
+        raise ConvergenceBudgetExceeded(
+            f"{sid.value} at q={mpmath.nstr(qm, 8)}: no tail bound within {max_terms} terms"
+        )
 
 
 def _ratio_bound(sid: SeriesId, qm, k: int):
@@ -146,25 +153,7 @@ def series_partial_value(sid: SeriesId, q, upper: int, prec: int) -> mpmath.mpf:
     with mpmath.workprec(prec):
         qm = _to_mpf(q)
         _check_q(qm)
-        one = mpmath.mpf(1)
-        total = one
-        p_odd = p_even2 = p_four = q_sq = q_3sq = one
-        for k in range(1, upper + 1):
-            p_odd *= one - qm ** (2 * k - 1)
-            p_four *= one - qm ** (4 * k)
-            q_sq *= qm ** (2 * k - 1)
-            if sid is SeriesId.J2_LHS:
-                p_even2 *= one - qm ** (4 * k - 2)
-                term = q_sq * (one - qm ** (6 * k + 1)) / (one - qm) * p_odd**2 * p_even2 / p_four**3
-            elif sid is SeriesId.L2_LHS:
-                q_3sq *= qm ** (6 * k - 3)
-                term = q_3sq * (one - qm ** (6 * k + 1)) / (one - qm) * p_odd**3 / p_four**3
-                if k % 2:
-                    term = -term
-            else:
-                term = q_sq * p_odd / p_four
-            total += term
-        return total
+        return sum(itertools.islice(_series_terms(sid, qm), upper), mpmath.mpf(1))
 
 
 def _qpoch_inf(
@@ -346,6 +335,9 @@ def q_gamma(x, q, digits: int) -> EvalReport:
 
 LIMIT_TARGETS = ("PI1", "PI2")
 
+#: The scan indices j that limit_scan accepts, with q_j = 1 - 2^-j.
+LIMIT_JS = range(2, 17)
+
 
 def limit_scan(which: str, j_range, digits: int = 12) -> list[LimitPoint]:
     """Evaluate the q-series at q_j = 1 - 2^-j and report the distance to the
@@ -355,8 +347,8 @@ def limit_scan(which: str, j_range, digits: int = 12) -> list[LimitPoint]:
         raise ValueError(f"unknown limit target {which!r}")
     sid = SeriesId.J2_LHS if which == "PI1" else SeriesId.L2_LHS
     js = list(j_range)
-    if any(j < 2 or j > 16 for j in js):
-        raise ValueError("j must lie in 2..16")
+    if any(j not in LIMIT_JS for j in js):
+        raise ValueError(f"j must lie in {LIMIT_JS[0]}..{LIMIT_JS[-1]}")
     prec = working_prec(digits) + 32
     points = []
     for j in js:

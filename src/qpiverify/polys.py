@@ -1,10 +1,15 @@
-"""Dense exact arithmetic in one variable q over the rationals.
+"""Exact arithmetic in one variable q: integer coefficient-list kernels,
+cyclotomic polynomials, and the dense Poly type over the rationals.
 
-A polynomial is a tuple of Fraction coefficients, index i holding the
-coefficient of q**i; the trailing coefficient is nonzero and the zero
-polynomial is the empty tuple.  Laurent polynomials carry an integer shift
-(the minimum exponent), so their value is q**shift * body with body having a
-nonzero constant term.
+The kernels work on plain lists of ints, index i holding the coefficient of
+q**i; trailing zeros are allowed and trimmed lazily, and the zero polynomial
+is any all-zero list (canonically []).  They are the one copy of each exact
+operation: the summation engines, the moduli, the cyclotomic cache and the
+Fraction-valued `Poly` product all run on them.
+
+A `Poly` is a tuple of Fraction coefficients with nonzero trailing
+coefficient; the zero polynomial is the empty tuple.  Values with negative
+q-exponents are `RatFunc`s with a q-power in the denominator.
 
 Everything here is immutable and pure; the cyclotomic cache is the only
 shared state and lru_cache keeps it safe under the GIL.
@@ -13,14 +18,217 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping, Sequence
 
 Scalar = int | Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class InexactDivision(ArithmeticError):
+    pass
+
+
+def list_trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def list_is_zero(c: Sequence[int]) -> bool:
+    return not any(c)
+
+
+def list_bracket_mul(c: Sequence[int], m: int) -> list[int]:
+    """c * (1 - q**m)."""
+    if not c:
+        return []
+    out = list(c) + [0] * m
+    for i, v in enumerate(c):
+        if v:
+            out[i + m] -= v
+    return out
+
+
+def list_bracket_div(c: Sequence[int], m: int) -> list[int]:
+    """Exact division by (1 - q**m); raises InexactDivision otherwise."""
+    c = list(c)
+    list_trim(c)
+    if not c:
+        return []
+    if len(c) <= m:
+        raise InexactDivision(f"not divisible by 1 - q^{m}")
+    out = [0] * (len(c) - m)
+    for i in range(len(out)):
+        out[i] = c[i] + (out[i - m] if i >= m else 0)
+    for i in range(len(out), len(c)):
+        carry = out[i - m] if i >= m else 0
+        if c[i] + carry != 0:
+            raise InexactDivision(f"not divisible by 1 - q^{m}")
+    return out
+
+
+def list_scale(c: Sequence[int], k: int) -> list[int]:
+    if k == 1:
+        return list(c)
+    return [v * k for v in c]
+
+
+def list_scale_div_exact(c: Sequence[int], k: int) -> list[int]:
+    if k == 1:
+        return list(c)
+    out = []
+    for v in c:
+        d, r = divmod(v, k)
+        if r:
+            raise InexactDivision(f"coefficient {v} not divisible by {k}")
+        out.append(d)
+    return out
+
+
+def list_mul(a: Sequence, b: Sequence) -> list:
+    """Convolution of two coefficient lists (ints, or Fractions for Poly)."""
+    if list_is_zero(a) or list_is_zero(b):
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def list_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return out
+
+
+def list_divmod_monic(c: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder by a monic integer polynomial."""
+    if not d or d[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(c)
+    dn = len(d)
+    if len(rem) < dn:
+        return [], list_trim(rem)
+    quot = [0] * (len(rem) - dn + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        f = rem[i + dn - 1]
+        if f:
+            quot[i] = f
+            for j in range(dn - 1):
+                rem[i + j] -= f * d[j]
+            rem[i + dn - 1] = 0
+    return quot, list_trim(rem[: dn - 1])
+
+
+def list_mod_monic(c: Sequence[int], d: Sequence[int]) -> list[int]:
+    """Remainder by a monic integer polynomial."""
+    return list_divmod_monic(c, d)[1]
+
+
+def list_div_exact_monic(c: Sequence[int], d: Sequence[int]) -> list[int] | None:
+    """Quotient by a monic integer polynomial if the division is exact."""
+    quot, rem = list_divmod_monic(c, d)
+    if rem:
+        return None
+    return quot
+
+
+def expand_bracket_powers(exps: Mapping[int, int]) -> list[int]:
+    """Expand prod_m (1 - q**m)**exps[m]; the result must be a polynomial."""
+    out = [1]
+    for m, e in sorted(exps.items()):
+        for _ in range(e):
+            out = list_bracket_mul(out, m)
+    for m, e in sorted(exps.items()):
+        for _ in range(-e):
+            out = list_bracket_div(out, m)
+    return out
+
+
+@lru_cache(maxsize=None)
+def divisors(n: int) -> tuple[int, ...]:
+    ds = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            ds.append(i)
+            if i != n // i:
+                ds.append(n // i)
+        i += 1
+    return tuple(sorted(ds))
+
+
+@lru_cache(maxsize=None)
+def mobius(n: int) -> int:
+    if n == 1:
+        return 1
+    m, count = n, 0
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            count += 1
+        p += 1
+    if m > 1:
+        count += 1
+    return -1 if count % 2 else 1
+
+
+def expand_cyclo_powers(mults: Mapping[int, int]) -> list[int]:
+    """Expand prod_d Phi_d(q)**mults[d] (all multiplicities >= 0); monic.
+
+    Each Phi_d is the Moebius product prod_{t | d} (q**t - 1)**mu(d/t), so
+    the whole product is one bracket product, expanded with exact bracket
+    divisions.
+    """
+    brackets: dict[int, int] = {}
+    sign = 1
+    for d, e in mults.items():
+        if e < 0:
+            raise ValueError("cyclotomic multiplicities must be >= 0")
+        if e == 0:
+            continue
+        # q**t - 1 = -(1 - q**t), and sum_{t | d} mu(d/t) is 1 for d = 1 only.
+        if d == 1 and e % 2:
+            sign = -sign
+        for t in divisors(d):
+            mu = mobius(d // t)
+            if mu:
+                brackets[t] = brackets.get(t, 0) + mu * e
+    out = list_scale(expand_bracket_powers(brackets), sign)
+    if not out or out[-1] != 1:
+        raise ArithmeticError("cyclotomic product must be monic")
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_int(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial."""
+    if n < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    return tuple(expand_cyclo_powers({n: 1}))
+
+
+def cyclotomic(n: int) -> Poly:
+    """The n-th cyclotomic polynomial as a Poly.
+
+    >>> cyclotomic(1)
+    Poly('q - 1')
+    >>> cyclotomic(6)
+    Poly('q^2 - q + 1')
+    """
+    return Poly(cyclotomic_int(n))
 
 
 class Poly:
@@ -36,9 +244,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(list_trim(cs))
 
     @staticmethod
     def zero() -> Poly:
@@ -51,7 +257,7 @@ class Poly:
     @staticmethod
     def monomial(coeff: Scalar, exp: int) -> Poly:
         if exp < 0:
-            raise ValueError("Poly exponents must be nonnegative; use LaurentPoly")
+            raise ValueError("Poly exponents must be nonnegative; use RatFunc.q_power")
         if coeff == 0:
             return Poly()
         return Poly([0] * exp + [coeff])
@@ -148,24 +354,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        # Integer fast path: convolution over int is much cheaper than Fraction.
+        # Convolution over int is much cheaper than over Fraction.
         if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-            ai = [c.numerator for c in a]
-            bi = [c.numerator for c in b]
-            out = [0] * (len(ai) + len(bi) - 1)
-            for i, x in enumerate(ai):
-                if x:
-                    for j, y in enumerate(bi):
-                        out[i + j] += x * y
-            return Poly(out)
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Poly(out)
+            a = [c.numerator for c in a]
+            b = [c.numerator for c in b]
+        return Poly(list_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -266,9 +459,7 @@ def _int_coeffs(p: Poly) -> list[int]:
 
 
 def _primitive(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
+    if not list_trim(c):
         return c
     g = 0
     for v in c:
@@ -290,9 +481,7 @@ def _int_pseudo_rem(u: list[int], v: list[int]) -> list[int]:
         for j in range(len(v)):
             u[off + j] -= top * v[j]
         u.pop()
-        while u and u[-1] == 0:
-            u.pop()
-        if not u:
+        if not list_trim(u):
             break
     return u
 
@@ -326,167 +515,6 @@ def poly_gcd_ext(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quot * t1
     lead = r0.leading()
     g, s, t = r0 / lead, s0 / lead, t0 / lead
-    assert g == s * a + t * b, "extended gcd certificate failed"
+    if g != s * a + t * b:
+        raise ArithmeticError("extended gcd certificate failed")
     return g, s, t
-
-
-@lru_cache(maxsize=None)
-def divisors(n: int) -> tuple[int, ...]:
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i != n // i:
-                ds.append(n // i)
-        i += 1
-    return tuple(sorted(ds))
-
-
-@lru_cache(maxsize=None)
-def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m, count = n, 0
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> Poly:
-    """The n-th cyclotomic polynomial, by exact division of q**n - 1 by the
-    cyclotomic polynomials of the proper divisors of n.
-
-    >>> cyclotomic(1)
-    Poly('q - 1')
-    >>> cyclotomic(6)
-    Poly('q^2 - q + 1')
-    """
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    poly = Poly([-1] + [0] * (n - 1) + [1])
-    for d in divisors(n):
-        if d == n:
-            continue
-        poly, rem = divmod(poly, cyclotomic(d))
-        assert rem.is_zero()
-    return poly
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """q**shift * body, with body carrying a nonzero constant term (or zero)."""
-
-    body: Poly
-    shift: int = 0
-
-    def __post_init__(self):
-        body, shift = self.body, self.shift
-        if body.is_zero():
-            shift = 0
-        else:
-            v = body.valuation()
-            if v:
-                body = Poly(body.coeffs[v:])
-                shift += v
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "shift", shift)
-
-    @staticmethod
-    def zero() -> LaurentPoly:
-        return LaurentPoly(Poly())
-
-    @staticmethod
-    def one() -> LaurentPoly:
-        return LaurentPoly(Poly.one())
-
-    @staticmethod
-    def monomial(coeff: Scalar, exp: int) -> LaurentPoly:
-        return LaurentPoly(Poly([coeff]), exp)
-
-    @staticmethod
-    def from_poly(p: Poly) -> LaurentPoly:
-        return LaurentPoly(p, 0)
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def to_poly(self) -> Poly:
-        """Fold the shift back in; requires shift >= 0."""
-        if self.shift < 0:
-            raise ValueError("Laurent value with negative exponents is not a Poly")
-        return self.body.shifted(self.shift)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(-self.body, self.shift)
-
-    def __add__(self, other) -> LaurentPoly:
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        base = min(self.shift, other.shift)
-        a = self.body.shifted(self.shift - base)
-        b = other.body.shifted(other.shift - base)
-        return LaurentPoly(a + b, base)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> LaurentPoly:
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> LaurentPoly:
-        return -(self - other)
-
-    def __mul__(self, other) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly(self.body * other, self.shift)
-        other = _coerce_laurent(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LaurentPoly(self.body * other.body, self.shift + other.shift)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative power of a LaurentPoly")
-        return LaurentPoly(self.body**n, self.shift * n)
-
-    def evaluate(self, x):
-        return self.body.evaluate(x) * Fraction(x) ** self.shift
-
-    def __repr__(self) -> str:
-        if self.shift == 0:
-            return f"LaurentPoly('{format_poly(self.body.coeffs)}')"
-        return f"LaurentPoly('q^{self.shift} * ({format_poly(self.body.coeffs)})')"
-
-
-def _coerce_laurent(other):
-    if isinstance(other, LaurentPoly):
-        return other
-    if isinstance(other, Poly):
-        return LaurentPoly(other)
-    if isinstance(other, (int, Fraction)):
-        return LaurentPoly(Poly([other]))
-    return NotImplemented
-
-
-def neg_q_power(e: int) -> LaurentPoly:
-    """(-q)**e for any integer e."""
-    return LaurentPoly.monomial(-1 if e % 2 else 1, e)

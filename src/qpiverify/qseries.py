@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .factored import BracketProduct, sum_terms
-from .polys import LaurentPoly, Poly
+from .polys import Poly
 from .ratfunc import RatFunc
 
 
@@ -55,15 +55,15 @@ class QPochSpec:
             raise ValueError("count must be >= 0")
 
 
-def q_pochhammer(spec: QPochSpec) -> LaurentPoly:
+def q_pochhammer(spec: QPochSpec) -> RatFunc:
     """prod_{j=0}^{count-1} (1 - q**(base_exp + j*step)), multiplied out.
 
     The empty product is 1; a factor with exponent 0 makes the product zero.
+    Negative exponents leave a q-power in the denominator.
     """
-    out = LaurentPoly.one()
+    out = RatFunc.one()
     for j in range(spec.count):
-        factor = LaurentPoly.one() - LaurentPoly.monomial(1, spec.base_exp + j * spec.step)
-        out = out * factor
+        out = out * (1 - RatFunc.q_power(spec.base_exp + j * spec.step))
         if out.is_zero():
             break
     return out

@@ -45,7 +45,8 @@ class CheckResult:
     terms: int | None = None
 
     def __post_init__(self):
-        assert not (self.passed and self.witness is not None and not self.witness.is_zero())
+        if self.passed and self.witness is not None and not self.witness.is_zero():
+            raise ValueError(f"{self.case_label}: a passing check carries a nonzero witness")
 
 
 def _poch_ext(base_exp: int, step: int, count: int) -> BracketProduct:

@@ -15,7 +15,7 @@ from qpiverify.congruences import (
     verify_modsun,
     verify_sun,
 )
-from qpiverify.factored import cyclotomic_int, list_mod_monic
+from qpiverify.polys import cyclotomic_int, list_mod_monic
 from qpiverify.numerics import (
     check_identity_numeric,
     classical_target,

@@ -72,6 +72,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["verify-congruence", "--which", "modsun", "--odd-n", "2..2"]) == 2
     assert run(["verify-congruence", "--which", "L2", "--n-list", "15"]) == 2
+    assert run(["eval", "--identity", "a1", "--q", "3/2"]) == 2
+    assert run(["eval", "--identity", "a1", "--digits", "0"]) == 2
+    assert run(["eval", "--identity", "pi1", "--digits", "0"]) == 2
+    assert run(["limit", "--which", "pi1", "--j-range", "1..3"]) == 2
     capsys.readouterr()
 
 

@@ -46,14 +46,14 @@ def test_modulus_build_rejects_even():
 
 def test_mod_reduce_constant():
     ctx = modulus_build(3, ModulusKind.PHI_SQUARED)
-    assert mod_reduce(RatFunc.one(), ctx).residue == Poly.one()
+    assert mod_reduce(RatFunc.one(), ctx) == Poly.one()
 
 
 def test_mod_reduce_inverse_of_q():
     ctx = modulus_build(3, ModulusKind.PHI_SQUARED)
     r = mod_reduce(RatFunc.q_power(-1), ctx)
-    assert r.residue.degree <= 3
-    assert (Poly.monomial(1, 1) * r.residue % ctx.modulus) == Poly.one()
+    assert r.degree <= 3
+    assert (Poly.monomial(1, 1) * r % ctx.modulus) == Poly.one()
 
 
 def test_mod_reduce_noninvertible():
@@ -82,8 +82,8 @@ def test_mod_reduce_is_ring_homomorphism():
     for _ in range(40):
         a, b = rand_rf(), rand_rf()
         ra, rb = mod_reduce(a, ctx), mod_reduce(b, ctx)
-        assert mod_reduce(a * b, ctx).residue == (ra.residue * rb.residue) % mod
-        assert mod_reduce(a + b, ctx).residue == (ra.residue + rb.residue) % mod
+        assert mod_reduce(a * b, ctx) == (ra * rb) % mod
+        assert mod_reduce(a + b, ctx) == (ra + rb) % mod
 
 
 def test_mod_reduce_inverse_contract():
@@ -91,7 +91,7 @@ def test_mod_reduce_inverse_contract():
     d = RatFunc.from_poly(Poly([1, 1]))
     inv = mod_reduce(RatFunc.one() / d, ctx)
     direct = mod_reduce(d, ctx)
-    assert (inv.residue * direct.residue % ctx.modulus) == Poly.one()
+    assert (inv * direct % ctx.modulus) == Poly.one()
 
 
 def test_congruent_zero_cases():
@@ -197,6 +197,15 @@ def test_verify_sun_small_primes():
     for p in (7, 11, 13):
         witness, result = verify_sun(p)
         assert result.passed, (p, witness)
+
+
+def test_verify_sun_rejects_p_in_denominator(monkeypatch):
+    import qpiverify.congruences as congruences
+
+    # A closed form whose denominator carries p makes the valuation meaningless.
+    monkeypatch.setattr(congruences, "euler_number", lambda m: Fraction(1, 7**3))
+    with pytest.raises(ArithmeticError):
+        verify_sun(7)
 
 
 def test_verify_sun_validation():

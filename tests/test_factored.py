@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from qpiverify.factored import (
-    BracketProduct,
+from qpiverify.factored import BracketProduct, sum_terms, sum_terms_mod
+from qpiverify.polys import (
     InexactDivision,
+    Poly,
+    cyclotomic,
     cyclotomic_int,
     expand_bracket_powers,
     expand_cyclo_powers,
@@ -15,10 +17,8 @@ from qpiverify.factored import (
     list_bracket_mul,
     list_div_exact_monic,
     list_mod_monic,
-    sum_terms,
-    sum_terms_mod,
+    list_trim,
 )
-from qpiverify.polys import Poly, cyclotomic
 from qpiverify.ratfunc import RatFunc
 
 
@@ -155,10 +155,16 @@ def test_sum_terms_mod_matches_exact():
 def test_list_mod_and_exact_division():
     phi5 = cyclotomic_int(5)
     # q^5 - 1 = (q - 1) Phi_5, so q^5 reduces to 1.
-    from qpiverify.factored import list_trim
-
     assert list_trim(list_mod_monic([0, 0, 0, 0, 0, 1], phi5)) == [1]
     prod = list_bracket_mul(phi5, 2)
     quot = list_div_exact_monic(prod, phi5)
     assert quot == [1, 0, -1]
     assert list_div_exact_monic([1, 1], phi5) is None
+
+
+def test_sum_terms_mod_rejects_non_monic_modulus():
+    terms = [BracketProduct.make(1, 0, {1: 1})]
+    with pytest.raises(ValueError):
+        sum_terms_mod(terms, [1, 2])
+    with pytest.raises(ValueError):
+        sum_terms_mod(terms, [1])

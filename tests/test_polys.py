@@ -4,13 +4,14 @@ from math import gcd
 
 import pytest
 
+import qpiverify.polys as polys
 from qpiverify.polys import (
-    LaurentPoly,
     Poly,
     cyclotomic,
     divisors,
+    expand_cyclo_powers,
+    list_divmod_monic,
     mobius,
-    neg_q_power,
     poly_gcd,
     poly_gcd_ext,
 )
@@ -141,30 +142,31 @@ def test_poly_gcd_monic():
     assert g == Poly([1, 1])
 
 
-def test_laurent_canonical_shift():
-    lp = LaurentPoly(Poly([0, 0, 1]), -3)
-    assert lp.body == Poly.one()
-    assert lp.shift == -1
+class _WrongQuotient(Poly):
+    """Divides with a quotient off by one, so the Bezout cofactors are wrong."""
+
+    __slots__ = ()
+
+    def __divmod__(self, other):
+        quot, rem = Poly.__divmod__(self, other)
+        return quot + 1, rem
 
 
-def test_neg_q_power_examples():
-    # exponent (1 - n^2)/8 at n = 3 is -1
-    assert neg_q_power(-1) == LaurentPoly(Poly([-1]), -1)
-    assert neg_q_power(0) == LaurentPoly(Poly([1]), 0)
-    assert neg_q_power(2) == LaurentPoly(Poly([1]), 2)
+def test_gcd_ext_certificate_failure_raises():
+    with pytest.raises(ArithmeticError):
+        poly_gcd_ext(_WrongQuotient([1, 0, 1]), Poly([0, 1]))
 
 
-def test_laurent_arithmetic_alignment():
-    a = LaurentPoly(Poly([1]), -2)  # q^-2
-    b = LaurentPoly(Poly([1]), 1)  # q
-    s = a + b
-    assert s.shift == -2
-    assert s.body == Poly([1, 0, 0, 1])
-    assert (a * b).shift == -1
-    assert a - a == LaurentPoly.zero()
-
-
-def test_laurent_to_poly_requires_nonnegative_shift():
+def test_monic_division_rejects_non_monic_divisor():
     with pytest.raises(ValueError):
-        LaurentPoly(Poly([1]), -1).to_poly()
-    assert LaurentPoly(Poly([1, 1]), 2).to_poly() == Poly([0, 0, 1, 1])
+        list_divmod_monic([1, 2, 3], [1, 2])
+    with pytest.raises(ValueError):
+        list_divmod_monic([1, 2, 3], [])
+
+
+def test_cyclotomic_product_must_come_out_monic(monkeypatch):
+    expand = polys.expand_bracket_powers
+    monkeypatch.setattr(polys, "expand_bracket_powers", lambda exps: [-c for c in expand(exps)])
+    with pytest.raises(ArithmeticError):
+        expand_cyclo_powers({1: 1})
+

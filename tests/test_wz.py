@@ -147,7 +147,7 @@ def test_certificate_sum_reproduces_the_finite_identity():
 
 
 def test_check_result_invariant():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CheckResult(True, "bad", witness=RatFunc.one())
     CheckResult(True, "ok", witness=RatFunc.zero())
     CheckResult(False, "fine", witness=RatFunc.one())
