@@ -237,15 +237,15 @@ def test_failing_congruence_witnesses_agree_across_paths():
     from qpiverify.factored import BracketProduct
     from qpiverify.qseries import SeriesId, series_terms
 
-    n = 7
-    ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-    terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-    wrong_rhs = BracketProduct.make(1, 0, {})  # the true right side is (-q)^-6
-    modular = _check_congruence_modular(terms, wrong_rhs, ctx, "wrong modular")
-    exact = _check_congruence_exact(terms, wrong_rhs, ctx, "wrong exact")
-    assert not modular.passed and not exact.passed
-    assert modular.witness == exact.witness
-    assert modular.witness is not None and not modular.witness.is_zero()
+    wrong_rhs = BracketProduct.make(1, 0, {})  # the true right side is (-q)^((1-n^2)/8)
+    for n in (7, 15, 21):
+        ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        modular = _check_congruence_modular(terms, wrong_rhs, ctx, "wrong modular")
+        exact = _check_congruence_exact(terms, wrong_rhs, ctx, "wrong exact")
+        assert not modular.passed and not exact.passed
+        assert modular.witness == exact.witness
+        assert modular.witness is not None and not modular.witness.is_zero()
 
 
 def test_exact_path_ill_posed_raises():
@@ -256,3 +256,51 @@ def test_exact_path_ill_posed_raises():
     bad_term = BracketProduct.make(1, 0, {3: -1})  # 1/(1-q^3): pole at the modulus
     with pytest.raises(GcdNotCoprime):
         _check_congruence_exact([bad_term], BracketProduct.one(), ctx, "ill-posed")
+
+
+def _intro_split_terms(pair, n):
+    """The split terms that verify_intro hands to the modular path."""
+    from qpiverify.factored import BracketProduct
+    from qpiverify.qseries import series_terms
+    from qpiverify.wz import wz_term_brackets
+
+    if pair is WzPairId.PAIR_J2:
+        terms = series_terms(SeriesId.J2_LHS, None, n - 1)
+    else:
+        terms = [wz_term_brackets(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
+    split = []
+    for k, t in enumerate(terms):
+        u = t / BracketProduct.from_exponent(6 * k + 1)
+        split += [u, -u.times_q_power(6 * k + 1)]
+    return split
+
+
+#: sha256 of repr(sum_terms_mod(...)) for the terms and modulus of each sweep case.
+_RESIDUE_DIGESTS = {
+    ("modsun", 45): "12c77359ef8a11fbab0e6e30a99c38b1069c59bc614110ffc6e14f148bb842e3",
+    ("modsun", 63): "016ced8177d5b86f77cce2240b18d12b1e37c371054f59667ba7adb66717908f",
+    ("modsun", 99): "8cad98997648db412b5e7ead9a4cb31353973c1191d11c4e666ca4e9ea0260a3",
+    ("J2", 31): "428d78c2face0111a0d148c28476173c7aa19685cb3ea764258b2d915243f146",
+    ("J2", 53): "5196aec09c1789a6f1aaecc2b1346d988d287ad66d7692e3f787b7ec86506e3b",
+    ("L2", 13): "76e1fc8ddece531393d3edb3c87328552ac2abf86cd404c36782cd397bdfe843",
+}
+
+
+@pytest.mark.parametrize("case, n", list(_RESIDUE_DIGESTS))
+def test_sum_terms_mod_residues_pinned(case, n):
+    """The residues (A, D, den_brackets) of the congruence sweeps' modular
+    accumulations must not change with the reduction strategy."""
+    import hashlib
+
+    from qpiverify.factored import sum_terms_mod
+    from qpiverify.qseries import series_terms
+
+    if case == "modsun":
+        ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+    else:
+        ctx = modulus_build(n, ModulusKind.N_PHI)
+        pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
+        terms = _intro_split_terms(pair, n)
+    out = sum_terms_mod(terms, ctx.coeffs)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _RESIDUE_DIGESTS[case, n]
