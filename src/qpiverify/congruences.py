@@ -5,8 +5,8 @@ means that in lowest terms M divides A and gcd(B, M) = 1.  Truncated sums are
 checked along two independent routes:
 
 * a modular fast path that accumulates numerator and denominator residues in
-  Q[q]/(M) and never inverts anything (the congruence becomes A == rhs * D
-  once gcd(D, M) = 1 is established), and
+  Z[q]/((1 - q^n)^2), reduces them by M once, and never inverts anything (the
+  congruence becomes A == rhs * D once gcd(D, M) = 1 is established), and
 * an exact path that forms the difference over its structured common
   denominator and reads off the multiplicity of every irreducible factor of M,
   which is what reduced-form semantics amount to.
@@ -131,7 +131,7 @@ def _check_congruence_modular(
     terms, rhs: BracketProduct, ctx: ModulusContext, label: str
 ) -> CheckResult:
     mod = ctx.coeffs
-    acc, den, den_brackets = sum_terms_mod(terms, mod)
+    acc, den, den_brackets = sum_terms_mod(terms, mod, ctx.n)
     # The accumulated denominator is an integer times a q-power times brackets
     # (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
@@ -193,8 +193,9 @@ def verify_modsun(n: int, path: str = "auto") -> CheckResult:
     resolved = "modular" if path in ("auto", "modular") else "exact"
     ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
     terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-    assert (1 - n * n) % 8 == 0, "odd n has n^2 = 1 (mod 8)"
-    e = (1 - n * n) // 8
+    e, r = divmod(1 - n * n, 8)
+    if r:
+        raise ArithmeticError("odd n must have n^2 = 1 (mod 8)")
     rhs = BracketProduct.make(parity_power(e), e, {})
     label = f"modsun n={n} ({resolved})"
     if resolved == "modular":
@@ -232,8 +233,9 @@ def verify_intro(
         e = (1 - n) // 2
     else:
         terms = [wz_term_brackets(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
-        assert ((n - 1) * (n + 5)) % 8 == 0, "odd n makes the exponent integral"
-        e = -((n - 1) * (n + 5)) // 8
+        e, r = divmod(-(n - 1) * (n + 5), 8)
+        if r:
+            raise ArithmeticError("odd n must make the exponent integral")
     # For the modular route, split [6k+1] = (1 - q^(6k+1))/(1 - q) so that the
     # accumulated denominator only ever collects genuine denominator brackets
     # (the term-ratio chain would otherwise borrow the previous numerator's
@@ -332,7 +334,8 @@ def legendre_symbol(a: int, p: int) -> int:
     t = pow(a % p, (p - 1) // 2, p)
     if t == p - 1:
         return -1
-    assert t in (0, 1)
+    if t not in (0, 1):
+        raise ArithmeticError(f"Euler's criterion gave {t} for an odd prime p = {p}")
     return t
 
 

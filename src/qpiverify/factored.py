@@ -28,7 +28,6 @@ from .polys import (
     list_div_exact_monic,
     list_is_zero,
     list_mod_monic,
-    list_mul,
     list_scale,
     list_scale_div_exact,
     list_trim,
@@ -257,7 +256,10 @@ class FactoredSum:
         if self.is_zero():
             return need
         cap = max(0, need - pref)
-        count, _ = divide_out_cyclotomic(list(self.num), d, cap)
+        # Phi_d**cap divides the monic (q**d - 1)**cap, so reducing by it
+        # first leaves the count up to cap unchanged and the dividend short.
+        fold = list_scale(expand_bracket_powers({d: cap}), (-1) ** cap)
+        count, _ = divide_out_cyclotomic(list_mod_monic(self.num, fold), d, cap)
         if count >= cap:
             return need
         return pref + count
@@ -355,10 +357,16 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 
 
 # ---------------------------------------------------------------------------
-# The same accumulation carried out modulo a monic integer polynomial M.
-# Denominators are never inverted: the sum is maintained as A / D with both
-# residues updated multiplicatively, so a congruence  sum == rhs (mod M)
-# becomes the polynomial statement  A == rhs * D (mod M)  once gcd(D, M) = 1.
+# The same accumulation carried out modulo a monic integer polynomial M that
+# divides S = (1 - q**n)**2, as both supercongruence moduli Phi_n**2 and
+# [n] Phi_n do.  Denominators are never inverted: the sum is maintained as
+# A / D with both residues updated multiplicatively, so a congruence
+# sum == rhs (mod M) becomes the polynomial statement A == rhs * D (mod M)
+# once gcd(D, M) = 1.  A and D accumulate in Z[q]/(S), where reducing by the
+# three-term S costs two operations per coefficient, and are reduced by the
+# dense M once at the end.  Reduction mod M is a ring homomorphism
+# Z[q]/(S) -> Z[q]/(M) and remainders by a monic M are unique, so the
+# residues are those of accumulating in Z[q]/(M) throughout.
 # ---------------------------------------------------------------------------
 
 
@@ -373,10 +381,10 @@ def _mod_shift(c: list[int], delta: int, mod: Sequence[int]) -> list[int]:
 
 
 def sum_terms_mod(
-    terms: Iterable[BracketProduct], mod: Sequence[int]
+    terms: Iterable[BracketProduct], mod: Sequence[int], n: int
 ) -> tuple[list[int], list[int], dict[int, int]]:
     """Residues (A, D) with sum(terms) = A / D in Q[q]/(mod), plus the bracket
-    multiset of D.
+    multiset of D.  `mod` must be monic and divide (1 - q**n)**2.
 
     D is a product of brackets (1 - q**m), a q-power, and an integer, so its
     coprimality with a cyclotomic modulus can be read off the returned
@@ -384,56 +392,41 @@ def sum_terms_mod(
     """
     if len(mod) < 2 or mod[-1] != 1:
         raise ValueError("modulus must be monic, degree >= 1")
+    if n < 1:
+        raise ValueError("working modulus index n must be >= 1")
+    work = expand_bracket_powers({n: 2})
+    # A modulus that does not divide S would silently get wrong residues.
+    if list_mod_monic(work, mod):
+        raise ValueError(f"modulus does not divide (1 - q^{n})^2")
     live = [t for t in terms if not t.is_zero()]
     if not live:
         return [], [1], {}
 
-    def expand_mod(exps: Mapping[int, int], positive: bool) -> list[int]:
-        out = [1]
-        for m, e in sorted(exps.items()):
-            reps = e if positive else -e
-            for _ in range(max(0, reps)):
-                out = _mod_bracket_mul(out, m, mod)
-        return out
-
+    # term / den is the current summand and acc / den the partial sum; each
+    # step multiplies term by the numerator of the term ratio and acc, den by
+    # its denominator.  The first ratio is t_0 itself.
     den_brackets: dict[int, int] = {}
-
-    def note_den_bracket(m: int, count: int) -> None:
-        if count:
-            den_brackets[m] = den_brackets.get(m, 0) + count
-
-    t0 = live[0]
-    term = expand_mod(dict(t0.exps), True)
-    term = list_scale(term, t0.coeff.numerator)
-    den = expand_mod(dict(t0.exps), False)
-    den = list_scale(den, t0.coeff.denominator)
-    for m, e in t0.exps:
-        note_den_bracket(m, -e if e < 0 else 0)
-    if t0.shift >= 0:
-        term = _mod_shift(term, t0.shift, mod)
-    else:
-        den = _mod_shift(den, -t0.shift, mod)
-    acc = list(term)
-    prev = t0
-    for t in live[1:]:
+    acc: list[int] = []
+    den = [1]
+    term = [1]
+    prev = BracketProduct.one()
+    for t in live:
         ratio = t / prev
-        den_mul = [1]
         for m, e in ratio.exps:
             for _ in range(e):
-                term = _mod_bracket_mul(term, m, mod)
+                term = _mod_bracket_mul(term, m, work)
             for _ in range(-e):
-                den_mul = _mod_bracket_mul(den_mul, m, mod)
-            note_den_bracket(m, -e if e < 0 else 0)
+                acc = _mod_bracket_mul(acc, m, work)
+                den = _mod_bracket_mul(den, m, work)
+            if e < 0:
+                den_brackets[m] = den_brackets.get(m, 0) - e
         if ratio.shift >= 0:
-            term = _mod_shift(term, ratio.shift, mod)
+            term = _mod_shift(term, ratio.shift, work)
         else:
-            den_mul = _mod_shift(den_mul, -ratio.shift, mod)
+            acc = _mod_shift(acc, -ratio.shift, work)
+            den = _mod_shift(den, -ratio.shift, work)
         term = list_scale(term, ratio.coeff.numerator)
-        den_mul = list_scale(den_mul, ratio.coeff.denominator)
-        if den_mul != [1]:
-            acc = list_mod_monic(list_mul(acc, den_mul), mod)
-            den = list_mod_monic(list_mul(den, den_mul), mod)
-            term = list_mod_monic(term, mod)
-        acc = list_add(acc, term)
+        acc = list_add(list_scale(acc, ratio.coeff.denominator), term)
+        den = list_scale(den, ratio.coeff.denominator)
         prev = t
     return list_mod_monic(acc, mod), list_mod_monic(den, mod), den_brackets

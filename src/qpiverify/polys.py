@@ -111,21 +111,25 @@ def list_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def list_divmod_monic(c: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by a monic integer polynomial."""
+    """Quotient and remainder by a monic integer polynomial.
+
+    Only the divisor's nonzero coefficients are visited, so a sparse divisor
+    such as (1 - q**n)**2 costs a few operations per coefficient of c.
+    """
     if not d or d[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(c)
     dn = len(d)
     if len(rem) < dn:
         return [], list_trim(rem)
+    tail = [(j, v) for j, v in enumerate(d[:-1]) if v]
     quot = [0] * (len(rem) - dn + 1)
     for i in range(len(quot) - 1, -1, -1):
         f = rem[i + dn - 1]
         if f:
             quot[i] = f
-            for j in range(dn - 1):
-                rem[i + j] -= f * d[j]
-            rem[i + dn - 1] = 0
+            for j, v in tail:
+                rem[i + j] -= f * v
     return quot, list_trim(rem[: dn - 1])
 
 

@@ -167,8 +167,9 @@ def identity_terms(ident: IdentityId, n: int) -> tuple[list[BracketProduct], lis
         if n % 2 == 0:
             raise ValueError("the Whipple-type identity requires odd n")
         lhs = [summand_brackets(SeriesId.WHIPPLE_LHS, n, k) for k in range((n - 1) // 2 + 1)]
-        assert (1 - n * n) % 8 == 0, "odd n has n^2 = 1 (mod 8)"
-        e = (1 - n * n) // 8
+        e, r = divmod(1 - n * n, 8)
+        if r:
+            raise ArithmeticError("odd n must have n^2 = 1 (mod 8)")
         rhs = [BracketProduct.make(parity_power(e), e, {})]
     else:
         raise ValueError(f"unknown identity {ident}")

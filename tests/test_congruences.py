@@ -302,5 +302,5 @@ def test_sum_terms_mod_residues_pinned(case, n):
         ctx = modulus_build(n, ModulusKind.N_PHI)
         pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
         terms = _intro_split_terms(pair, n)
-    out = sum_terms_mod(terms, ctx.coeffs)
+    out = sum_terms_mod(terms, ctx.coeffs, n)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _RESIDUE_DIGESTS[case, n]

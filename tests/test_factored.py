@@ -16,6 +16,7 @@ from qpiverify.polys import (
     list_bracket_div,
     list_bracket_mul,
     list_div_exact_monic,
+    list_divmod_monic,
     list_mod_monic,
     list_trim,
 )
@@ -136,20 +137,24 @@ def test_cyclo_multiplicity_counts():
 
 def test_sum_terms_mod_matches_exact():
     rng = random.Random(10)
-    mod = [int(c) for c in (cyclotomic(5) * cyclotomic(5)).coeffs]
-    for _ in range(60):
-        terms = []
-        for _ in range(rng.randint(1, 4)):
-            # Denominators built from brackets coprime to Phi_5.
-            exps = {rng.choice([1, 2, 3, 4, 6]): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
-            terms.append(BracketProduct.make(rng.randint(-3, 3) or 1, rng.randint(0, 4), exps))
-        acc, den, den_brackets = sum_terms_mod(terms, mod)
-        assert all(m % 5 != 0 for m in den_brackets)
-        exact = sum_terms(terms).to_ratfunc()
-        # acc/den == exact (mod Phi_5^2): cross-multiply.
-        lhs = Poly(acc) * exact.den
-        rhs = Poly(den) * exact.num
-        assert ((lhs - rhs) % Poly([Fraction(c) for c in mod])).is_zero()
+    # (n, cyclotomic multiplicities of a modulus dividing (1 - q^n)^2):
+    # Phi_5^2, Phi_9^2, [9] Phi_9 and [15] Phi_15.
+    for n, mults in [(5, {5: 2}), (9, {9: 2}), (9, {3: 1, 9: 2}), (15, {3: 1, 5: 1, 15: 2})]:
+        mod = expand_cyclo_powers(mults)
+        # Denominators built from brackets coprime to the modulus.
+        ms = [m for m in range(1, 9) if all(m % d for d in mults)]
+        for _ in range(40):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                exps = {rng.choice(ms): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
+                terms.append(BracketProduct.make(rng.randint(-3, 3) or 1, rng.randint(0, 4), exps))
+            acc, den, den_brackets = sum_terms_mod(terms, mod, n)
+            assert all(m % d for m in den_brackets for d in mults)
+            exact = sum_terms(terms).to_ratfunc()
+            # acc/den == exact (mod M): cross-multiply.
+            lhs = Poly(acc) * exact.den
+            rhs = Poly(den) * exact.num
+            assert ((lhs - rhs) % Poly(mod)).is_zero()
 
 
 def test_list_mod_and_exact_division():
@@ -160,11 +165,35 @@ def test_list_mod_and_exact_division():
     quot = list_div_exact_monic(prod, phi5)
     assert quot == [1, 0, -1]
     assert list_div_exact_monic([1, 1], phi5) is None
+    # The monic division agrees with Poly's on sparse and dense divisors.
+    rng = random.Random(11)
+    sparse_and_dense = [
+        expand_cyclo_powers({1: 3, 7: 3}),  # (q^7 - 1)^3
+        expand_bracket_powers({9: 2}),  # (1 - q^9)^2
+        list(cyclotomic_int(27)),
+        expand_cyclo_powers({97: 2}),
+    ]
+    for d in sparse_and_dense:
+        for length in (0, len(d) - 1, len(d), 3 * len(d)):
+            c = [rng.randint(-50, 50) for _ in range(length)]
+            quot, rem = list_divmod_monic(c, d)
+            assert (Poly(quot), Poly(rem)) == divmod(Poly(c), Poly(d))
+            assert rem == list_trim(list(rem))
 
 
 def test_sum_terms_mod_rejects_non_monic_modulus():
     terms = [BracketProduct.make(1, 0, {1: 1})]
     with pytest.raises(ValueError):
-        sum_terms_mod(terms, [1, 2])
+        sum_terms_mod(terms, [1, 2], 1)
     with pytest.raises(ValueError):
-        sum_terms_mod(terms, [1])
+        sum_terms_mod(terms, [1], 1)
+
+
+def test_sum_terms_mod_rejects_modulus_not_dividing_working_modulus():
+    terms = [BracketProduct.make(1, 0, {1: 1})]
+    phi5_squared = expand_cyclo_powers({5: 2})
+    with pytest.raises(ValueError):
+        sum_terms_mod(terms, phi5_squared, 3)
+    with pytest.raises(ValueError):
+        sum_terms_mod(terms, phi5_squared, 0)
+    sum_terms_mod(terms, phi5_squared, 5)  # Phi_5^2 divides (1 - q^5)^2
