@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from qpiverify.polys import Poly, list_div_exact_monic
 from qpiverify.qseries import (
+    N_DEPENDENT,
     QPochSpec,
     SeriesId,
     partial_sum,
@@ -13,6 +15,7 @@ from qpiverify.qseries import (
     series_range,
     series_terms,
     summand,
+    summand_brackets,
 )
 from qpiverify.ratfunc import RatFunc
 
@@ -84,15 +87,18 @@ def test_summand_a2_n1_is_one():
 def test_summand_against_definitional_construction():
     """Play the factored route against plain Laurent products for every series."""
     cases = [
-        (SeriesId.J2_LHS, None, range(0, 5)),
-        (SeriesId.L2_LHS, None, range(0, 5)),
+        (SeriesId.J2_LHS, None, range(0, 8)),
+        (SeriesId.L2_LHS, None, range(0, 8)),
         (SeriesId.SUN_LHS, None, range(0, 6)),
-        (SeriesId.A2_RHS, 4, range(1, 5)),
-        (SeriesId.A3_RHS, 4, range(0, 4)),
-        (SeriesId.SECOND_RHS, 4, range(1, 5)),
-        (SeriesId.SECOND2_RHS, 4, range(0, 4)),
         (SeriesId.WHIPPLE_LHS, 9, range(0, 5)),
     ]
+    for n in range(1, 7):
+        cases += [
+            (SeriesId.A2_RHS, n, range(1, n + 1)),
+            (SeriesId.A3_RHS, n, range(0, n)),
+            (SeriesId.SECOND_RHS, n, range(1, n + 1)),
+            (SeriesId.SECOND2_RHS, n, range(0, n)),
+        ]
     x = Fraction(5, 3)
     for sid, n, ks in cases:
         for k in ks:
@@ -158,6 +164,37 @@ def _summand_by_definition(sid, n, k, x):
             / (poch(1, 2, k) * poch(4, 4, k))
         )
     raise AssertionError(sid)
+
+
+#: sha256 of repr([summand_brackets(...)]) over n <= 25 and every k in range
+#: (odd n for WHIPPLE_LHS), and over k <= 60 for the series without n.
+_SUMMAND_DIGESTS = {
+    SeriesId.J2_LHS: "ef29d5c71e492525231fb79b22c7d6bb4e4ddb9d5d0838ab918cefc77d5558f8",
+    SeriesId.L2_LHS: "a17457211e6363821214d3a693d3c815c4ed45f157408ad71ad5d2d89cb2784c",
+    SeriesId.SUN_LHS: "e85de08505e02f30da2329b9c4bf638135952aaead8c4fee1674a00432b6c89e",
+    SeriesId.A2_RHS: "cf4ba9ec4ee3373347f6b7fc6eb94798f27e7d14dddc753bba803a73093fc32a",
+    SeriesId.A3_RHS: "5a2e2b7c8069d4d05cbcf2d3e804d6483892ceb63d3fe734ea95f61b7ba7c5a9",
+    SeriesId.SECOND_RHS: "25dfbf6621d4c76474701a1123608b7658c374050c6fefeb1c12b966becd8b54",
+    SeriesId.SECOND2_RHS: "93bf66153b7669c7f5a728047abce6d4759cbc467037ac0c802486816f76c0f6",
+    SeriesId.WHIPPLE_LHS: "9322c671c249098d7ca09cc5cbc167988510bbcf07aeddabd395fe2356a0bbf0",
+}
+
+
+@pytest.mark.parametrize("sid", list(_SUMMAND_DIGESTS), ids=lambda sid: sid.value)
+def test_summand_brackets_pinned(sid):
+    """Every factored summand must stay the same canonical BracketProduct,
+    however its construction is organized."""
+    if sid in N_DEPENDENT:
+        cases = [
+            (n, k)
+            for n in range(1, 26)
+            if sid is not SeriesId.WHIPPLE_LHS or n % 2
+            for k in range(series_range(sid, n)[0], series_range(sid, n)[1] + 1)
+        ]
+    else:
+        cases = [(None, k) for k in range(61)]
+    text = repr([summand_brackets(sid, n, k) for n, k in cases])
+    assert hashlib.sha256(text.encode()).hexdigest() == _SUMMAND_DIGESTS[sid]
 
 
 def test_summand_argument_validation():
