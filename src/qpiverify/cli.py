@@ -250,7 +250,7 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
     params: dict = {}
     if cmd == "verify-identity":
         default = "1..99" if args.which == "whipple" else "1..25"
-        lo, hi = _parse_range(args.n_range or default)
+        lo, hi = _parse_range(default if args.n_range is None else args.n_range)
         if lo < 1:
             raise ValueError("n must be >= 1")
         ns = [n for n in range(lo, hi + 1) if args.which != "whipple" or n % 2 == 1]
@@ -269,16 +269,17 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         ]
     elif cmd == "verify-congruence":
         params = {"which": args.which, "path": args.path}
-        ns: list[int] = []
-        if args.n_list:
+        if args.n_list is not None:
             ns = _parse_list(args.n_list)
-        elif args.odd_n or args.primes:
-            if args.odd_n:
+        elif args.odd_n is not None or args.primes is not None:
+            picked: set[int] = set()
+            if args.odd_n is not None:
                 lo, hi = _parse_range(args.odd_n)
-                ns.extend(n for n in range(lo, hi + 1) if n % 2 == 1)
-            if args.primes:
+                picked.update(n for n in range(lo, hi + 1) if n % 2 == 1)
+            if args.primes is not None:
                 lo, hi = _parse_range(args.primes)
-                ns.extend(n for n in range(lo, hi + 1) if n % 2 == 1 and is_prime(n))
+                picked.update(n for n in range(lo, hi + 1) if n % 2 == 1 and is_prime(n))
+            ns = sorted(picked)
         elif args.which == "modsun":
             ns = [n for n in range(1, 100) if n % 2 == 1]
         elif args.which == "J2":
@@ -367,8 +368,11 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
 
 
 def _execute(specs: list[tuple], jobs: int) -> list[dict]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool forks all of its workers up front, so never ask for more
+    # workers than there are cases.
+    workers = min(jobs, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_case, specs))
     return [_run_case(spec) for spec in specs]
 

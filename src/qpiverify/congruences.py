@@ -31,9 +31,9 @@ from .polys import (
     poly_gcd,
     poly_gcd_ext,
 )
-from .qseries import SeriesId, series_terms
+from .qseries import SeriesId, WzPairId, series_terms, wz_term_brackets
 from .ratfunc import RatFunc
-from .wz import CheckResult, WzPairId, parity_power, wz_term_brackets
+from .wz import CheckResult, parity_power
 
 
 class NonInvertibleDenominator(ArithmeticError):
@@ -228,11 +228,10 @@ def verify_intro(
         raise ValueError("path must be auto, modular, or exact")
     if pair is WzPairId.PAIR_L2 and not exploratory and not is_prime_power(n):
         raise ValueError("the PAIR_L2 congruence is stated for odd prime powers only")
+    terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
     if pair is WzPairId.PAIR_J2:
-        terms = series_terms(SeriesId.J2_LHS, None, n - 1)
         e = (1 - n) // 2
     else:
-        terms = [wz_term_brackets(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
         e, r = divmod(-(n - 1) * (n + 5), 8)
         if r:
             raise ArithmeticError("odd n must make the exponent integral")
@@ -248,10 +247,10 @@ def verify_intro(
     rhs = BracketProduct.q_integer(n).times_q_power(e).times_coeff(parity_power(e))
     ctx = modulus_build(n, ModulusKind.N_PHI)
     if path == "auto":
-        resolved = "modular" if _is_prime(n) else "exact"
+        resolved = "modular" if is_prime(n) else "exact"
     else:
         resolved = path
-    if resolved == "modular" and not _is_prime(n):
+    if resolved == "modular" and not is_prime(n):
         # Composite denominators share factors with [n]; the fast path cannot
         # certify coprimality there.
         raise NonInvertibleDenominator(
@@ -277,7 +276,7 @@ def verify_intro(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -288,10 +287,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def is_prime(n: int) -> bool:
-    return _is_prime(n)
 
 
 def is_prime_power(n: int) -> bool:
@@ -329,7 +324,7 @@ def euler_number(m: int) -> int:
 
 def legendre_symbol(a: int, p: int) -> int:
     """Euler's criterion a^((p-1)/2) mod p mapped to {-1, 0, +1}."""
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
     t = pow(a % p, (p - 1) // 2, p)
     if t == p - 1:
@@ -349,7 +344,7 @@ class PadicWitness:
 def verify_sun(p: int, min_valuation: int = 3) -> tuple[PadicWitness, CheckResult]:
     """Exact p-adic check of the truncated central-binomial sum against the
     Legendre/Euler-number closed form, requiring valuation >= min_valuation."""
-    if p < 5 or not _is_prime(p):
+    if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
     total = sum(Fraction(math.comb(2 * k, k), 8**k) for k in range((p - 1) // 2 + 1))
     closed = legendre_symbol(2, p) + Fraction(legendre_symbol(-2, p) * p * p, 4) * euler_number(p - 3)

@@ -1,4 +1,12 @@
-"""q-shifted factorials, q-integers, and the summands of the verified series.
+"""q-shifted factorials, q-integers, the two q-WZ pairs, and the summands of
+the verified series.
+
+Every exact summand is defined here, once.  The WZ pairs' F(n, k) and G(n, k)
+(`wz_term_brackets`) are built from q-shifted factorials; terms whose
+denominator picks up a q-shifted factorial of negative length are zero, so
+sweeps over a rectangular (n, k) grid need no boundary cases.  The J2/L2
+series are F(k, 0), and the telescoped right sides are G(n, k), G(n, n-k)
+and q-power multiples of them; `wz` checks the pairs and the identities.
 
 Summands are addressed by a SeriesId tag.  Each one is available both as a
 fully reduced rational function (`summand`) and in the internal factored form
@@ -26,6 +34,11 @@ class SeriesId(Enum):
     SECOND_RHS = "SECOND_RHS"
     SECOND2_RHS = "SECOND2_RHS"
     WHIPPLE_LHS = "WHIPPLE_LHS"
+
+
+class WzPairId(Enum):
+    PAIR_J2 = "J2"
+    PAIR_L2 = "L2"
 
 
 #: Series whose summand depends on the truncation parameter n.
@@ -108,62 +121,99 @@ def _check_args(sid: SeriesId, n: int | None, k: int) -> None:
         raise ValueError(f"index k={k} outside the range of {sid.value}")
 
 
-def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
-    """The k-th summand in factored form (exact, fully cancelled)."""
-    _check_args(sid, n, k)
-    poch = BracketProduct.pochhammer
+def _poch_ext(base_exp: int, step: int, count: int) -> BracketProduct:
+    """q-shifted factorial extended to negative lengths by reciprocals."""
+    if count >= 0:
+        return BracketProduct.pochhammer(base_exp, step, count)
+    recip = BracketProduct.pochhammer(base_exp + count * step, step, -count)
+    if recip.is_zero():
+        raise ArithmeticError("reciprocal of a vanishing q-shifted factorial")
+    return BracketProduct.one() / recip
+
+
+def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProduct:
+    """F(n, k) or G(n, k) in factored form; zero when out of support."""
+    if which not in ("F", "G"):
+        raise ValueError("which must be 'F' or 'G'")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     qint = BracketProduct.q_integer
+    one_minus_q = BracketProduct.from_exponent(1)
+    if pair is WzPairId.PAIR_J2:
+        if which == "F":
+            den_counts = (n, n, n - k, k)
+            if min(den_counts) < 0:
+                return BracketProduct.zero()
+            num = (
+                qint(6 * n - 2 * k + 1)
+                * _poch_ext(2, 4, n)
+                * _poch_ext(1, 2, n - k)
+                * _poch_ext(1, 2, n + k)
+            )
+            den = (
+                BracketProduct.pochhammer(4, 4, n) ** 2
+                * BracketProduct.pochhammer(4, 4, n - k)
+                * BracketProduct.pochhammer(2, 4, k)
+            )
+        else:
+            den_counts = (n - 1, n - 1, n - k, k)
+            if min(den_counts) < 0:
+                return BracketProduct.zero()
+            num = _poch_ext(2, 4, n) * _poch_ext(1, 2, n - k) * _poch_ext(1, 2, n + k - 1)
+            den = (
+                one_minus_q
+                * BracketProduct.pochhammer(4, 4, n - 1) ** 2
+                * BracketProduct.pochhammer(4, 4, n - k)
+                * BracketProduct.pochhammer(2, 4, k)
+            )
+        term = (num / den).times_q_power((n - k) * (n - k))
+        return term
+    if pair is WzPairId.PAIR_L2:
+        if which == "F":
+            den_counts = (n, n, n - k)
+            if min(den_counts) < 0:
+                return BracketProduct.zero()
+            num = qint(6 * n - 2 * k + 1) * _poch_ext(1, 2, n + k) * _poch_ext(1, 2, n - k) ** 2
+            den = BracketProduct.pochhammer(4, 4, n) ** 2 * BracketProduct.pochhammer(4, 4, n - k)
+        else:
+            den_counts = (n - 1, n - 1, n - k)
+            if min(den_counts) < 0:
+                return BracketProduct.zero()
+            num = _poch_ext(1, 2, n + k - 1) * _poch_ext(1, 2, n - k) ** 2
+            den = (
+                one_minus_q
+                * BracketProduct.pochhammer(4, 4, n - 1) ** 2
+                * BracketProduct.pochhammer(4, 4, n - k)
+            )
+        term = num / den
+        return -term if (n + k) % 2 else term
+    raise ValueError(f"unknown pair {pair}")
+
+
+def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
+    """The k-th summand in factored form (exact, fully cancelled).
+
+    The J2/L2 series and the telescoped right sides are the WZ pairs' F and
+    G: summing F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k) over k gives the
+    finite identities.
+    """
+    _check_args(sid, n, k)
+    J2, L2 = WzPairId.PAIR_J2, WzPairId.PAIR_L2
     if sid is SeriesId.J2_LHS:
-        num = qint(6 * k + 1) * poch(1, 2, k) * poch(1, 2, k) * poch(2, 4, k)
-        den = poch(4, 4, k)
-        return (num / (den * den * den)).times_q_power(k * k)
+        return wz_term_brackets(J2, "F", k, 0)
     if sid is SeriesId.L2_LHS:
-        num = qint(6 * k + 1) * poch(1, 2, k) * poch(1, 2, k) * poch(1, 2, k)
-        den = poch(4, 4, k)
-        t = (num / (den * den * den)).times_q_power(3 * k * k)
-        return -t if k % 2 else t
+        return wz_term_brackets(L2, "F", k, 0).times_q_power(3 * k * k)
+    if sid is SeriesId.A2_RHS:
+        return wz_term_brackets(J2, "G", n, k)
+    if sid is SeriesId.A3_RHS:
+        return wz_term_brackets(J2, "G", n, n - k)
+    if sid is SeriesId.SECOND_RHS:
+        return wz_term_brackets(L2, "G", n, k)
+    if sid is SeriesId.SECOND2_RHS:
+        return wz_term_brackets(L2, "G", n, n - k).times_q_power((4 * n - k) * k)
+    poch = BracketProduct.pochhammer
     if sid is SeriesId.SUN_LHS:
         return (poch(1, 2, k) / poch(4, 4, k)).times_q_power(k * k)
-    if sid is SeriesId.A2_RHS:
-        num = poch(2, 4, n) * poch(1, 2, n - k) * poch(1, 2, n + k - 1)
-        den = (
-            BracketProduct.from_exponent(1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, n - k)
-            * poch(2, 4, k)
-        )
-        return (num / den).times_q_power((n - k) * (n - k))
-    if sid is SeriesId.A3_RHS:
-        num = poch(2, 4, n) * poch(1, 2, k) * poch(1, 2, 2 * n - k - 1)
-        den = (
-            BracketProduct.from_exponent(1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, k)
-            * poch(2, 4, n - k)
-        )
-        return (num / den).times_q_power(k * k)
-    if sid is SeriesId.SECOND_RHS:
-        num = poch(1, 2, n + k - 1) * poch(1, 2, n - k) * poch(1, 2, n - k)
-        den = (
-            BracketProduct.from_exponent(1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, n - k)
-        )
-        t = num / den
-        return -t if (n + k) % 2 else t
-    if sid is SeriesId.SECOND2_RHS:
-        num = poch(1, 2, 2 * n - k - 1) * poch(1, 2, k) * poch(1, 2, k)
-        den = (
-            BracketProduct.from_exponent(1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, n - 1)
-            * poch(4, 4, k)
-        )
-        t = (num / den).times_q_power((4 * n - k) * k)
-        return -t if k % 2 else t
     if sid is SeriesId.WHIPPLE_LHS:
         num = poch(1 - n, 2, k) * poch(n + 1, 2, k)
         den = poch(1, 2, k) * poch(4, 4, k)

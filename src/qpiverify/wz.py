@@ -1,11 +1,11 @@
-"""The two q-WZ pairs, their telescoping certificate, and the finite
-summation identities they prove.
+"""Checks on the two q-WZ pairs: their telescoping certificate and the
+finite summation identities it proves.
 
-Both pairs consist of functions F(n, k), G(n, k) built from q-shifted
-factorials and satisfying F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k) exactly
-as rational functions.  Terms whose denominator picks up a q-shifted
-factorial of negative length are defined to be zero, so sweeps over a
-rectangular (n, k) grid need no boundary cases.
+The pairs' functions F(n, k), G(n, k) are defined in `qseries`, next to the
+series they generate, and satisfy F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)
+exactly as rational functions.  Summing that relation over k telescopes to
+the identities a2, a3, second and second2; this module checks both the
+relation and the identities exactly.
 """
 from __future__ import annotations
 
@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .factored import BracketProduct, sum_terms
-from .qseries import SeriesId, summand_brackets
+from .qseries import SeriesId, WzPairId, summand_brackets, wz_term_brackets
 from .ratfunc import RatFunc
-
-
-class WzPairId(Enum):
-    PAIR_J2 = "J2"
-    PAIR_L2 = "L2"
 
 
 class IdentityId(Enum):
@@ -47,75 +42,6 @@ class CheckResult:
     def __post_init__(self):
         if self.passed and self.witness is not None and not self.witness.is_zero():
             raise ValueError(f"{self.case_label}: a passing check carries a nonzero witness")
-
-
-def _poch_ext(base_exp: int, step: int, count: int) -> BracketProduct:
-    """q-shifted factorial extended to negative lengths by reciprocals."""
-    if count >= 0:
-        return BracketProduct.pochhammer(base_exp, step, count)
-    recip = BracketProduct.pochhammer(base_exp + count * step, step, -count)
-    if recip.is_zero():
-        raise ArithmeticError("reciprocal of a vanishing q-shifted factorial")
-    return BracketProduct.one() / recip
-
-
-def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProduct:
-    """F(n, k) or G(n, k) in factored form; zero when out of support."""
-    if which not in ("F", "G"):
-        raise ValueError("which must be 'F' or 'G'")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    qint = BracketProduct.q_integer
-    one_minus_q = BracketProduct.from_exponent(1)
-    if pair is WzPairId.PAIR_J2:
-        if which == "F":
-            den_counts = (n, n, n - k, k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = (
-                qint(6 * n - 2 * k + 1)
-                * _poch_ext(2, 4, n)
-                * _poch_ext(1, 2, n - k)
-                * _poch_ext(1, 2, n + k)
-            )
-            den = (
-                BracketProduct.pochhammer(4, 4, n) ** 2
-                * BracketProduct.pochhammer(4, 4, n - k)
-                * BracketProduct.pochhammer(2, 4, k)
-            )
-        else:
-            den_counts = (n - 1, n - 1, n - k, k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = _poch_ext(2, 4, n) * _poch_ext(1, 2, n - k) * _poch_ext(1, 2, n + k - 1)
-            den = (
-                one_minus_q
-                * BracketProduct.pochhammer(4, 4, n - 1) ** 2
-                * BracketProduct.pochhammer(4, 4, n - k)
-                * BracketProduct.pochhammer(2, 4, k)
-            )
-        term = (num / den).times_q_power((n - k) * (n - k))
-        return term
-    if pair is WzPairId.PAIR_L2:
-        if which == "F":
-            den_counts = (n, n, n - k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = qint(6 * n - 2 * k + 1) * _poch_ext(1, 2, n + k) * _poch_ext(1, 2, n - k) ** 2
-            den = BracketProduct.pochhammer(4, 4, n) ** 2 * BracketProduct.pochhammer(4, 4, n - k)
-        else:
-            den_counts = (n - 1, n - 1, n - k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = _poch_ext(1, 2, n + k - 1) * _poch_ext(1, 2, n - k) ** 2
-            den = (
-                one_minus_q
-                * BracketProduct.pochhammer(4, 4, n - 1) ** 2
-                * BracketProduct.pochhammer(4, 4, n - k)
-            )
-        term = num / den
-        return -term if (n + k) % 2 else term
-    raise ValueError(f"unknown pair {pair}")
 
 
 def wz_term(pair: WzPairId, which: str, n: int, k: int) -> RatFunc:

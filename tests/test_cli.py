@@ -41,6 +41,46 @@ def test_reports_deterministic_modulo_elapsed(capsys):
     assert r1 == r2
 
 
+def test_overlapping_ranges_run_each_case_once():
+    from qpiverify.cli import _build_cases, build_parser
+
+    parser = build_parser()
+    argv = ["verify-congruence", "--which", "modsun", "--odd-n", "1..9", "--primes", "3..13"]
+    params, specs = _build_cases(parser.parse_args(argv))
+    assert params["n_values"] == [1, 3, 5, 7, 9, 11, 13]
+    assert [s[1] for s in specs] == [f"modsun n={n}" for n in params["n_values"]]
+    _, specs = _build_cases(parser.parse_args(argv[:3] + ["--n-list", "9,3,9"]))
+    assert [s[2]["n"] for s in specs] == [9, 3, 9]  # an explicit list is taken as given
+
+
+def test_jobs_capped_at_case_count(capsys, monkeypatch):
+    """The pool forks every worker when it starts, so it gets at most one per case."""
+    import qpiverify.cli as cli
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["verify-identity", "--which", "a2", "--n-range", "1..3", "--format", "json"]
+    code, out = run_capture(capsys, argv + ["--jobs", "64"])
+    assert code == 0 and pools == [3]
+    assert json.loads(out)["params"]["jobs"] == 64
+    code, _ = run_capture(capsys, ["verify-sun", "--primes", "5..5", "--jobs", "64"])
+    assert code == 0 and pools == [3]  # one case runs in this process
+
+
 def test_parallel_jobs_same_report(capsys):
     base = ["verify-identity", "--which", "second", "--n-range", "1..6", "--format", "json"]
     _, seq = run_capture(capsys, base + ["--jobs", "1"])
@@ -76,7 +116,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(["eval", "--identity", "a1", "--digits", "0"]) == 2
     assert run(["eval", "--identity", "pi1", "--digits", "0"]) == 2
     assert run(["limit", "--which", "pi1", "--j-range", "1..3"]) == 2
-    capsys.readouterr()
+    # An empty value is given, not absent: it must not fall back to the default sweep.
+    assert run(["verify-congruence", "--which", "modsun", "--n-list", ""]) == 2
+    assert run(["verify-congruence", "--which", "modsun", "--odd-n", ""]) == 2
+    assert run(["verify-identity", "--which", "a2", "--n-range", ""]) == 2
+    assert "no cases" in capsys.readouterr().err
 
 
 def test_eval_defaults_three_q_points(capsys):

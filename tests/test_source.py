@@ -1,5 +1,7 @@
 """Checks on the package source itself."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import qpiverify
@@ -14,3 +16,20 @@ def test_no_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_traced_layers_resolve():
+    """The benchmark's tracer wraps these names from outside the package; a
+    moved or renamed layer would break its traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, module_name, attr, _ in tracer.LAYERS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{name}: {module_name}.{attr}")
+    assert not missing, f"traced layers that do not resolve: {missing}"
