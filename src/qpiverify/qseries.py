@@ -191,12 +191,8 @@ def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProdu
 
 
 def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
-    """The k-th summand in factored form (exact, fully cancelled).
-
-    The J2/L2 series and the telescoped right sides are the WZ pairs' F and
-    G: summing F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k) over k gives the
-    finite identities.
-    """
+    """The k-th summand in factored form (exact, fully cancelled); the J2/L2
+    series and the telescoped right sides come from the WZ pairs' F and G."""
     _check_args(sid, n, k)
     J2, L2 = WzPairId.PAIR_J2, WzPairId.PAIR_L2
     if sid is SeriesId.J2_LHS:

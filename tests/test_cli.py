@@ -116,11 +116,13 @@ def test_usage_errors_exit_2(capsys):
     assert run(["eval", "--identity", "a1", "--digits", "0"]) == 2
     assert run(["eval", "--identity", "pi1", "--digits", "0"]) == 2
     assert run(["limit", "--which", "pi1", "--j-range", "1..3"]) == 2
+    capsys.readouterr()
     # An empty value is given, not absent: it must not fall back to the default sweep.
     assert run(["verify-congruence", "--which", "modsun", "--n-list", ""]) == 2
+    assert "no cases" in capsys.readouterr().err
     assert run(["verify-congruence", "--which", "modsun", "--odd-n", ""]) == 2
     assert run(["verify-identity", "--which", "a2", "--n-range", ""]) == 2
-    assert "no cases" in capsys.readouterr().err
+    capsys.readouterr()
 
 
 def test_eval_defaults_three_q_points(capsys):
