@@ -19,6 +19,7 @@ from qpiverify.congruences import (
     verify_modsun,
     verify_sun,
 )
+from qpiverify.factored import BracketProduct
 from qpiverify.polys import Poly, cyclotomic
 from qpiverify.qseries import SeriesId, partial_sum
 from qpiverify.ratfunc import RatFunc
@@ -304,3 +305,36 @@ def test_sum_terms_mod_residues_pinned(case, n):
         terms = _intro_split_terms(pair, n)
     out = sum_terms_mod(terms, ctx.coeffs, n)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _RESIDUE_DIGESTS[case, n]
+
+
+_WRONG_RHS_WITNESSES = [
+    # The shifts of q^5 and -q^-7 have either sign; 2q^3(1-q) carries a bracket.
+    ("modsun", 7, BracketProduct.make(1, 5), "-q^8 - q^5 + 2q"),
+    ("modsun", 7, BracketProduct.make(-1, -7), "-q^8 - q^7 + 2q + 2"),
+    ("modsun", 9, BracketProduct.make(2, 3, {1: 1}), "-2q^11 - 5q^8 - 6q^5 + 2q^4 - 2q^3 - 4q^2"),
+    ("J2", 5, BracketProduct.q_integer(5), "q^7 + q^6 + q^5 - q^2 - q - 1"),
+    ("L2", 5, BracketProduct.q_integer(5), "-2q^4 - 2q^3 - 2q^2 - 2q - 2"),
+]
+
+
+@pytest.mark.parametrize("case, n, rhs, witness", _WRONG_RHS_WITNESSES)
+def test_wrong_rhs_witnesses_pinned(case, n, rhs, witness):
+    """Both routes report the same, pinned residue of sum - rhs for wrong
+    right sides of every shape."""
+    from qpiverify.congruences import _check_congruence_exact, _check_congruence_modular
+    from qpiverify.qseries import series_terms, wz_term_brackets
+
+    if case == "modsun":
+        ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        split = terms
+    else:
+        ctx = modulus_build(n, ModulusKind.N_PHI)
+        pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
+        terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
+        split = _intro_split_terms(pair, n)
+    modular = _check_congruence_modular(split, rhs, ctx, "wrong modular")
+    exact = _check_congruence_exact(terms, rhs, ctx, "wrong exact")
+    assert not modular.passed and not exact.passed
+    assert str(modular.witness) == witness
+    assert str(exact.witness) == witness

@@ -33,3 +33,22 @@ def test_traced_layers_resolve():
         if not callable(target):
             missing.append(f"{name}: {module_name}.{attr}")
     assert not missing, f"traced layers that do not resolve: {missing}"
+
+
+def test_no_unused_imports():
+    """Every name a module imports with `from ... import` is used in it;
+    `__init__.py` re-exports its imports and is exempt."""
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                unused += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in used
+                ]
+    assert not unused, f"unused imports in the package: {unused}"
