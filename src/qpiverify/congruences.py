@@ -4,9 +4,10 @@ Rational-function congruences use reduced-form semantics: A/B == 0 (mod M)
 means that in lowest terms M divides A and gcd(B, M) = 1.  Truncated sums are
 checked along two independent routes:
 
-* a modular fast path that accumulates numerator and denominator residues in
-  Z[q]/((1 - q^n)^2), reduces them by M once, and never inverts anything (the
-  congruence becomes A == rhs * D once gcd(D, M) = 1 is established), and
+* a modular fast path that accumulates both sides as residue pairs A / D in
+  Z[q]/((1 - q^n)^2), reduces them by M once, and never inverts anything (once
+  both D are coprime to M, the congruence is the cross-multiplied
+  A_sum * D_rhs == A_rhs * D_sum), and
 * an exact path that forms the difference over its structured common
   denominator and reads off the multiplicity of every irreducible factor of M,
   which is what reduced-form semantics amount to.
@@ -22,7 +23,6 @@ from .factored import BracketProduct, sum_terms, sum_terms_mod
 from .polys import (
     Poly,
     divisors,
-    expand_bracket_powers,
     expand_cyclo_powers,
     list_add,
     list_mod_monic,
@@ -37,8 +37,7 @@ from .wz import CheckResult, parity_power
 
 
 class NonInvertibleDenominator(ArithmeticError):
-    """The denominator is not invertible modulo the modulus; callers should
-    fall back to the exact rational-function path."""
+    """The denominator is not invertible modulo the modulus."""
 
 
 class GcdNotCoprime(ArithmeticError):
@@ -118,45 +117,29 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
     return CheckResult(False, label, witness=RatFunc.from_poly(_residue(r.num, r.den, m)))
 
 
-def _rhs_poly_parts(rhs: BracketProduct) -> tuple[int, int, list[int]]:
-    """Split sign * q**shift * polynomial out of a factored right-hand side."""
-    if rhs.coeff.denominator != 1:
-        raise ValueError("congruence right-hand sides must have integer coefficients")
-    poly = list_scale(expand_bracket_powers(dict(rhs.exps)), abs(int(rhs.coeff)))
-    sign = 1 if rhs.coeff > 0 else -1
-    return sign, rhs.shift, poly
-
-
 def _check_congruence_modular(
     terms, rhs: BracketProduct, ctx: ModulusContext, label: str
 ) -> CheckResult:
     mod = ctx.coeffs
     acc, den, den_brackets = sum_terms_mod(terms, mod, ctx.n)
-    # The accumulated denominator is an integer times a q-power times brackets
-    # (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
+    rhs_acc, rhs_den, rhs_brackets = sum_terms_mod([rhs], mod, ctx.n)
+    # Each accumulated denominator is an integer times a q-power times
+    # brackets (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
     for d, _ in ctx.factor_mults:
-        shared = [m for m in den_brackets if m % d == 0]
+        shared = [m for m in (*den_brackets, *rhs_brackets) if m % d == 0]
         if shared:
             raise NonInvertibleDenominator(
                 f"{label}: denominator bracket 1-q^{shared[0]} shares the "
                 f"index-{d} cyclotomic with the modulus"
             )
-    sign, shift, rhs_poly = _rhs_poly_parts(rhs)
-    lhs_side = list(acc)
-    rhs_side = list_scale(list_mod_monic(list_mul(rhs_poly, den), mod), sign)
-    if shift >= 0:
-        rhs_side = list_mod_monic([0] * shift + rhs_side, mod)
-    else:
-        lhs_side = list_mod_monic([0] * (-shift) + lhs_side, mod)
-    if lhs_side == rhs_side:
+    # sum - rhs = (acc * rhs_den - rhs_acc * den) / (den * rhs_den).
+    diff = list_mod_monic(
+        list_add(list_mul(acc, rhs_den), list_scale(list_mul(rhs_acc, den), -1)), mod
+    )
+    if not diff:
         return CheckResult(True, label)
-    # Witness: residue of (sum - rhs); the cleared q-power rejoins the
-    # denominator so both verification paths report the same residue.
-    diff = Poly(list_add(lhs_side, list_scale(rhs_side, -1)))
-    den_poly = Poly(den)
-    den_full = den_poly if shift >= 0 else den_poly.shifted(-shift)
-    residue = _residue(diff, den_full, ctx.modulus)
+    residue = _residue(Poly(diff), Poly(list_mul(den, rhs_den)), ctx.modulus)
     return CheckResult(False, label, witness=RatFunc.from_poly(residue))
 
 
@@ -235,15 +218,6 @@ def verify_intro(
         e, r = divmod(-(n - 1) * (n + 5), 8)
         if r:
             raise ArithmeticError("odd n must make the exponent integral")
-    # For the modular route, split [6k+1] = (1 - q^(6k+1))/(1 - q) so that the
-    # accumulated denominator only ever collects genuine denominator brackets
-    # (the term-ratio chain would otherwise borrow the previous numerator's
-    # 1 - q^(6k-5), whose index can share a factor with n).
-    split_terms: list[BracketProduct] = []
-    for k, t in enumerate(terms):
-        u = t / BracketProduct.from_exponent(6 * k + 1)
-        split_terms.append(u)
-        split_terms.append(-u.times_q_power(6 * k + 1))
     rhs = BracketProduct.q_integer(n).times_q_power(e).times_coeff(parity_power(e))
     ctx = modulus_build(n, ModulusKind.N_PHI)
     if path == "auto":
@@ -258,12 +232,16 @@ def verify_intro(
         )
     label = f"intro {pair.value} n={n} ({resolved})"
     if resolved == "modular":
-        try:
-            return _check_congruence_modular(split_terms, rhs, ctx, label)
-        except NonInvertibleDenominator:
-            if n <= exact_limit:
-                return _check_congruence_exact(terms, rhs, ctx, f"intro {pair.value} n={n} (exact)")
-            raise
+        # Split [6k+1] = (1 - q^(6k+1))/(1 - q) so that the accumulated
+        # denominator only ever collects genuine denominator brackets (the
+        # term-ratio chain would otherwise borrow the previous numerator's
+        # 1 - q^(6k-5), whose index can share a factor with n).
+        split_terms: list[BracketProduct] = []
+        for k, t in enumerate(terms):
+            u = t / BracketProduct.from_exponent(6 * k + 1)
+            split_terms.append(u)
+            split_terms.append(-u.times_q_power(6 * k + 1))
+        return _check_congruence_modular(split_terms, rhs, ctx, label)
     if n > exact_limit:
         raise ExactPathLimit(
             f"intro {pair.value} n={n}: exact path capped at n <= {exact_limit}"

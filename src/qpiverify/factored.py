@@ -28,6 +28,7 @@ from .polys import (
     list_div_exact_monic,
     list_is_zero,
     list_mod_monic,
+    list_mul,
     list_scale,
     list_scale_div_exact,
     list_trim,
@@ -200,21 +201,7 @@ class BracketProduct:
 
     def to_ratfunc(self) -> RatFunc:
         """Fully reduced fraction; cancellation happens at the cyclotomic level."""
-        if self.is_zero():
-            return RatFunc.zero()
-        mults = self.cyclo_mults()
-        num_mults = {d: e for d, e in mults.items() if e > 0}
-        den_mults = {d: -e for d, e in mults.items() if e < 0}
-        # (1 - q^m) = -(q^m - 1) flips the sign once per bracket when the
-        # product is rewritten in terms of the monic cyclotomics.
-        sign = (-1) ** (sum(e for _, e in self.exps) % 2)
-        num = Poly(expand_cyclo_powers(num_mults)) * (self.coeff * sign)
-        den = Poly(expand_cyclo_powers(den_mults))
-        if self.shift >= 0:
-            num = num.shifted(self.shift)
-        else:
-            den = den.shifted(-self.shift)
-        return RatFunc._from_reduced(num, den)
+        return FactoredSum(self, [1]).to_ratfunc()
 
     def __repr__(self) -> str:
         factors = " ".join(f"(1-q^{m})^{e}" for m, e in self.exps)
@@ -265,35 +252,27 @@ class FactoredSum:
         return pref + count
 
     def to_ratfunc(self) -> RatFunc:
+        """Lowest terms: the prefactor's brackets cancel at the cyclotomic
+        level, each remaining denominator Phi_d is divided out of `num` as
+        often as it goes, and the numerator cyclotomics multiply in last."""
         if self.is_zero():
             return RatFunc.zero()
-        num = list(self.num)
         low = 0
-        while num[low] == 0:
+        while self.num[low] == 0:
             low += 1
-        num = num[low:]
-        list_trim(num)
-        shift = self.prefactor.shift + low
-        den_brackets = 0
-        for m, e in self.prefactor.exps:
-            for _ in range(e):
-                num = list_bracket_mul(num, m)
-            if e < 0:
-                den_brackets -= e
-        den_mults: dict[int, int] = {}
-        for m, e in self.prefactor.exps:
-            if e < 0:
-                for d in divisors(m):
-                    den_mults[d] = den_mults.get(d, 0) - e
-        for d in sorted(den_mults, key=lambda d: -d):
-            if den_mults[d]:
-                count, num = divide_out_cyclotomic(num, d, den_mults[d])
-                den_mults[d] -= count
-        # The denominator brackets flip sign once each when replaced by the
-        # monic cyclotomic product.
-        sign = (-1) ** (den_brackets % 2)
+        num = self.num[low:]
+        mults = self.prefactor.cyclo_mults()
+        den_mults = {d: -e for d, e in mults.items() if e < 0}
+        for d in sorted(den_mults, reverse=True):
+            count, num = divide_out_cyclotomic(num, d, den_mults[d])
+            den_mults[d] -= count
+        num = list_mul(num, expand_cyclo_powers({d: e for d, e in mults.items() if e > 0}))
+        # (1 - q^m) = -(q^m - 1) flips the sign once per bracket when the
+        # product is rewritten in terms of the monic cyclotomics.
+        sign = (-1) ** (sum(e for _, e in self.prefactor.exps) % 2)
         num_poly = Poly(num) * (self.prefactor.coeff * sign)
         den_poly = Poly(expand_cyclo_powers(den_mults))
+        shift = self.prefactor.shift + low
         if shift >= 0:
             num_poly = num_poly.shifted(shift)
         else:
@@ -360,9 +339,9 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # The same accumulation carried out modulo a monic integer polynomial M that
 # divides S = (1 - q**n)**2, as both supercongruence moduli Phi_n**2 and
 # [n] Phi_n do.  Denominators are never inverted: the sum is maintained as
-# A / D with both residues updated multiplicatively, so a congruence
-# sum == rhs (mod M) becomes the polynomial statement A == rhs * D (mod M)
-# once gcd(D, M) = 1.  A and D accumulate in Z[q]/(S), where reducing by the
+# A / D with both residues updated multiplicatively; a congruence between two
+# such pairs is the cross-multiplied A_1 * D_2 == A_2 * D_1 (mod M) once both
+# D are coprime to M.  A and D accumulate in Z[q]/(S), where reducing by the
 # three-term S costs two operations per coefficient, and are reduced by the
 # dense M once at the end.  Reduction mod M is a ring homomorphism
 # Z[q]/(S) -> Z[q]/(M) and remainders by a monic M are unique, so the
