@@ -270,6 +270,8 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
     elif cmd == "verify-congruence":
         params = {"which": args.which, "path": args.path}
         if args.n_list is not None:
+            if args.odd_n is not None or args.primes is not None:
+                raise ValueError("--n-list cannot be combined with --odd-n or --primes")
             ns = _parse_list(args.n_list)
         elif args.odd_n is not None or args.primes is not None:
             picked: set[int] = set()
@@ -315,6 +317,9 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
                 for n in ns
             ]
     elif cmd == "verify-sun":
+        # p never divides the difference's denominator, so a valuation is >= 0.
+        if args.min_valuation < 1:
+            raise ValueError("--min-valuation must be >= 1")
         lo, hi = _parse_range(args.primes)
         ps = [p for p in range(max(lo, 5), hi + 1) if is_prime(p)]
         params = {"primes": f"{lo}..{hi}", "min_valuation": args.min_valuation}

@@ -123,6 +123,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify-congruence", "--which", "modsun", "--odd-n", ""]) == 2
     assert run(["verify-identity", "--which", "a2", "--n-range", ""]) == 2
     capsys.readouterr()
+    # An explicit list does not silently drop a range given with it.
+    assert run(["verify-congruence", "--which", "modsun", "--n-list", "3", "--odd-n", "1..9"]) == 2
+    assert "--n-list cannot be combined" in capsys.readouterr().err
+    assert run(["verify-congruence", "--which", "J2", "--n-list", "5", "--primes", "3..5"]) == 2
+    assert "--n-list cannot be combined" in capsys.readouterr().err
+    # Every valuation is >= 0, so a bound below 1 would pass vacuously.
+    assert run(["verify-sun", "--min-valuation", "0"]) == 2
+    assert "--min-valuation must be >= 1" in capsys.readouterr().err
+    assert run(["verify-sun", "--min-valuation", "-3"]) == 2
+    capsys.readouterr()
 
 
 def test_eval_defaults_three_q_points(capsys):
