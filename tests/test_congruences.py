@@ -308,7 +308,7 @@ def test_sum_terms_mod_residues_pinned(case, n):
 
 
 _WRONG_RHS_WITNESSES = [
-    # The shifts of q^5 and -q^-7 have either sign; 2q^3(1-q) carries a bracket.
+    # q^5 and -q^-7 shift the right side either way; 2q^3(1-q) carries a bracket.
     ("modsun", 7, BracketProduct.make(1, 5), "-q^8 - q^5 + 2q"),
     ("modsun", 7, BracketProduct.make(-1, -7), "-q^8 - q^7 + 2q + 2"),
     ("modsun", 9, BracketProduct.make(2, 3, {1: 1}), "-2q^11 - 5q^8 - 6q^5 + 2q^4 - 2q^3 - 4q^2"),
