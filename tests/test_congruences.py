@@ -220,6 +220,11 @@ def test_prime_helpers():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime_power(27) and is_prime_power(25) and is_prime_power(7)
     assert not is_prime_power(1) and not is_prime_power(15) and not is_prime_power(45)
+    # Brute-force oracle over the prime divisors found by scanning.
+    for n in range(-3, 301):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+        assert is_prime(n) == (primes == [n]), n
+        assert is_prime_power(n) == (len(primes) == 1), n
 
 
 def test_square_completion_small():

@@ -135,6 +135,13 @@ def test_cyclotomic_105_has_coefficient_minus_two():
 
 def test_mobius_small():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    # Brute-force oracle: divisors by scanning, mu from the prime divisors.
+    for n in range(1, 301):
+        divs = tuple(d for d in range(1, n + 1) if n % d == 0)
+        assert divisors(n) == divs, n
+        primes = [p for p in divs if p > 1 and all(p % r for r in range(2, p))]
+        squarefree = all(n % (p * p) for p in primes)
+        assert mobius(n) == ((-1) ** len(primes) if squarefree else 0), n
 
 
 def test_poly_gcd_monic():

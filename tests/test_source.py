@@ -2,9 +2,12 @@
 import ast
 import importlib
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import qpiverify
+from qpiverify import cli
 
 PACKAGE_DIR = Path(qpiverify.__file__).parent
 
@@ -52,3 +55,20 @@ def test_no_unused_imports():
                     if (alias.asname or alias.name) not in used
                 ]
     assert not unused, f"unused imports in the package: {unused}"
+
+
+def test_readme_commands_parse():
+    """Every `qpiverify ...` line in the README's shell blocks is a valid
+    command line: it parses and resolves to a nonempty list of cases."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line.split("#", 1)[0].strip()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+    ]
+    commands = [line for line in lines if line.startswith("qpiverify ")]
+    assert commands, "no qpiverify commands found in README.md"
+    for command in commands:
+        args = cli.build_parser().parse_args(shlex.split(command)[1:])
+        _, specs = cli._build_cases(args)
+        assert specs, command

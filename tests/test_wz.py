@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,23 @@ def test_telescoping_degenerates_consistently_out_of_support():
             assert wz_term_brackets(pair, which, 0, 5).is_zero()
         result = check_telescoping(pair, 0, 5)
         assert result.passed and result.witness is None
+
+
+#: sha256 of repr([wz_term_brackets(pair, which, n, k)]) over 0 <= n <= 25 and
+#: -n-3 <= k <= n+3: in-range cells, both sides of the support, and the
+#: negative-length (q;q^2)_(n+k) of the second pair.
+_WZ_TERM_DIGESTS = {
+    (WzPairId.PAIR_J2, "F"): "0b2518b7ba76eb78d9bcfe3e70a75ba751d11098b65cfb4ffe199920404a0cc6",
+    (WzPairId.PAIR_J2, "G"): "92ee17ed1bf367aaeeb89bda8892b34cfe1e37c238a700a5912483cb2e003615",
+    (WzPairId.PAIR_L2, "F"): "34147e395a91ea04ba16d5fada387092e5bf6ec172ea455e497eecd8b9153a3b",
+    (WzPairId.PAIR_L2, "G"): "4d0dbb8810b27781778032ecec8f65329fd58ef11e9c4a203e90ebf28859b7a3",
+}
+
+
+def test_wz_terms_pinned():
+    """Every F and G must stay the same canonical BracketProduct, however the
+    pairs are assembled."""
+    cells = [(n, k) for n in range(26) for k in range(-n - 3, n + 4)]
+    for (pair, which), digest in _WZ_TERM_DIGESTS.items():
+        text = repr([wz_term_brackets(pair, which, n, k) for n, k in cells])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (pair, which)
