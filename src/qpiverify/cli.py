@@ -332,6 +332,8 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         digits = args.digits if args.digits is not None else (40 if classical else 50)
         _check_digits(digits)
         if classical:
+            if args.q is not None:
+                raise ValueError(f"--q does not apply to {ident}, a classical series with no q")
             params = {"identity": ident, "digits": digits}
             specs = [
                 ("eval-classical", f"{ident} digits={digits}", {"which": ident, "digits": digits})

@@ -24,6 +24,7 @@ from .polys import (
     Poly,
     divisors,
     expand_cyclo_powers,
+    factorize,
     list_add,
     list_mod_monic,
     list_mul,
@@ -31,9 +32,16 @@ from .polys import (
     poly_gcd,
     poly_gcd_ext,
 )
-from .qseries import SeriesId, WzPairId, series_terms, wz_term_brackets
+from .qseries import (
+    SeriesId,
+    WzPairId,
+    parity_power,
+    series_terms,
+    sun_closed_form,
+    wz_term_brackets,
+)
 from .ratfunc import RatFunc
-from .wz import CheckResult, parity_power
+from .wz import CheckResult
 
 
 class NonInvertibleDenominator(ArithmeticError):
@@ -176,10 +184,7 @@ def verify_modsun(n: int, path: str = "auto") -> CheckResult:
     resolved = "modular" if path in ("auto", "modular") else "exact"
     ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
     terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-    e, r = divmod(1 - n * n, 8)
-    if r:
-        raise ArithmeticError("odd n must have n^2 = 1 (mod 8)")
-    rhs = BracketProduct.make(parity_power(e), e, {})
+    rhs = sun_closed_form(n)
     label = f"modsun n={n} ({resolved})"
     if resolved == "modular":
         return _check_congruence_modular(terms, rhs, ctx, label)
@@ -255,29 +260,11 @@ def verify_intro(
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1 if p == 2 else 2
-    return True  # n itself is prime
+    return n >= 2 and len(factorize(n)) == 1
 
 
 _euler_even: list[int] = [1]  # E_0, E_2, E_4, ... by the secant recurrence

@@ -118,6 +118,19 @@ class BracketProduct:
         return BracketProduct.make(coeff, shift, exps)
 
     @staticmethod
+    def product(factors: Iterable[tuple[BracketProduct, int]]) -> BracketProduct:
+        """prod f**e over (f, e) pairs with any integer e, normalized once."""
+        coeff, shift, exps = Fraction(1), 0, {}
+        for f, e in factors:
+            if e < 0 and f.is_zero():
+                raise ZeroDivisionError("division by zero factored product")
+            coeff *= f.coeff**e  # a zero factor zeroes coeff; make() then returns zero
+            shift += f.shift * e
+            for m, fe in f.exps:
+                exps[m] = exps.get(m, 0) + fe * e
+        return BracketProduct.make(coeff, shift, exps)
+
+    @staticmethod
     def q_integer(m: int) -> BracketProduct:
         """[m] = (1 - q**m)/(1 - q), extended to any integer m; [0] = 0."""
         if m == 0:

@@ -159,34 +159,34 @@ def expand_bracket_powers(exps: Mapping[int, int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 by trial division: (p, e) pairs, p ascending."""
+    if n < 1:
+        raise ValueError("only integers n >= 1 are factored")
+    found: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        found[n] = 1
+    return tuple(found.items())
+
+
+@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
-    ds = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            ds.append(i)
-            if i != n // i:
-                ds.append(n // i)
-        i += 1
+    ds = [1]
+    for p, e in factorize(n):
+        ds = [d * p**i for d in ds for i in range(e + 1)]
     return tuple(sorted(ds))
 
 
 @lru_cache(maxsize=None)
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m, count = n, 0
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    fs = factorize(n)
+    return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
 
 
 def expand_cyclo_powers(mults: Mapping[int, int]) -> list[int]:

@@ -1,12 +1,16 @@
 """q-shifted factorials, q-integers, the two q-WZ pairs, and the summands of
 the verified series.
 
-Every exact summand is defined here, once.  The WZ pairs' F(n, k) and G(n, k)
-(`wz_term_brackets`) are built from q-shifted factorials; terms whose
-denominator picks up a q-shifted factorial of negative length are zero, so
-sweeps over a rectangular (n, k) grid need no boundary cases.  The J2/L2
-series are F(k, 0), and the telescoped right sides are G(n, k), G(n, n-k)
-and q-power multiples of them; `wz` checks the pairs and the identities.
+Every exact summand is defined here, once.  The WZ pairs' F and G
+(`wz_term_brackets`) share the core
+C(n, k) = [6n-2k+1] (q;q^2)_(n+k) (q;q^2)_(n-k) / ((q^4;q^4)_n^2 (q^4;q^4)_(n-k)):
+F = C (q^2;q^4)_n / (q^2;q^4)_k q^((n-k)^2) for PAIR_J2, F = C (q;q^2)_(n-k)
+(-1)^(n+k) for PAIR_L2, and G = R F for both, with the certificate
+R(n, k) = (1 - q^(4n))^2 / ((1 - q^(6n-2k+1)) (1 - q^(2n+2k-1))).  F and G
+vanish for n < k, and for k < 0 in PAIR_J2, so sweeps over a rectangular
+(n, k) grid need no boundary cases.  The J2/L2 series are F(k, 0), and the
+telescoped right sides are G(n, k), G(n, n-k) and q-power multiples of them;
+`wz` checks the pairs and the identities.
 
 Summands are addressed by a SeriesId tag.  Each one is available both as a
 fully reduced rational function (`summand`) and in the internal factored form
@@ -121,73 +125,47 @@ def _check_args(sid: SeriesId, n: int | None, k: int) -> None:
         raise ValueError(f"index k={k} outside the range of {sid.value}")
 
 
-def _poch_ext(base_exp: int, step: int, count: int) -> BracketProduct:
-    """q-shifted factorial extended to negative lengths by reciprocals."""
-    if count >= 0:
-        return BracketProduct.pochhammer(base_exp, step, count)
-    recip = BracketProduct.pochhammer(base_exp + count * step, step, -count)
-    if recip.is_zero():
-        raise ArithmeticError("reciprocal of a vanishing q-shifted factorial")
-    return BracketProduct.one() / recip
+def parity_power(e: int) -> int:
+    """(-1)**e for any integer e."""
+    return -1 if e % 2 else 1
+
+
+def sun_closed_form(n: int) -> BracketProduct:
+    """(-q)**((1 - n**2)/8) for odd n: the right side of the modsun
+    congruence and of the Whipple-type sum."""
+    e, r = divmod(1 - n * n, 8)
+    if r:
+        raise ArithmeticError("odd n must have n^2 = 1 (mod 8)")
+    return BracketProduct.make(parity_power(e), e, {})
 
 
 def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProduct:
-    """F(n, k) or G(n, k) in factored form; zero when out of support."""
+    """F(n, k) or G(n, k) = R(n, k) F(n, k) in factored form; zero when out
+    of support (n - k < 0 for both pairs, k < 0 too for PAIR_J2)."""
     if which not in ("F", "G"):
         raise ValueError("which must be 'F' or 'G'")
     if n < 0:
         raise ValueError("n must be >= 0")
-    qint = BracketProduct.q_integer
-    one_minus_q = BracketProduct.from_exponent(1)
-    if pair is WzPairId.PAIR_J2:
-        if which == "F":
-            den_counts = (n, n, n - k, k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = (
-                qint(6 * n - 2 * k + 1)
-                * _poch_ext(2, 4, n)
-                * _poch_ext(1, 2, n - k)
-                * _poch_ext(1, 2, n + k)
-            )
-            den = (
-                BracketProduct.pochhammer(4, 4, n) ** 2
-                * BracketProduct.pochhammer(4, 4, n - k)
-                * BracketProduct.pochhammer(2, 4, k)
-            )
-        else:
-            den_counts = (n - 1, n - 1, n - k, k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = _poch_ext(2, 4, n) * _poch_ext(1, 2, n - k) * _poch_ext(1, 2, n + k - 1)
-            den = (
-                one_minus_q
-                * BracketProduct.pochhammer(4, 4, n - 1) ** 2
-                * BracketProduct.pochhammer(4, 4, n - k)
-                * BracketProduct.pochhammer(2, 4, k)
-            )
-        term = (num / den).times_q_power((n - k) * (n - k))
-        return term
-    if pair is WzPairId.PAIR_L2:
-        if which == "F":
-            den_counts = (n, n, n - k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = qint(6 * n - 2 * k + 1) * _poch_ext(1, 2, n + k) * _poch_ext(1, 2, n - k) ** 2
-            den = BracketProduct.pochhammer(4, 4, n) ** 2 * BracketProduct.pochhammer(4, 4, n - k)
-        else:
-            den_counts = (n - 1, n - 1, n - k)
-            if min(den_counts) < 0:
-                return BracketProduct.zero()
-            num = _poch_ext(1, 2, n + k - 1) * _poch_ext(1, 2, n - k) ** 2
-            den = (
-                one_minus_q
-                * BracketProduct.pochhammer(4, 4, n - 1) ** 2
-                * BracketProduct.pochhammer(4, 4, n - k)
-            )
-        term = num / den
-        return -term if (n + k) % 2 else term
-    raise ValueError(f"unknown pair {pair}")
+    if not isinstance(pair, WzPairId):
+        raise ValueError(f"unknown pair {pair}")
+    j2 = pair is WzPairId.PAIR_J2
+    if n - k < 0 or (j2 and k < 0):
+        return BracketProduct.zero()
+    bracket, poch = BracketProduct.from_exponent, BracketProduct.pochhammer
+    mono = BracketProduct.make
+    top = 6 * n - 2 * k + 1
+    # (q;q^2)_(n+k), extended to n + k < 0 (PAIR_L2 only) by (a;p)_-m = 1/(a p^-m;p)_m.
+    odd = (poch(1, 2, n + k), 1) if n + k >= 0 else (poch(1 + 2 * (n + k), 2, -n - k), -1)
+    # The core [top] (q;q^2)_(n+k) (q;q^2)_(n-k) / ((q^4;q^4)_n^2 (q^4;q^4)_(n-k)).
+    factors = [(bracket(top), 1), (bracket(1), -1), odd, (poch(1, 2, n - k), 1)]
+    factors += [(poch(4, 4, n), -2), (poch(4, 4, n - k), -1)]
+    if j2:  # times q^((n-k)^2) (q^2;q^4)_n / (q^2;q^4)_k
+        factors += [(mono(1, (n - k) ** 2), 1), (poch(2, 4, n), 1), (poch(2, 4, k), -1)]
+    else:  # times (-1)^(n+k) (q;q^2)_(n-k)
+        factors += [(mono(parity_power(n + k)), 1), (poch(1, 2, n - k), 1)]
+    if which == "G":  # R = (1 - q^(4n))^2 / ((1 - q^top) (1 - q^(2n+2k-1)))
+        factors += [(bracket(4 * n), 2), (bracket(top), -1), (bracket(2 * n + 2 * k - 1), -1)]
+    return BracketProduct.product(factors)
 
 
 def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:

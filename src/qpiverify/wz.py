@@ -1,11 +1,13 @@
 """Checks on the two q-WZ pairs: their telescoping certificate and the
 finite summation identities it proves.
 
-The pairs' functions F(n, k), G(n, k) are defined in `qseries`, next to the
-series they generate, and satisfy F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)
-exactly as rational functions.  Summing that relation over k telescopes to
-the identities a2, a3, second and second2; this module checks both the
-relation and the identities exactly.
+The pairs' functions F(n, k) and G(n, k) = R(n, k) F(n, k) are defined in
+`qseries`, next to the series they generate: each F is one shared core times a
+few pair-specific factors, and both pairs have the same rational certificate
+R(n, k) = (1 - q^(4n))^2 / ((1 - q^(6n-2k+1)) (1 - q^(2n+2k-1))).  They satisfy
+F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k) exactly as rational functions.
+Summing that relation over k telescopes to the identities a2, a3, second and
+second2; this module checks both the relation and the identities exactly.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .factored import BracketProduct, sum_terms
-from .qseries import SeriesId, WzPairId, summand_brackets, wz_term_brackets
+from .qseries import SeriesId, WzPairId, summand_brackets, sun_closed_form, wz_term_brackets
 from .ratfunc import RatFunc
 
 
@@ -66,11 +68,6 @@ def check_telescoping(pair: WzPairId, n: int, k: int) -> CheckResult:
     return CheckResult(False, label, witness=diff.to_ratfunc())
 
 
-def parity_power(e: int) -> int:
-    """(-1)**e for any integer e."""
-    return -1 if e % 2 else 1
-
-
 def identity_terms(ident: IdentityId, n: int) -> tuple[list[BracketProduct], list[BracketProduct]]:
     """Factored summands of the left and right sides of a finite identity."""
     if n < 1:
@@ -93,10 +90,7 @@ def identity_terms(ident: IdentityId, n: int) -> tuple[list[BracketProduct], lis
         if n % 2 == 0:
             raise ValueError("the Whipple-type identity requires odd n")
         lhs = [summand_brackets(SeriesId.WHIPPLE_LHS, n, k) for k in range((n - 1) // 2 + 1)]
-        e, r = divmod(1 - n * n, 8)
-        if r:
-            raise ArithmeticError("odd n must have n^2 = 1 (mod 8)")
-        rhs = [BracketProduct.make(parity_power(e), e, {})]
+        rhs = [sun_closed_form(n)]
     else:
         raise ValueError(f"unknown identity {ident}")
     return lhs, rhs

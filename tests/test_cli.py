@@ -133,6 +133,11 @@ def test_usage_errors_exit_2(capsys):
     assert "--min-valuation must be >= 1" in capsys.readouterr().err
     assert run(["verify-sun", "--min-valuation", "-3"]) == 2
     capsys.readouterr()
+    # pi1 and pi2 are the classical series with no q; a --q is not silently dropped.
+    assert run(["eval", "--identity", "pi1", "--q", "3/2"]) == 2
+    assert "--q does not apply to pi1" in capsys.readouterr().err
+    assert run(["eval", "--identity", "pi2", "--q", "1/2"]) == 2
+    assert "--q does not apply to pi2" in capsys.readouterr().err
 
 
 def test_eval_defaults_three_q_points(capsys):

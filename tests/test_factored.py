@@ -87,6 +87,21 @@ def test_q_integer_bracket_form():
     assert BracketProduct.q_integer(-3).evaluate(Fraction(2)) == (1 - Fraction(1, 8)) / (1 - 2)
 
 
+def test_product_matches_chained_operations():
+    rng = random.Random(8)
+    for _ in range(200):
+        factors = [(rand_bracket_product(rng), rng.randint(-2, 2)) for _ in range(rng.randint(0, 5))]
+        chained = BracketProduct.one()
+        for f, e in factors:
+            chained = chained * f**e if e >= 0 else chained / f ** (-e)
+        assert BracketProduct.product(factors) == chained
+    zero, two = BracketProduct.zero(), BracketProduct.make(2, 1, {3: 1})
+    assert BracketProduct.product([(two, 1), (zero, 2), (two, -1)]).is_zero()
+    assert BracketProduct.product([(zero, 0), (two, -1)]) == BracketProduct.one() / two
+    with pytest.raises(ZeroDivisionError):
+        BracketProduct.product([(zero, 1), (zero, -1)])
+
+
 def test_to_ratfunc_evaluation_oracle():
     rng = random.Random(7)
     for _ in range(300):
