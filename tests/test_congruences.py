@@ -343,3 +343,42 @@ def test_wrong_rhs_witnesses_pinned(case, n, rhs, witness):
     assert not modular.passed and not exact.passed
     assert str(modular.witness) == witness
     assert str(exact.witness) == witness
+
+
+_SLOW_WITNESSES = [
+    # congruent_zero on the SUN partial sum minus (true right side + q^(deg M - 1)).
+    ("perturbed", 11, "-q^19"),
+    ("perturbed", 17, "-q^31"),
+    ("perturbed", 23, "-q^43"),
+    # The modular route with the right side negated.
+    (
+        "negated",
+        15,
+        "-12q^15 + 16q^14 - 16q^12 + 28q^11 - 24q^10 - 4q^9 + 40q^8 - 36q^7"
+        " + 8q^6 + 16q^5 - 24q^4 + 20q^3 + 6q^2 - 12q + 8",
+    ),
+    ("negated", 23, "-6q^26 + 8q^3"),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, n, witness", _SLOW_WITNESSES, ids=[f"{s}-{n}" for s, n, _ in _SLOW_WITNESSES]
+)
+def test_slow_witnesses_pinned(shape, n, witness):
+    """Witnesses whose denominators are far from reduced: the residue must
+    not depend on how the inverse of the denominator is found."""
+    from qpiverify.congruences import _check_congruence_modular
+    from qpiverify.qseries import series_terms, sun_closed_form
+
+    if shape == "perturbed":
+        m = cyclotomic(n) ** 2
+        e = (1 - n * n) // 8
+        rhs = RatFunc.q_power(e) * (-1 if e % 2 else 1)
+        rhs = rhs + RatFunc.from_poly(Poly.monomial(1, m.degree - 1))
+        result = congruent_zero(partial_sum(SeriesId.SUN_LHS, n, (n - 1) // 2) - rhs, m)
+    else:
+        ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        result = _check_congruence_modular(terms, -sun_closed_form(n), ctx, "negated")
+    assert not result.passed
+    assert str(result.witness) == witness
