@@ -339,7 +339,7 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
                 ("eval-classical", f"{ident} digits={digits}", {"which": ident, "digits": digits})
             ]
         else:
-            qs = [args.q] if args.q else ["1/4", "1/3", "1/2"]
+            qs = [args.q] if args.q is not None else ["1/4", "1/3", "1/2"]
             for q in qs:
                 try:
                     inside = 0 < Fraction(q) < 1

@@ -11,6 +11,9 @@ checked along two independent routes:
 * an exact path that forms the difference over its structured common
   denominator and reads off the multiplicity of every irreducible factor of M,
   which is what reduced-form semantics amount to.
+
+A failure's witness is its residue in Q[q]/(M), certified in integer arithmetic
+by `_residue`; every modulus M is monic with integer coefficients.
 """
 from __future__ import annotations
 
@@ -26,11 +29,11 @@ from .polys import (
     expand_cyclo_powers,
     factorize,
     list_add,
+    list_inv_mod_p,
     list_mod_monic,
     list_mul,
     list_scale,
     poly_gcd,
-    poly_gcd_ext,
 )
 from .qseries import (
     SeriesId,
@@ -93,18 +96,68 @@ def modulus_build(n: int, kind: ModulusKind) -> ModulusContext:
 
 
 def _residue(num: Poly, den: Poly, modulus: Poly) -> Poly:
-    """num / den in Q[q]/(modulus), through the inverse of den that the
-    extended gcd certifies."""
-    g, s, _ = poly_gcd_ext(den, modulus)
-    if g.degree > 0:
-        raise NonInvertibleDenominator(
-            f"denominator shares the factor {g!r} with the modulus"
-        )
-    return (num * s) % modulus
+    """num / den in Q[q]/(modulus), for a modulus with an integral monic form M.
+
+    With num = N / a and den = D / b, N and D integer lists reduced by M, the
+    inverse of D mod (M, p) is lifted by Newton's u <- u(2 - D u) mod p^(2^k);
+    N u is rationally reconstructed into W / L and returned once D W == L N
+    (mod M) holds exactly.  D sharing a factor with M raises instead.
+    """
+    mod = _monic_int(modulus)
+    if len(mod) == 1:  # Q[q]/(1) is the zero ring
+        return Poly()
+    a, b = (math.lcm(*(c.denominator for c in x.coeffs)) for x in (num, den))
+    N = list_mod_monic([int(c * a) for c in num.coeffs], mod)
+    D = list_mod_monic([int(c * b) for c in den.coeffs], mod)
+    # The primes skipped are the divisors of the nonzero resultant Res(D, M).
+    for P in filter(is_prime, range(2**31 - 1, 2, -2)):
+        u = list_inv_mod_p(D, mod, P)
+        if u is not None:
+            break
+        g = poly_gcd(Poly(D), Poly(mod))
+        if g.degree > 0:
+            raise NonInvertibleDenominator(f"denominator shares the factor {g!r} with the modulus")
+    while True:
+        w = _rational_lift(_mul_mod(N, u, mod, P), P)
+        if w is not None:
+            L = math.lcm(*(c.denominator for c in w))
+            W = [c.numerator * (L // c.denominator) for c in w]
+            if not list_mod_monic(list_add(list_mul(D, W), list_scale(N, -L)), mod):
+                return Poly(w) * Fraction(b, a)
+        P *= P
+        u = _mul_mod(u, list_add([2], list_scale(_mul_mod(D, u, mod, P), -1)), mod, P)
+
+
+def _monic_int(modulus: Poly) -> list[int]:
+    m = modulus.monic()
+    if any(c.denominator != 1 for c in m.coeffs):
+        raise ValueError(f"modulus {modulus!r} has no integral monic form")
+    return [c.numerator for c in m.coeffs]
+
+
+def _mul_mod(a: list[int], b: list[int], mod: list[int], P: int) -> list[int]:
+    return [v % P for v in list_mod_monic(list_mul(a, b), mod)]
+
+
+def _rational_lift(x: list[int], P: int) -> list[Fraction] | None:
+    """Rationals a / b == x (mod P) with |a|, |b| <= sqrt(P/2), found with a
+    running common denominator; None when some coefficient has none."""
+    bound = math.isqrt(P // 2)
+    out, den = [], 1
+    for v in x:
+        r0, r1, t0, t1 = P, v * den % P, 0, 1
+        while r1 > bound:
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+        if abs(t1) > bound:
+            return None
+        out.append(Fraction(r1, t1 * den))
+        den *= abs(t1)
+    return out
 
 
 def mod_reduce(r: RatFunc, ctx: ModulusContext) -> Poly:
-    """Residue of a rational function in Q[q]/(modulus).
+    """Residue of a rational function in Q[q]/(modulus), through `_residue`.
 
     Negative q-powers live in the denominator of `r` and are cleared through
     the same inverse computation; q itself is always invertible here since
@@ -114,9 +167,11 @@ def mod_reduce(r: RatFunc, ctx: ModulusContext) -> Poly:
 
 
 def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckResult:
-    """Reduced-form congruence r == 0 (mod m): m | num(r) and gcd(den(r), m) = 1."""
+    """Reduced-form congruence r == 0 (mod m): m | num(r) and gcd(den(r), m) = 1,
+    for m integral and monic up to a scalar; a failure's witness is `_residue`."""
     if m.is_zero():
         raise ValueError("zero modulus")
+    _monic_int(m)
     g = poly_gcd(r.den, m)
     if g.degree > 0:
         raise GcdNotCoprime(f"{label}: denominator shares {g!r} with the modulus")

@@ -146,6 +146,28 @@ def list_div_exact_monic(c: Sequence[int], d: Sequence[int]) -> list[int] | None
     return quot
 
 
+def list_inv_mod_p(c: Sequence[int], d: Sequence[int], p: int) -> list[int] | None:
+    """Inverse of c modulo the monic integer polynomial d and the prime p, by
+    the extended Euclid over Z/p; None when gcd(c, d) mod p is not constant."""
+    r0, r1 = [v % p for v in d], list_trim([v % p for v in c])
+    t0, t1 = [], [1]
+    # Invariant: t_i * c == r_i (mod d, p).
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        rem, quot = list(r0), [0] * (len(r0) - len(r1) + 1)
+        for i in range(len(quot) - 1, -1, -1):
+            f = quot[i] = rem[i + len(r1) - 1] * inv % p
+            for j, v in enumerate(r1 if f else ()):
+                rem[i + j] = (rem[i + j] - f * v) % p
+        t = list_add(t0, list_scale(list_mul(quot, t1), -1))
+        r0, r1 = r1, list_trim(rem[: len(r1) - 1])
+        t0, t1 = t1, list_trim([v % p for v in t])
+    if not r1:
+        return None
+    inv = pow(r1[0], -1, p)
+    return [v * inv % p for v in t1]
+
+
 def expand_bracket_powers(exps: Mapping[int, int]) -> list[int]:
     """Expand prod_m (1 - q**m)**exps[m]; the result must be a polynomial."""
     out = [1]

@@ -123,6 +123,8 @@ def test_usage_errors_exit_2(capsys):
     assert run(["verify-congruence", "--which", "modsun", "--odd-n", ""]) == 2
     assert run(["verify-identity", "--which", "a2", "--n-range", ""]) == 2
     capsys.readouterr()
+    assert run(["eval", "--identity", "slater", "--q", "", "--digits", "10"]) == 2
+    assert "Invalid literal for Fraction: ''" in capsys.readouterr().err
     # An explicit list does not silently drop a range given with it.
     assert run(["verify-congruence", "--which", "modsun", "--n-list", "3", "--odd-n", "1..9"]) == 2
     assert "--n-list cannot be combined" in capsys.readouterr().err

@@ -103,6 +103,9 @@ def test_congruent_zero_cases():
     assert not bad.passed and bad.witness is not None
     with pytest.raises(GcdNotCoprime):
         congruent_zero(RatFunc(Poly([1]), cyclotomic(3)), cyclotomic(3))
+    # Q[q]/(2q + 1) has no monic integer modulus, whether the check passes or not.
+    with pytest.raises(ValueError):
+        congruent_zero(RatFunc.from_poly(Poly([1, 2])), Poly([1, 2]))
 
 
 def test_modsun_small_cases_and_witness_shape():
@@ -244,7 +247,7 @@ def test_failing_congruence_witnesses_agree_across_paths():
     from qpiverify.qseries import SeriesId, series_terms
 
     wrong_rhs = BracketProduct.make(1, 0, {})  # the true right side is (-q)^((1-n^2)/8)
-    for n in (7, 15, 21):
+    for n in (7, 15, 21, 29, 45):
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
         terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
         modular = _check_congruence_modular(terms, wrong_rhs, ctx, "wrong modular")
@@ -382,3 +385,82 @@ def test_slow_witnesses_pinned(shape, n, witness):
         result = _check_congruence_modular(terms, -sun_closed_form(n), ctx, "negated")
     assert not result.passed
     assert str(result.witness) == witness
+
+
+def test_residue_matches_extended_gcd_oracle():
+    """_residue agrees with (num * s) % M for the Bezout cofactor s of den."""
+    from qpiverify.congruences import _residue
+    from qpiverify.polys import poly_gcd, poly_gcd_ext
+
+    rng = random.Random(17)
+
+    def rand_poly(deg):
+        return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg + 1)])
+
+    moduli = [
+        modulus_build(5, ModulusKind.PHI_SQUARED).modulus,
+        modulus_build(9, ModulusKind.N_PHI).modulus,
+        modulus_build(15, ModulusKind.N_PHI).modulus,
+        Poly([-1, 0, 0, 0, 0, 0, 0, 1]) ** 3,
+    ]
+    checked = 0
+    for m in moduli:
+        for _ in range(6):
+            num = rand_poly(rng.randint(0, 2 * m.degree)).shifted(rng.randint(0, 5))
+            den = rand_poly(rng.randint(1, m.degree + 4)).shifted(rng.randint(0, 5))
+            if den.is_zero() or poly_gcd(den, m).degree > 0:
+                continue
+            _, s, _ = poly_gcd_ext(den, m)
+            scaled = m * rng.choice((1, -2, Fraction(3, 7)))
+            assert _residue(num, den, scaled) == (num * s) % m
+            checked += 1
+    assert checked >= 20
+
+
+def test_residue_planted_cases():
+    import re
+
+    from qpiverify.congruences import _residue
+    from qpiverify.polys import list_inv_mod_p, poly_gcd_ext
+
+    # D = q + p - 2 reduces to the constant p modulo q - 2, so the first prime
+    # of the sequence cannot invert it and the next one must.
+    p = 2**31 - 1
+    m, den = Poly([-2, 1]), Poly([p - 2, 1])
+    assert list_inv_mod_p([p], [-2, 1], p) is None
+    assert _residue(Poly([3, 1]), den, m) == Poly([Fraction(5, p)])
+    # A shared factor is reported as the monic gcd.
+    m15 = modulus_build(15, ModulusKind.N_PHI).modulus
+    den = cyclotomic(5) * Poly([2, 1]) * Fraction(1, 3)
+    g = poly_gcd_ext(den, m15)[0]
+    with pytest.raises(
+        NonInvertibleDenominator,
+        match=re.escape(f"denominator shares the factor {g!r} with the modulus"),
+    ):
+        _residue(Poly([1]), den, m15)
+    # Q[q]/(2q + 1) has no monic integer modulus.
+    with pytest.raises(ValueError):
+        _residue(Poly([1]), Poly([1, 1]), Poly([1, 2]))
+    assert _residue(Poly(), Poly([2, 1]), m15) == Poly()
+
+
+def test_negated_rhs_fails_on_modular_route_at_n97():
+    """A wrong right side far beyond the exact path's reach still gets a
+    witness W with den * W == num (mod M) for the route's num / den."""
+    from qpiverify.congruences import _check_congruence_modular
+    from qpiverify.factored import sum_terms_mod
+    from qpiverify.qseries import series_terms, sun_closed_form
+
+    n = 97
+    ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+    terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+    rhs = -sun_closed_form(n)
+    result = _check_congruence_modular(terms, rhs, ctx, "negated")
+    assert not result.passed
+    w = result.witness.num
+    assert result.witness.den == Poly.one() and w.degree < ctx.modulus.degree
+    acc, den, _ = sum_terms_mod(terms, ctx.coeffs, n)
+    rhs_acc, rhs_den, _ = sum_terms_mod([rhs], ctx.coeffs, n)
+    num = Poly(acc) * Poly(rhs_den) - Poly(rhs_acc) * Poly(den)
+    assert not (num % ctx.modulus).is_zero()
+    assert ((Poly(den) * Poly(rhs_den) * w - num) % ctx.modulus).is_zero()

@@ -11,6 +11,10 @@ from qpiverify.polys import (
     divisors,
     expand_cyclo_powers,
     list_divmod_monic,
+    list_inv_mod_p,
+    list_mod_monic,
+    list_mul,
+    list_trim,
     mobius,
     poly_gcd,
     poly_gcd_ext,
@@ -177,3 +181,25 @@ def test_cyclotomic_product_must_come_out_monic(monkeypatch):
     with pytest.raises(ArithmeticError):
         expand_cyclo_powers({1: 1})
 
+
+
+def test_inverse_mod_p_against_brute_force():
+    """list_inv_mod_p finds an inverse exactly when one of the p^deg(d)
+    candidates works, and what it returns is one."""
+    import itertools
+
+    rng = random.Random(5)
+
+    def unit(c, u, d, p):
+        return list_trim([v % p for v in list_mod_monic(list_mul(c, u), d)]) == [1]
+
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        d = [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [1]
+        c = [rng.randint(-6, 6) for _ in range(rng.randint(0, 5))]
+        cands = itertools.product(range(p), repeat=len(d) - 1)
+        exists = any(unit(c, list(u), d, p) for u in cands)
+        u = list_inv_mod_p(c, d, p)
+        assert (u is not None) == exists, (c, d, p)
+        if u is not None:
+            assert unit(c, u, d, p) and len(u) < len(d)
