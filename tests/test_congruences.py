@@ -442,11 +442,13 @@ def test_residue_planted_cases():
     with pytest.raises(ValueError):
         _residue(Poly([1]), Poly([1, 1]), Poly([1, 2]))
     assert _residue(Poly(), Poly([2, 1]), m15) == Poly()
+    # A constant modulus leaves the zero ring, where every residue is 0.
+    assert _residue(Poly([1]), Poly([1, 1]), Poly([3])) == Poly()
 
 
 def test_negated_rhs_fails_on_modular_route_at_n97():
-    """A wrong right side far beyond the exact path's reach still gets a
-    witness W with den * W == num (mod M) for the route's num / den."""
+    """A negated right side at n = 97 fails on the modular route with a
+    witness W such that den * W == num (mod M) for the route's num / den."""
     from qpiverify.congruences import _check_congruence_modular
     from qpiverify.factored import sum_terms_mod
     from qpiverify.qseries import series_terms, sun_closed_form

@@ -182,7 +182,6 @@ def test_cyclotomic_product_must_come_out_monic(monkeypatch):
         expand_cyclo_powers({1: 1})
 
 
-
 def test_inverse_mod_p_against_brute_force():
     """list_inv_mod_p finds an inverse exactly when one of the p^deg(d)
     candidates works, and what it returns is one."""
