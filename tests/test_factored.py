@@ -212,3 +212,49 @@ def test_sum_terms_mod_rejects_modulus_not_dividing_working_modulus():
     with pytest.raises(ValueError):
         sum_terms_mod(terms, phi5_squared, 0)
     sum_terms_mod(terms, phi5_squared, 5)  # Phi_5^2 divides (1 - q^5)^2
+
+
+def _sum_terms_digest(monkeypatch):
+    """Run a fixed sweep of exact checks and hash (repr(prefactor), num) of
+    every sum_terms call they make, in call order."""
+    import hashlib
+
+    from qpiverify import congruences, qseries, wz
+    from qpiverify.qseries import SeriesId, WzPairId, partial_sum
+    from qpiverify.wz import IdentityId, check_identity, check_telescoping
+
+    h = hashlib.sha256()
+    calls = 0
+
+    def recording(terms):
+        nonlocal calls
+        out = sum_terms(terms)
+        h.update(repr((repr(out.prefactor), out.num)).encode())
+        calls += 1
+        return out
+
+    for module in (congruences, qseries, wz):
+        monkeypatch.setattr(module, "sum_terms", recording)
+    for pair in WzPairId:
+        for n in range(13):
+            for k in range(1, n + 3):
+                assert check_telescoping(pair, n, k).passed
+    for ident in (IdentityId.ID_A2, IdentityId.ID_A3, IdentityId.ID_SECOND, IdentityId.ID_SECOND2):
+        for n in range(1, 16):
+            assert check_identity(ident, n).passed
+    for n in range(1, 42, 2):
+        assert check_identity(IdentityId.ID_WHIPPLE, n).passed
+    for n in range(1, 16, 2):
+        assert congruences.verify_intro(WzPairId.PAIR_J2, n, path="exact").passed
+    for n in range(11, 30):
+        partial_sum(SeriesId.SUN_LHS, n, (n - 1) // 2)
+    return calls, h.hexdigest()
+
+
+def test_sum_terms_outputs_pinned(monkeypatch):
+    """Every exact sum of the sweep keeps its prefactor and its numerator's
+    integer coefficients, whatever the accumulation kernel."""
+    assert _sum_terms_digest(monkeypatch) == (
+        316,
+        "0bcddf9d8118b213f04a6d03607db73cb5f0fce73eff7890b8fbbbecf0948997",
+    )
