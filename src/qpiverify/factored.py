@@ -17,20 +17,19 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .polys import (
+    InexactDivision,
     Poly,
     cyclotomic_int,
     divisors,
     expand_bracket_powers,
     expand_cyclo_powers,
     list_add,
-    list_bracket_div,
     list_bracket_mul,
     list_div_exact_monic,
     list_is_zero,
     list_mod_monic,
     list_mul,
     list_scale,
-    list_scale_div_exact,
     list_trim,
 )
 from .ratfunc import RatFunc
@@ -305,47 +304,140 @@ def _as_int_coeffs(terms: Sequence[BracketProduct]) -> tuple[Fraction, list[int]
     return Fraction(g, lcm), [v // g for v in ints]
 
 
+class SlotOverflow(ArithmeticError):
+    """A packed polynomial has a coefficient outside its slot's range."""
+
+
+class Packing:
+    """Integer polynomials of fewer than `slots` terms packed into one int by
+    the Kronecker substitution q -> 2**w: c_0 + c_1 q + ... is the int
+    sum_j c_j * 2**(j*w).  Slots are signed, so sums, shifts and products by
+    integers act on the packed int directly, with no carry handling.
+
+    w is `bound`'s bit length plus 2, rounded up to whole bytes, so every
+    |c_j| <= bound sits below 2**(w - 2).  A value whose slots all do is
+    *in range*; the packing is one-to-one on polynomials whose coefficients
+    lie below 2**(w - 1), which includes an in-range value times 1 - q**m.
+    """
+
+    def __init__(self, bound: int, slots: int):
+        self.w = -(-(bound.bit_length() + 2) // 8) * 8
+        self.slots = slots
+        size = self.w // 8
+        self._half = 1 << (self.w - 2)
+        # 2**(w - 2) and 2**(w - 1) in every slot.
+        self._bias = int.from_bytes((bytes(size - 1) + b"\x40") * slots, "little")
+        self._top = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+    def in_range(self, v: int, k: int) -> bool:
+        """Whether v is an in-range value of at most k slots: biased by
+        2**(w - 2) per slot, it must fit k slots with every top bit clear."""
+        if k > self.slots:
+            return False
+        u = v + (self._bias >> ((self.slots - k) * self.w))
+        return not (u >> (k * self.w) or u & self._top)
+
+    def bracket_mul(self, v: int, m: int) -> int:
+        """v * (1 - q**m)."""
+        return v - (v << (m * self.w))
+
+    def bracket_div(self, v: int, deg: int, m: int) -> int:
+        """Exact quotient of the in-range, degree-`deg` value v by 1 - q**m.
+
+        The quotient y has k = deg - m + 1 slots, y_i = sum_{j >= 0} v_(i - j*m),
+        a prefix sum along each residue class mod m, computed by doubling
+        shifts and cut to its low k slots.  It is returned only if
+        y * (1 - q**m) == v and y is in range; otherwise InexactDivision is
+        raised.  The two checks together are complete: an in-range y times
+        1 - q**m has coefficients below 2**(w - 1), as v has, and such
+        packings are equal only when the polynomials are.  The integer
+        identity alone is not: 32 + 32q + ... + 31q**7 in 8-bit slots is
+        divisible by 2**8 - 1 but not by 1 - q.
+        """
+        w = self.w
+        k = deg - m + 1
+        if k < 1:
+            raise InexactDivision(f"not divisible by 1 - q^{m}")
+        y, span = v, m
+        while span < k:
+            y += y << (span * w)
+            span *= 2
+        y &= (1 << (k * w)) - 1
+        if y >> (k * w - 1):
+            y -= 1 << (k * w)
+        if y - (y << (m * w)) != v or not self.in_range(y, k):
+            raise InexactDivision(f"not divisible by 1 - q^{m} in {w}-bit slots")
+        return y
+
+    def unpack(self, v: int) -> list[int]:
+        """The coefficient list of an in-range value; SlotOverflow otherwise."""
+        if not self.in_range(v, self.slots):
+            raise SlotOverflow(f"packed value does not fit {self.slots} slots of {self.w} bits")
+        size = self.w // 8
+        data = (v + self._bias).to_bytes(self.slots * size, "little")
+        return [
+            int.from_bytes(data[i : i + size], "little") - self._half
+            for i in range(0, len(data), size)
+        ]
+
+
 def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
-    """Exact sum of factored terms over their least common denominator."""
+    """Exact sum of factored terms over their least common denominator.
+
+    Each cofactor t_i / prefactor is c_i * q**o_i * B_i with an integer c_i
+    and B_i = prod_m (1 - q**m)**r_im, every r_im >= 0.  The coefficient-free
+    B_i is built from B_(i-1) by dividing out the brackets it loses and then
+    multiplying in those it gains, and c_i * q**o_i * B_i is added to the
+    accumulator; both are packed (`Packing`) with one slot width w, fixed up
+    front from a bound on every coefficient that ever appears:
+
+    - a product of R brackets has l1-norm at most 2**R (each bracket's is 2),
+      so no coefficient of it exceeds 2**R;
+    - dividing before multiplying, every intermediate cofactor of step i is a
+      product of at most max(R_(i-1), R_i) brackets, where R_i = sum_m r_im;
+      a division's prefix sums are differences y_a - y_b of its quotient's
+      coefficients, so at most 2**R_(i-1) as well;
+    - c_i * B_i and every partial sum of the accumulator are at most
+      sum_i |c_i| * 2**R_i, which bounds the two items above too.
+
+    So w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
+    result is unpacked once at the end.
+    """
     live = [t for t in terms if not t.is_zero()]
     if not live:
         return FactoredSum(BracketProduct.one(), [])
 
     min_shift = min(t.shift for t in live)
-    all_ms = sorted({m for t in live for m, _ in t.exps})
     maps = [t.exps_map() for t in live]
+    all_ms = {m for em in maps for m in em}
     min_exps = {m: min(em.get(m, 0) for em in maps) for m in all_ms}
     content, int_coeffs = _as_int_coeffs(live)
     prefactor = BracketProduct.make(content, min_shift, min_exps)
 
-    resids = [
-        {m: em.get(m, 0) - min_exps[m] for m in all_ms if em.get(m, 0) != min_exps[m]}
-        for em in maps
-    ]
+    # r_im = e_im - min_exps[m], so R_i and deg B_i follow from t_i's own
+    # brackets, and B_i / B_(i-1) from t_i / t_(i-1).  Starting the walk
+    # from a term with brackets min_exps starts it from B = 1.
     offsets = [t.shift - min_shift for t in live]
+    min_size = sum(min_exps.values())
+    min_deg = sum(m * e for m, e in min_exps.items())
+    bound = sum(abs(c) << (sum(em.values()) - min_size) for c, em in zip(int_coeffs, maps))
+    top = max(o + sum(m * e for m, e in em.items()) - min_deg for o, em in zip(offsets, maps))
+    pack = Packing(bound, top + 1)
 
-    # Each cofactor is int_coeffs[i] * q**offsets[i] * prod (1 - q**m)**r with
-    # every r >= 0, so dividing out a bracket the previous cofactor contains is
-    # exact, and the coefficient ratio's denominator divides int_coeffs[i - 1].
-    term_list = [0] * offsets[0] + list_scale(expand_bracket_powers(resids[0]), int_coeffs[0])
-    acc = list(term_list)
-    for i in range(1, len(live)):
-        bare = term_list[offsets[i - 1] :] if offsets[i - 1] else list(term_list)
-        touched = set(resids[i]) | set(resids[i - 1])
-        for m in sorted(touched):
-            delta = resids[i].get(m, 0) - resids[i - 1].get(m, 0)
-            for _ in range(delta):
-                bare = list_bracket_mul(bare, m)
+    acc, bare, deg, prev = 0, 1, 0, min_exps
+    for c, offset, em in zip(int_coeffs, offsets, maps):
+        deltas = [(m, em.get(m, 0) - prev.get(m, 0)) for m in em.keys() | prev.keys()]
+        for m, delta in deltas:
             for _ in range(-delta):
-                bare = list_bracket_div(bare, m)
-        if int_coeffs[i] != int_coeffs[i - 1]:
-            r = Fraction(int_coeffs[i], int_coeffs[i - 1])
-            bare = list_scale(bare, r.numerator)
-            bare = list_scale_div_exact(bare, r.denominator)
-        term_list = [0] * offsets[i] + bare
-        acc = list_add(acc, term_list)
-    list_trim(acc)
-    return FactoredSum(prefactor, acc)
+                bare = pack.bracket_div(bare, deg, m)
+                deg -= m
+        for m, delta in deltas:
+            for _ in range(delta):
+                bare = pack.bracket_mul(bare, m)
+                deg += m
+        acc += (c * bare) << (offset * pack.w)
+        prev = em
+    return FactoredSum(prefactor, list_trim(pack.unpack(acc)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ cyclotomic polynomials, and the dense Poly type over the rationals.
 
 The kernels work on plain lists of ints, index i holding the coefficient of
 q**i; trailing zeros are allowed and trimmed lazily, and the zero polynomial
-is any all-zero list (canonically []).  They are the one copy of each exact
-operation: the summation engines, the moduli, the cyclotomic cache and the
-Fraction-valued `Poly` product all run on them.
+is any all-zero list (canonically []).  The modular summation walk, the
+moduli, the cyclotomic cache, the bracket expansions and the Fraction-valued
+`Poly` product run on them.  The exact summation walk, `factored.sum_terms`,
+does not: it packs each polynomial into one int (`factored.Packing`) and
+returns a list only at the end.
 
 A `Poly` is a tuple of Fraction coefficients with nonzero trailing
 coefficient; the zero polynomial is the empty tuple.  Values with negative
@@ -75,18 +77,6 @@ def list_scale(c: Sequence[int], k: int) -> list[int]:
     if k == 1:
         return list(c)
     return [v * k for v in c]
-
-
-def list_scale_div_exact(c: Sequence[int], k: int) -> list[int]:
-    if k == 1:
-        return list(c)
-    out = []
-    for v in c:
-        d, r = divmod(v, k)
-        if r:
-            raise InexactDivision(f"coefficient {v} not divisible by {k}")
-        out.append(d)
-    return out
 
 
 def list_mul(a: Sequence, b: Sequence) -> list:

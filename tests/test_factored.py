@@ -1,11 +1,12 @@
 """The factored representation and summation engine are cross-checked against
 the independent dense-polynomial route (Poly / RatFunc with gcd reduction)."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qpiverify.factored import BracketProduct, sum_terms, sum_terms_mod
+from qpiverify.factored import BracketProduct, Packing, SlotOverflow, sum_terms, sum_terms_mod
 from qpiverify.polys import (
     InexactDivision,
     Poly,
@@ -137,6 +138,100 @@ def test_sum_terms_zero_and_empty():
     assert sum_terms([BracketProduct.zero()]).is_zero()
     t = BracketProduct.make(1, 0, {2: 1})
     assert sum_terms([t, -t]).is_zero()
+
+
+def _value(fs, x):
+    """A FactoredSum's value at the rational x."""
+    return fs.prefactor.evaluate(x) * sum(c * x**j for j, c in enumerate(fs.num))
+
+
+_POINTS = [Fraction(2), Fraction(-3), Fraction(3, 2), Fraction(-5, 3), Fraction(1, 7)]
+
+
+def test_sum_terms_matches_evaluation_at_rationals():
+    rng = random.Random(12)
+    for _ in range(200):
+        terms = []
+        for _ in range(rng.randint(1, 8)):
+            exps = {rng.randint(1, 9): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+            coeff = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            terms.append(BracketProduct.make(coeff, rng.randint(-6, 6), exps))
+        fs = sum_terms(terms)
+        for x in _POINTS:
+            assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
+
+
+def test_sum_terms_edge_cases():
+    # (1 - q)^80 stays in the cofactor (the other term has no bracket), and
+    # its middle binomial coefficients are near 2^77.
+    fs = sum_terms([BracketProduct.make(1, 0, {1: 80}), BracketProduct.make(5, 3)])
+    expected = [(-1) ** j * math.comb(80, j) for j in range(81)]
+    expected[3] += 5
+    assert fs.prefactor == BracketProduct.one() and fs.num == expected
+    assert max(abs(c) for c in fs.num).bit_length() == 77
+    cases = [
+        # Huge and non-integral coefficients.
+        [BracketProduct.make(2**200, 1, {2: 2, 3: -1}), BracketProduct.make(Fraction(3, 7), 0, {1: 3})],
+        # Alternating signs.
+        [BracketProduct.make((-1) ** k, k, {k + 1: 1, 1: -1}) for k in range(12)],
+        # Negative shifts, below and above zero.
+        [BracketProduct.make(k - 3, -2 * k, {3: k % 3 - 1, 5: 1}) for k in range(7)],
+    ]
+    for terms in cases:
+        fs = sum_terms(terms)
+        for x in _POINTS:
+            assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
+    # One term: everything goes to the prefactor.
+    t = BracketProduct.make(Fraction(-4, 9), -3, {2: 2, 7: -1})
+    fs = sum_terms([t])
+    assert fs.num == [-1] and fs.prefactor == -t
+    # (1 - q^2) - (1 - q) - q (1 - q) cancels to zero through the accumulator.
+    fs = sum_terms([BracketProduct.make(1, 0, {2: 1}), BracketProduct.make(-1, 0, {1: 1}), BracketProduct.make(-1, 1, {1: 1})])
+    assert fs.num == [] and fs.is_zero()
+
+
+def _pack(p, coeffs):
+    return sum(c << (j * p.w) for j, c in enumerate(coeffs))
+
+
+def test_packing_kernels_roundtrip():
+    rng = random.Random(13)
+    for _ in range(200):
+        bound = rng.choice([1, 60, 2**20, 2**70])
+        coeffs = [rng.randint(-bound // 2, bound // 2) for _ in range(rng.randint(1, 30))]
+        m = rng.randint(1, 12)
+        p = Packing(bound, len(coeffs) + m)
+        assert p.w % 8 == 0 and bound < 2 ** (p.w - 2)
+        v = _pack(p, coeffs)
+        assert p.unpack(v) == coeffs + [0] * m
+        prod = p.bracket_mul(v, m)
+        assert p.unpack(prod) == list_bracket_mul(coeffs, m)
+        assert p.bracket_div(prod, len(coeffs) - 1 + m, m) == v
+
+
+def test_packed_division_rejects_inexact():
+    p = Packing(63, 8)  # 8-bit slots, in range below 64
+    assert p.w == 8
+    with pytest.raises(InexactDivision):
+        p.bracket_div(_pack(p, [1, 1]), 1, 1)  # 1 + q
+    with pytest.raises(InexactDivision):
+        p.bracket_div(_pack(p, [1, 0, 0, -1]), 3, 2)  # 1 - q^3 by 1 - q^2
+    with pytest.raises(InexactDivision):
+        p.bracket_div(_pack(p, [3]), 0, 1)  # degree below the bracket's
+    # The packed int is divisible by 1 - 2^8, but the polynomial is not
+    # divisible by 1 - q (its value at 1 is 255): only the range check sees it.
+    v = _pack(p, [32] * 7 + [31])
+    assert v % (2**8 - 1) == 0
+    with pytest.raises(InexactDivision):
+        p.bracket_div(v, 7, 1)
+
+
+def test_unpack_rejects_values_wider_than_their_slots():
+    p = Packing(63, 3)
+    assert p.unpack(_pack(p, [63, -63, 63])) == [63, -63, 63]
+    for coeffs in ([0, 0, 0, 1], [0, 0, 0, -1], [0, 64, 0], [0, -65, 0], [-65, 0, 0]):
+        with pytest.raises(SlotOverflow):
+            p.unpack(_pack(p, coeffs))
 
 
 def test_cyclo_multiplicity_counts():
