@@ -6,8 +6,8 @@ q-shifted factorials with integer exponents all decompose this way, with
 (1 - q**-m) = -q**-m (1 - q**m) normalizing negative exponents.  Since each
 bracket splits into distinct irreducible cyclotomic factors, products can be
 reduced exactly without any polynomial gcd, and sums of many such terms can be
-accumulated over a structured common denominator using only O(degree) per
-bracket operations on plain integer coefficient lists.
+accumulated over a structured common denominator with a few big-integer
+operations per bracket, on polynomials packed into single ints (`Packing`).
 """
 from __future__ import annotations
 
@@ -309,32 +309,29 @@ class SlotOverflow(ArithmeticError):
 
 
 class Packing:
-    """Integer polynomials of fewer than `slots` terms packed into one int by
-    the Kronecker substitution q -> 2**w: c_0 + c_1 q + ... is the int
+    """Integer polynomials of up to `slots` coefficients packed into one int
+    by the Kronecker substitution q -> 2**w: c_0 + c_1 q + ... is the int
     sum_j c_j * 2**(j*w).  Slots are signed, so sums, shifts and products by
     integers act on the packed int directly, with no carry handling.
 
     w is `bound`'s bit length plus 2, rounded up to whole bytes, so every
-    |c_j| <= bound sits below 2**(w - 2).  A value whose slots all do is
-    *in range*; the packing is one-to-one on polynomials whose coefficients
-    lie below 2**(w - 1), which includes an in-range value times 1 - q**m.
+    |c_j| <= bound lies in [-2**(w - 2), 2**(w - 2)); a value whose slots all
+    do is *in range*.  The packing is one-to-one on polynomials whose
+    coefficients are below 2**(w - 1) in absolute value, which includes an
+    in-range value times 1 - q**m.
     """
 
     def __init__(self, bound: int, slots: int):
         self.w = -(-(bound.bit_length() + 2) // 8) * 8
         self.slots = slots
-        size = self.w // 8
-        self._half = 1 << (self.w - 2)
-        # 2**(w - 2) and 2**(w - 1) in every slot.
-        self._bias = int.from_bytes((bytes(size - 1) + b"\x40") * slots, "little")
-        self._top = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+        # 2**(w - 1) in every slot; half of it is 2**(w - 2) in every slot.
+        self._top = int.from_bytes((bytes(self.w // 8 - 1) + b"\x80") * slots, "little")
 
     def in_range(self, v: int, k: int) -> bool:
-        """Whether v is an in-range value of at most k slots: biased by
-        2**(w - 2) per slot, it must fit k slots with every top bit clear."""
-        if k > self.slots:
-            return False
-        u = v + (self._bias >> ((self.slots - k) * self.w))
+        """Whether v is an in-range value of at most k slots (k <= slots):
+        biased by 2**(w - 2) per slot, it must fit k slots with every top
+        bit clear."""
+        u = v + (self._top >> ((self.slots - k) * self.w + 1))
         return not (u >> (k * self.w) or u & self._top)
 
     def bracket_mul(self, v: int, m: int) -> int:
@@ -346,7 +343,7 @@ class Packing:
 
         The quotient y has k = deg - m + 1 slots, y_i = sum_{j >= 0} v_(i - j*m),
         a prefix sum along each residue class mod m, computed by doubling
-        shifts and cut to its low k slots.  It is returned only if
+        shifts modulo 2**(k*w).  It is returned only if
         y * (1 - q**m) == v and y is in range; otherwise InexactDivision is
         raised.  The two checks together are complete: an in-range y times
         1 - q**m has coefficients below 2**(w - 1), as v has, and such
@@ -358,11 +355,11 @@ class Packing:
         k = deg - m + 1
         if k < 1:
             raise InexactDivision(f"not divisible by 1 - q^{m}")
-        y, span = v, m
+        mask = (1 << (k * w)) - 1
+        y, span = v & mask, m
         while span < k:
-            y += y << (span * w)
+            y = (y + (y << (span * w))) & mask
             span *= 2
-        y &= (1 << (k * w)) - 1
         if y >> (k * w - 1):
             y -= 1 << (k * w)
         if y - (y << (m * w)) != v or not self.in_range(y, k):
@@ -373,12 +370,9 @@ class Packing:
         """The coefficient list of an in-range value; SlotOverflow otherwise."""
         if not self.in_range(v, self.slots):
             raise SlotOverflow(f"packed value does not fit {self.slots} slots of {self.w} bits")
-        size = self.w // 8
-        data = (v + self._bias).to_bytes(self.slots * size, "little")
-        return [
-            int.from_bytes(data[i : i + size], "little") - self._half
-            for i in range(0, len(data), size)
-        ]
+        size, half = self.w // 8, 1 << (self.w - 2)
+        data = (v + (self._top >> 1)).to_bytes(self.slots * size, "little")
+        return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
 
 
 def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
