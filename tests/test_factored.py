@@ -138,6 +138,9 @@ def test_sum_terms_zero_and_empty():
     assert sum_terms([BracketProduct.zero()]).is_zero()
     t = BracketProduct.make(1, 0, {2: 1})
     assert sum_terms([t, -t]).is_zero()
+    # (1 - q^2) - (1 - q) - q (1 - q) cancels through the accumulator.
+    fs = sum_terms([t, BracketProduct.make(-1, 0, {1: 1}), BracketProduct.make(-1, 1, {1: 1})])
+    assert fs.num == [] and fs.is_zero()
 
 
 def _value(fs, x):
@@ -185,9 +188,6 @@ def test_sum_terms_edge_cases():
     t = BracketProduct.make(Fraction(-4, 9), -3, {2: 2, 7: -1})
     fs = sum_terms([t])
     assert fs.num == [-1] and fs.prefactor == -t
-    # (1 - q^2) - (1 - q) - q (1 - q) cancels to zero through the accumulator.
-    fs = sum_terms([BracketProduct.make(1, 0, {2: 1}), BracketProduct.make(-1, 0, {1: 1}), BracketProduct.make(-1, 1, {1: 1})])
-    assert fs.num == [] and fs.is_zero()
 
 
 def _pack(p, coeffs):
