@@ -42,8 +42,9 @@ L2_DEFAULT_CASES = (3, 5, 7, 9, 11, 13, 25, 27)
 
 
 # ---------------------------------------------------------------------------
-# Case workers.  Each returns a plain row dict so the process pool only moves
-# primitives; rows are assembled in submission order, keeping reports
+# Case workers.  A case spec is (function, label, kwargs); `_run_case` calls
+# the function and returns a plain row dict, so the process pool only moves
+# primitives back.  Rows are assembled in submission order, keeping reports
 # deterministic regardless of scheduling.
 # ---------------------------------------------------------------------------
 
@@ -76,24 +77,6 @@ def _row_from_result(result: CheckResult) -> dict:
         "bound": _fmt_bound(result.bound),
         "terms": result.terms,
     }
-
-
-def _case_identity(which: str, n: int) -> dict:
-    return _row_from_result(check_identity(IdentityId(which), n))
-
-
-def _case_wz(pair: str, n: int, k: int) -> dict:
-    return _row_from_result(check_telescoping(WzPairId(pair), n, k))
-
-
-def _case_modsun(n: int, path: str) -> dict:
-    return _row_from_result(verify_modsun(n, path=path))
-
-
-def _case_intro(pair: str, n: int, path: str, exploratory: bool) -> dict:
-    return _row_from_result(
-        verify_intro(WzPairId(pair), n, path=path, exploratory=exploratory)
-    )
 
 
 def _case_sun(p: int, min_valuation: int) -> dict:
@@ -137,22 +120,13 @@ def _case_limit(which: str, j: int, digits: int) -> dict:
     }
 
 
-_WORKERS = {
-    "identity": _case_identity,
-    "wz": _case_wz,
-    "modsun": _case_modsun,
-    "intro": _case_intro,
-    "sun": _case_sun,
-    "eval-identity": _case_eval_identity,
-    "eval-classical": _case_eval_classical,
-    "limit": _case_limit,
-}
-
-
 def _run_case(spec: tuple) -> dict:
-    key, label, kwargs = spec
+    """Call spec = (function, label, kwargs); the function returns a row or
+    a CheckResult."""
+    fn, label, kwargs = spec
     try:
-        return _WORKERS[key](**kwargs)
+        out = fn(**kwargs)
+        return out if isinstance(out, dict) else _row_from_result(out)
     except GcdNotCoprime as exc:
         return {"label": label, "status": "ill-posed", "witness": str(exc), "bound": None, "terms": None}
     except (ExactPathLimit, NonInvertibleDenominator) as exc:
@@ -256,14 +230,16 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         ns = [n for n in range(lo, hi + 1) if args.which != "whipple" or n % 2 == 1]
         params = {"which": args.which, "n_range": f"{lo}..{hi}"}
         specs = [
-            ("identity", f"{args.which} n={n}", {"which": args.which, "n": n}) for n in ns
+            (check_identity, f"{args.which} n={n}", {"ident": IdentityId(args.which), "n": n})
+            for n in ns
         ]
     elif cmd == "verify-wz":
         if args.max_n < 0:
             raise ValueError("--max-n must be >= 0")
         params = {"pair": args.pair, "max_n": args.max_n}
+        pair = WzPairId(args.pair)
         specs = [
-            ("wz", f"telescoping {args.pair} n={n} k={k}", {"pair": args.pair, "n": n, "k": k})
+            (check_telescoping, f"telescoping {args.pair} n={n} k={k}", {"pair": pair, "n": n, "k": k})
             for n in range(args.max_n + 1)
             for k in range(1, n + 3)
         ]
@@ -300,15 +276,15 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         params["n_values"] = ns
         if args.which == "modsun":
             specs = [
-                ("modsun", f"modsun n={n}", {"n": n, "path": args.path}) for n in ns
+                (verify_modsun, f"modsun n={n}", {"n": n, "path": args.path}) for n in ns
             ]
         else:
             specs = [
                 (
-                    "intro",
+                    verify_intro,
                     f"intro {args.which} n={n}",
                     {
-                        "pair": args.which,
+                        "pair": WzPairId(args.which),
                         "n": n,
                         "path": args.path,
                         "exploratory": args.exploratory,
@@ -324,7 +300,7 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         ps = [p for p in range(max(lo, 5), hi + 1) if is_prime(p)]
         params = {"primes": f"{lo}..{hi}", "min_valuation": args.min_valuation}
         specs = [
-            ("sun", f"sun p={p}", {"p": p, "min_valuation": args.min_valuation}) for p in ps
+            (_case_sun, f"sun p={p}", {"p": p, "min_valuation": args.min_valuation}) for p in ps
         ]
     elif cmd == "eval":
         ident = args.identity
@@ -336,7 +312,7 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
                 raise ValueError(f"--q does not apply to {ident}, a classical series with no q")
             params = {"identity": ident, "digits": digits}
             specs = [
-                ("eval-classical", f"{ident} digits={digits}", {"which": ident, "digits": digits})
+                (_case_eval_classical, f"{ident} digits={digits}", {"which": ident, "digits": digits})
             ]
         else:
             qs = [args.q] if args.q is not None else ["1/4", "1/3", "1/2"]
@@ -350,7 +326,7 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
             params = {"identity": ident, "digits": digits, "q": qs}
             specs = [
                 (
-                    "eval-identity",
+                    _case_eval_identity,
                     f"{ident} q={q} digits={digits}",
                     {"which": ident, "q": q, "digits": digits},
                 )
@@ -363,7 +339,7 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
         _check_digits(args.digits)
         params = {"which": args.which, "j_range": f"{lo}..{hi}", "digits": args.digits}
         specs = [
-            ("limit", f"limit {args.which} j={j}", {"which": args.which, "j": j, "digits": args.digits})
+            (_case_limit, f"limit {args.which} j={j}", {"which": args.which, "j": j, "digits": args.digits})
             for j in range(lo, hi + 1)
         ]
     else:  # pragma: no cover - argparse enforces the choices

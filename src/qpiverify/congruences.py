@@ -25,6 +25,7 @@ from fractions import Fraction
 from .factored import BracketProduct, sum_terms, sum_terms_mod
 from .polys import (
     Poly,
+    content_split,
     divisors,
     expand_cyclo_powers,
     factorize,
@@ -98,17 +99,17 @@ def modulus_build(n: int, kind: ModulusKind) -> ModulusContext:
 def _residue(num: Poly, den: Poly, modulus: Poly) -> Poly:
     """num / den in Q[q]/(modulus), for a modulus with an integral monic form M.
 
-    With num = N / a and den = D / b, N and D integer lists reduced by M, the
-    inverse of D mod (M, p) is lifted by Newton's u <- u(2 - D u) mod p^(2^k);
-    N u is rationally reconstructed into W / L and returned once D W == L N
-    (mod M) holds exactly.  D sharing a factor with M raises instead.
+    With num = a N and den = b D (`content_split`), N and D integer lists
+    reduced by M, the inverse of D mod (M, p) is lifted by Newton's
+    u <- u(2 - D u) mod p^(2^k); N u is rationally reconstructed into w = c W
+    and returned once D W c == N (mod M) holds exactly.  D sharing a factor
+    with M raises instead.
     """
     mod = _monic_int(modulus)
     if len(mod) == 1:  # Q[q]/(1) is the zero ring
         return Poly()
-    a, b = (math.lcm(*(c.denominator for c in x.coeffs)) for x in (num, den))
-    N = list_mod_monic([int(c * a) for c in num.coeffs], mod)
-    D = list_mod_monic([int(c * b) for c in den.coeffs], mod)
+    (a, N), (b, D) = content_split(num.coeffs), content_split(den.coeffs)
+    N, D = list_mod_monic(N, mod), list_mod_monic(D, mod)
     # The primes skipped are the divisors of the nonzero resultant Res(D, M).
     for P in filter(is_prime, range(2**31 - 1, 2, -2)):
         u = list_inv_mod_p(D, mod, P)
@@ -120,10 +121,10 @@ def _residue(num: Poly, den: Poly, modulus: Poly) -> Poly:
     while True:
         w = _rational_lift(_mul_mod(N, u, mod, P), P)
         if w is not None:
-            L = math.lcm(*(c.denominator for c in w))
-            W = [c.numerator * (L // c.denominator) for c in w]
-            if not list_mod_monic(list_add(list_mul(D, W), list_scale(N, -L)), mod):
-                return Poly(w) * Fraction(b, a)
+            c, W = content_split(w)
+            check = list_add(list_scale(list_mul(D, W), c.numerator), list_scale(N, -c.denominator))
+            if not list_mod_monic(check, mod):
+                return Poly(w) * (a / b)
         P *= P
         u = _mul_mod(u, list_add([2], list_scale(_mul_mod(D, u, mod, P), -1)), mod, P)
 
@@ -168,16 +169,19 @@ def mod_reduce(r: RatFunc, ctx: ModulusContext) -> Poly:
 
 def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckResult:
     """Reduced-form congruence r == 0 (mod m): m | num(r) and gcd(den(r), m) = 1,
-    for m integral and monic up to a scalar; a failure's witness is `_residue`."""
+    for m integral and monic up to a scalar.  Both halves are read off
+    `_residue`: it exists iff den(r) is invertible modulo m, and it is zero iff
+    m | num(r); a nonzero residue is the failure's witness."""
     if m.is_zero():
         raise ValueError("zero modulus")
-    _monic_int(m)
-    g = poly_gcd(r.den, m)
-    if g.degree > 0:
-        raise GcdNotCoprime(f"{label}: denominator shares {g!r} with the modulus")
-    if (r.num % m).is_zero():
+    try:
+        residue = _residue(r.num, r.den, m)
+    except NonInvertibleDenominator:
+        g = poly_gcd(r.den, m)
+        raise GcdNotCoprime(f"{label}: denominator shares {g!r} with the modulus") from None
+    if residue.is_zero():
         return CheckResult(True, label)
-    return CheckResult(False, label, witness=RatFunc.from_poly(_residue(r.num, r.den, m)))
+    return CheckResult(False, label, witness=RatFunc.from_poly(residue))
 
 
 def _check_congruence_modular(

@@ -11,7 +11,6 @@ operations per bracket, on polynomials packed into single ints (`Packing`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .polys import (
     InexactDivision,
     Poly,
+    content_split,
     cyclotomic_int,
     divisors,
     expand_bracket_powers,
@@ -292,18 +292,6 @@ class FactoredSum:
         return RatFunc._from_reduced(num_poly, den_poly)
 
 
-def _as_int_coeffs(terms: Sequence[BracketProduct]) -> tuple[Fraction, list[int]]:
-    """Factor the coefficients as content * integers with gcd 1."""
-    lcm = 1
-    for t in terms:
-        lcm = math.lcm(lcm, t.coeff.denominator)
-    ints = [int(t.coeff * lcm) for t in terms]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return Fraction(g, lcm), [v // g for v in ints]
-
-
 class SlotOverflow(ArithmeticError):
     """A packed polynomial has a coefficient outside its slot's range."""
 
@@ -405,7 +393,7 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     maps = [t.exps_map() for t in live]
     all_ms = {m for em in maps for m in em}
     min_exps = {m: min(em.get(m, 0) for em in maps) for m in all_ms}
-    content, int_coeffs = _as_int_coeffs(live)
+    content, int_coeffs = content_split([t.coeff for t in live])
     prefactor = BracketProduct.make(content, min_shift, min_exps)
 
     # r_im = e_im - min_exps[m], so R_i and deg B_i follow from t_i's own

@@ -4,9 +4,10 @@ Every evaluation returns an EvalReport carrying a rigorous truncation bound:
 series tails are controlled by a monotone upper bound U(k) on the term ratio
 (so the tail after term k is at most |t_k| U/(1-U) once U < 1), and infinite
 products by |log(1-x)| <= 2x for x <= 1/2 together with the geometric sum of
-the remaining exponents.  Floating round-off is absorbed by the guard bits of
-the working precision, which callers fix explicitly per call; nothing reads
-ambient precision state.
+the remaining exponents.  Only truncation is bounded: floating round-off is
+kept small by the guard bits of the working precision but is not yet bounded
+(ROADMAP item 4).  Callers fix the working precision explicitly per call;
+nothing reads ambient precision state.
 """
 from __future__ import annotations
 

@@ -4,10 +4,15 @@ cyclotomic polynomials, and the dense Poly type over the rationals.
 The kernels work on plain lists of ints, index i holding the coefficient of
 q**i; trailing zeros are allowed and trimmed lazily, and the zero polynomial
 is any all-zero list (canonically []).  The modular summation walk, the
-moduli, the cyclotomic cache, the bracket expansions and the Fraction-valued
-`Poly` product run on them.  The exact summation walk, `factored.sum_terms`,
-does not: it packs each polynomial into one int (`factored.Packing`) and
-returns a list only at the end.
+moduli, the cyclotomic cache, the bracket expansions and the witness
+residues run on them.  The exact summation walk, `factored.sum_terms`, does
+not: it packs each polynomial into one int (`factored.Packing`) and returns
+a list only at the end.
+
+Rationals reach the kernels through one scaling, `content_split`, which
+writes them as a content times integers with gcd 1: the `Poly` product (one
+integer convolution times the product of the contents), `poly_gcd`, the
+coefficients of `sum_terms` and the witness residues all use it.
 
 A `Poly` is a tuple of Fraction coefficients with nonzero trailing
 coefficient; the zero polynomial is the empty tuple.  Values with negative
@@ -79,8 +84,19 @@ def list_scale(c: Sequence[int], k: int) -> list[int]:
     return [v * k for v in c]
 
 
-def list_mul(a: Sequence, b: Sequence) -> list:
-    """Convolution of two coefficient lists (ints, or Fractions for Poly)."""
+def content_split(cs: Sequence[Scalar]) -> tuple[Fraction, list[int]]:
+    """Write rationals as content * integers whose gcd is 1; all zeros (or
+    none) have content 1.  The one scaling of rationals to integers."""
+    lcm = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (lcm // c.denominator) for c in cs]
+    g = math.gcd(*ints) or 1
+    if g > 1:
+        ints = [v // g for v in ints]
+    return Fraction(g, lcm), ints
+
+
+def list_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Convolution of two integer coefficient lists."""
     if list_is_zero(a) or list_is_zero(b):
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -291,9 +307,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else _ZERO
-
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
@@ -354,10 +367,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly(
-            a - b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)
-        )
+        return self + -other
 
     def __rsub__(self, other) -> Poly:
         return -(self - other)
@@ -369,12 +379,10 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
         # Convolution over int is much cheaper than over Fraction.
-        if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-            a = [c.numerator for c in a]
-            b = [c.numerator for c in b]
-        return Poly(list_mul(a, b))
+        (ca, a), (cb, b) = content_split(self.coeffs), content_split(other.coeffs)
+        c, prod = ca * cb, list_mul(a, b)
+        return Poly(prod if c == 1 else [v * c for v in prod])
 
     __rmul__ = __mul__
 
@@ -424,11 +432,6 @@ class Poly:
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
 
-    def divides(self, other: Poly) -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return divmod(other, self)[1].is_zero()
-
     def __repr__(self) -> str:
         return f"Poly('{format_poly(self.coeffs)}')"
 
@@ -467,13 +470,6 @@ def format_poly(coeffs, var: str = "q") -> str:
     return "".join(parts)
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return [int(c * scale) for c in p.coeffs]
-
-
 def _primitive(c: list[int]) -> list[int]:
     if not list_trim(c):
         return c
@@ -508,8 +504,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     already at desk-scale degrees)."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    u = _primitive(_int_coeffs(a))
-    v = _primitive(_int_coeffs(b))
+    u = _primitive(content_split(a.coeffs)[1])
+    v = _primitive(content_split(b.coeffs)[1])
     if len(u) < len(v):
         u, v = v, u
     while v:

@@ -91,7 +91,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __rsub__(self, other) -> RatFunc:
         return -(self - other)

@@ -108,6 +108,26 @@ def test_congruent_zero_cases():
         congruent_zero(RatFunc.from_poly(Poly([1, 2])), Poly([1, 2]))
 
 
+def test_congruent_zero_ill_posed_message():
+    phi3 = cyclotomic(3)
+    r = RatFunc(Poly([1]), phi3 * Poly([1, 1]))
+    with pytest.raises(GcdNotCoprime) as err:
+        congruent_zero(r, phi3**2, label="case")
+    assert str(err.value) == "case: denominator shares Poly('q^2 + q + 1') with the modulus"
+    with pytest.raises(GcdNotCoprime) as err:
+        congruent_zero(r, phi3 * 3)  # the gcd is monic whatever the modulus's scale
+    assert str(err.value) == "congruent-zero: denominator shares Poly('q^2 + q + 1') with the modulus"
+
+
+def test_congruent_zero_constant_modulus_and_zero_function_pass():
+    r = RatFunc(Poly([Fraction(1, 3), 2]), Poly([5, 0, 1]))
+    for m in (Poly([1]), Poly([7]), Poly([Fraction(2, 3)])):
+        assert congruent_zero(r, m).passed
+    for m in (cyclotomic(3) ** 2, cyclotomic(5) * 2, Poly([4])):
+        result = congruent_zero(RatFunc.zero(), m)
+        assert result.passed and result.witness is None
+
+
 def test_modsun_small_cases_and_witness_shape():
     assert verify_modsun(1).passed
     assert verify_modsun(3).passed

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 
 from qpiverify.numerics import (
     ConvergenceBudgetExceeded,
+    _ratio_bound,
+    _series_terms,
     check_identity_numeric,
     classical_target,
     eval_classical,
@@ -16,7 +19,7 @@ from qpiverify.numerics import (
     series_partial_value,
     working_prec,
 )
-from qpiverify.qseries import SeriesId, partial_sum
+from qpiverify.qseries import SeriesId, partial_sum, summand_brackets
 
 
 def test_working_prec_policy():
@@ -184,3 +187,26 @@ def test_identity_residuals_at_standard_points():
         for q in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
             result = check_identity_numeric(which, q, 50)
             assert result.passed, (which, q, result.bound)
+
+
+def test_numeric_recurrences_match_the_exact_summands():
+    """`_series_terms` and `_ratio_bound` restate the J2, L2 and SUN summands as
+    mpmath term ratios; both are checked here against the one exact definition,
+    `summand_brackets`: the first 40 terms agree, and the bound from k on
+    exceeds |t_(j+1) / t_j| for every k <= j < 40."""
+    prec = 256
+    for sid in (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS):
+        for q in (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)):
+            t = [summand_brackets(sid, None, j).evaluate(q) for j in range(41)]
+            assert t[0] == 1
+            with mpmath.workprec(prec):
+                qm = mpmath.mpf(q.numerator) / q.denominator
+                got = list(itertools.islice(_series_terms(sid, qm), 40))
+                for j, term in enumerate(got, 1):
+                    want = mpmath.mpf(t[j].numerator) / t[j].denominator
+                    assert abs(term - want) <= abs(want) * mpmath.mpf(2) ** (-prec + 32)
+                for k in range(40):
+                    bound = _ratio_bound(sid, qm, k)
+                    for j in range(k, 40):
+                        ratio = abs(t[j + 1] / t[j])
+                        assert mpmath.mpf(ratio.numerator) / ratio.denominator < bound

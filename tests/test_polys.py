@@ -7,6 +7,7 @@ import pytest
 import qpiverify.polys as polys
 from qpiverify.polys import (
     Poly,
+    content_split,
     cyclotomic,
     divisors,
     expand_cyclo_powers,
@@ -27,6 +28,51 @@ def rand_poly(rng, max_deg=5, max_c=6):
 
 def test_mul_difference_of_squares():
     assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])
+
+
+def rand_coeff(rng, kind):
+    """A random coefficient, possibly zero: an int, a Fraction, or (for
+    "mixed") either one."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    if kind == "int":
+        return rng.randint(-40, 40)
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+
+
+def test_mul_matches_schoolbook_fraction_convolution():
+    rng = random.Random(8)
+    for _ in range(300):
+        kind_a, kind_b = rng.choice(("int", "fraction", "mixed")), rng.choice(("int", "fraction", "mixed"))
+        ca = [rand_coeff(rng, kind_a) for _ in range(rng.randint(0, 7))]
+        cb = [rand_coeff(rng, kind_b) for _ in range(rng.randint(0, 7))]
+        if ca and rng.random() < 0.5:
+            ca[-1] = -abs(ca[-1]) or -1  # a negative leading coefficient
+        want = [Fraction(0)] * max(len(ca) + len(cb) - 1, 0)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                want[i + j] += Fraction(x) * Fraction(y)
+        got = Poly(ca) * Poly(cb)
+        assert got == Poly(want)
+        assert all(type(c) is Fraction for c in got.coeffs)
+    assert (Poly() * Poly([Fraction(1, 2), -3])).is_zero()
+    assert (Poly([0, Fraction(-7, 4)]) * Poly()).is_zero()
+
+
+def test_content_split_roundtrip_and_primitive():
+    rng = random.Random(9)
+    for _ in range(300):
+        cs = [rand_coeff(rng, "mixed") for _ in range(rng.randint(1, 8))]
+        if not any(cs):
+            continue
+        content, ints = content_split(cs)
+        assert all(type(v) is int for v in ints)
+        assert [content * v for v in ints] == cs
+        assert gcd(*ints) == 1 and content > 0
+    assert content_split([Fraction(-3, 4), Fraction(9, 2), 6]) == (Fraction(3, 4), [-1, 6, 8])
+    for zeros in ([], [0], [Fraction(0), 0, Fraction(0)]):
+        content, ints = content_split(zeros)
+        assert ints == [0] * len(zeros) and [content * v for v in ints] == zeros
 
 
 def test_divrem_geometric_factorization():
