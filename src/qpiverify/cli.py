@@ -86,43 +86,33 @@ def _case_sun(p: int, min_valuation: int) -> dict:
     return row
 
 
-def _case_eval_identity(which: str, q: str, digits: int) -> dict:
+def _case_eval_identity(which: str, q: str, digits: int) -> CheckResult:
     result = check_identity_numeric(which, Fraction(q), digits)
     # Echo the exact rational so reports carry no decimal ambiguity.
     result.case_label = f"{which} q={q} digits={digits}"
-    return _row_from_result(result)
+    return result
 
 
-def _case_eval_classical(which: str, digits: int) -> dict:
+def _case_eval_classical(which: str, digits: int) -> CheckResult:
     report = eval_classical(which, digits)
     prec = working_prec(digits)
     with mpmath.workprec(prec):
         target = classical_target(which, prec)
         diff = abs(report.value - target)
         tol = mpmath.mpf(10) ** (-digits)
-    return {
-        "label": f"{which.lower()} digits={digits}",
-        "status": "pass" if diff <= tol else "fail",
-        "witness": None,
-        "bound": _fmt_bound(diff),
-        "terms": report.terms_used,
-    }
+    label = f"{which.lower()} digits={digits}"
+    return CheckResult(diff <= tol, label, bound=diff, terms=report.terms_used)
 
 
-def _case_limit(which: str, j: int, digits: int) -> dict:
+def _case_limit(which: str, j: int, digits: int) -> CheckResult:
     point = limit_scan(which, [j], digits=digits)[0]
-    return {
-        "label": f"limit {which.lower()} j={j}",
-        "status": "pass",
-        "witness": None,
-        "bound": _fmt_bound(point.distance),
-        "terms": point.terms_used,
-    }
+    label = f"limit {which.lower()} j={j}"
+    return CheckResult(True, label, bound=point.distance, terms=point.terms_used)
 
 
 def _run_case(spec: tuple) -> dict:
-    """Call spec = (function, label, kwargs); the function returns a row or
-    a CheckResult."""
+    """Call spec = (function, label, kwargs).  The function returns a
+    CheckResult, or a finished row when the witness is not a `RatFunc`."""
     fn, label, kwargs = spec
     try:
         out = fn(**kwargs)
