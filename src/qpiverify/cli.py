@@ -234,6 +234,8 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
             for k in range(1, n + 3)
         ]
     elif cmd == "verify-congruence":
+        if args.exploratory and args.which != "L2":
+            raise ValueError("--exploratory applies to --which L2 only")
         params = {"which": args.which, "path": args.path}
         if args.n_list is not None:
             if args.odd_n is not None or args.primes is not None:

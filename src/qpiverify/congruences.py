@@ -282,7 +282,7 @@ def verify_intro(
         e, r = divmod(-(n - 1) * (n + 5), 8)
         if r:
             raise ArithmeticError("odd n must make the exponent integral")
-    rhs = BracketProduct.q_integer(n).times_q_power(e).times_coeff(parity_power(e))
+    rhs = BracketProduct.from_pochhammers(parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
     ctx = modulus_build(n, ModulusKind.N_PHI)
     if path == "auto":
         resolved = "modular" if is_prime(n) else "exact"

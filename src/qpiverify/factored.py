@@ -2,8 +2,8 @@
 
 Every summand handled by this package is a product of a rational coefficient,
 a power of q, and "brackets" (1 - q**m) with integer exponents; q-integers and
-q-shifted factorials with integer exponents all decompose this way, with
-(1 - q**-m) = -q**-m (1 - q**m) normalizing negative exponents.  Since each
+q-shifted factorials with integer exponents all decompose this way, and
+`BracketProduct.make` alone puts such a product into normal form.  Since each
 bracket splits into distinct irreducible cyclotomic factors, products can be
 reduced exactly without any polynomial gcd, and sums of many such terms can be
 accumulated over a structured common denominator with a few big-integer
@@ -66,14 +66,52 @@ class BracketProduct:
 
     @staticmethod
     def make(coeff: Fraction | int, shift: int = 0, exps: Mapping[int, int] | None = None) -> BracketProduct:
-        coeff = Fraction(coeff)
+        """coeff * q**shift * prod_m (1 - q**m)**e for any integer indices m,
+        in normal form: indices m >= 1 with e != 0, in order.
+
+        A negative index m becomes (-1)**e q**(m e) (1 - q**-m)**e and merges
+        with the entry for -m.  As 1 - q**0 = 0, index 0 with e > 0 gives zero
+        and with e < 0 raises ZeroDivisionError.  The form is unique: the
+        brackets 1 - q**m = -prod_(d | m) Phi_d (m >= 1) have unitriangular
+        exponent vectors over the cyclotomics, so no product of them equals
+        another, and every normalization yields the same (coeff, shift, exps).
+        """
+        coeff, exps = Fraction(coeff), exps or {}
+        if min(exps, default=1) < 1:
+            merged: dict[int, int] = {}
+            for m, e in exps.items():
+                if m < 0:
+                    coeff, shift, m = (-coeff if e % 2 else coeff), shift + m * e, -m
+                merged[m] = merged.get(m, 0) + e
+            zero_power = merged.pop(0, 0)
+            if zero_power < 0:
+                raise ZeroDivisionError("1 - q^0 = 0 in a denominator")
+            if zero_power > 0:
+                return _ZERO_BP
+            exps = merged
         if coeff == 0:
             return _ZERO_BP
-        items = tuple(sorted((m, e) for m, e in (exps or {}).items() if e != 0))
-        for m, _ in items:
-            if m < 1:
-                raise ValueError("bracket indices must be >= 1")
-        return BracketProduct(coeff, shift, items)
+        return BracketProduct(coeff, shift, tuple(sorted((m, e) for m, e in exps.items() if e)))
+
+    @staticmethod
+    def from_pochhammers(
+        coeff: Fraction | int, shift: int, factors: Iterable[tuple[int, int, int, int]]
+    ) -> BracketProduct:
+        """coeff * q**shift * prod (q**base; q**step)_count**power over the
+        (base, step, count, power) factors, by one `make` on their summed
+        exponents.  (q**a; q**p)_r = prod_{j<r} (1 - q**(a + j p)), a negative
+        count is (a; p)_(-r) = 1 / (a p**-r; p)_r, and (m, 1, 1, e) is the
+        single bracket (1 - q**m)**e.
+        """
+        exps: dict[int, int] = {}
+        for base, step, count, power in factors:
+            if step < 1:
+                raise ValueError("pochhammer step must be >= 1")
+            if count < 0:
+                base, count, power = base + count * step, -count, -power
+            for m in range(base, base + count * step, step):
+                exps[m] = exps.get(m, 0) + power
+        return BracketProduct.make(coeff, shift, exps)
 
     @staticmethod
     def one() -> BracketProduct:
@@ -85,56 +123,18 @@ class BracketProduct:
 
     @staticmethod
     def from_exponent(e: int, power: int = 1) -> BracketProduct:
-        """(1 - q**e)**power for any integer e, normalized to positive brackets."""
-        if power == 0:
-            return _ONE_BP
-        if e == 0:
-            return _ZERO_BP
-        if e > 0:
-            return BracketProduct.make(1, 0, {e: power})
-        # 1 - q**e = -q**e (1 - q**-e)
-        return BracketProduct.make((-1) ** (power % 2), e * power, {-e: power})
+        """(1 - q**e)**power for any integer e."""
+        return BracketProduct.make(1, 0, {e: power})
 
     @staticmethod
     def pochhammer(base_exp: int, step: int, count: int) -> BracketProduct:
-        """prod_{j=0}^{count-1} (1 - q**(base_exp + j*step)) in factored form."""
-        if count < 0:
-            raise ValueError("pochhammer count must be >= 0")
-        if step < 1:
-            raise ValueError("pochhammer step must be >= 1")
-        coeff = 1
-        shift = 0
-        exps: dict[int, int] = {}
-        for j in range(count):
-            e = base_exp + j * step
-            if e == 0:
-                return _ZERO_BP
-            if e < 0:
-                coeff = -coeff
-                shift += e
-                e = -e
-            exps[e] = exps.get(e, 0) + 1
-        return BracketProduct.make(coeff, shift, exps)
-
-    @staticmethod
-    def product(factors: Iterable[tuple[BracketProduct, int]]) -> BracketProduct:
-        """prod f**e over (f, e) pairs with any integer e, normalized once."""
-        coeff, shift, exps = Fraction(1), 0, {}
-        for f, e in factors:
-            if e < 0 and f.is_zero():
-                raise ZeroDivisionError("division by zero factored product")
-            coeff *= f.coeff**e  # a zero factor zeroes coeff; make() then returns zero
-            shift += f.shift * e
-            for m, fe in f.exps:
-                exps[m] = exps.get(m, 0) + fe * e
-        return BracketProduct.make(coeff, shift, exps)
+        """(q**base_exp; q**step)_count, for any integer count."""
+        return BracketProduct.from_pochhammers(1, 0, [(base_exp, step, count, 1)])
 
     @staticmethod
     def q_integer(m: int) -> BracketProduct:
         """[m] = (1 - q**m)/(1 - q), extended to any integer m; [0] = 0."""
-        if m == 0:
-            return _ZERO_BP
-        return BracketProduct.from_exponent(m) / BracketProduct.from_exponent(1)
+        return BracketProduct.from_pochhammers(1, 0, [(m, 1, 1, 1), (1, 1, 1, -1)])
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -170,30 +170,17 @@ class BracketProduct:
         )
 
     def __neg__(self) -> BracketProduct:
-        return BracketProduct.make(-self.coeff, self.shift, dict(self.exps))
+        # Negating the coefficient keeps the normal form (zero stays zero).
+        return BracketProduct(-self.coeff, self.shift, self.exps)
 
     def times_q_power(self, e: int) -> BracketProduct:
         if self.is_zero():
             return _ZERO_BP
         return BracketProduct(self.coeff, self.shift + e, self.exps)
 
-    def times_coeff(self, c: Fraction | int) -> BracketProduct:
-        return BracketProduct.make(self.coeff * c, self.shift, dict(self.exps))
-
     def substitute_q_inverse(self) -> BracketProduct:
         """The factored form of the value at q -> 1/q."""
-        if self.is_zero():
-            return _ZERO_BP
-        coeff = self.coeff
-        shift = -self.shift
-        exps: dict[int, int] = {}
-        for m, e in self.exps:
-            # (1 - q**-m)**e = (-1)**e q**(-m e) (1 - q**m)**e
-            if e % 2:
-                coeff = -coeff
-            shift -= m * e
-            exps[m] = exps.get(m, 0) + e
-        return BracketProduct.make(coeff, shift, exps)
+        return BracketProduct.make(self.coeff, -self.shift, {-m: e for m, e in self.exps})
 
     def cyclo_mults(self) -> dict[int, int]:
         """Multiplicity of each irreducible cyclotomic factor."""

@@ -16,8 +16,9 @@ Summands are addressed by a SeriesId tag.  Each one is available both as a
 fully reduced rational function (`summand`) and in the internal factored form
 (`summand_brackets`) that the exact summation engine consumes.  The two
 construction routes are independent: `q_pochhammer` and `q_integer` multiply
-the defining factors out directly, while the factored route normalizes
-exponents symbolically, so the test suite can play them against each other.
+the defining factors out directly, while the factored route lists a summand's
+q-shifted factorials for one `BracketProduct.from_pochhammers` call, so the
+test suite can play them against each other.
 """
 from __future__ import annotations
 
@@ -151,21 +152,20 @@ def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProdu
     j2 = pair is WzPairId.PAIR_J2
     if n - k < 0 or (j2 and k < 0):
         return BracketProduct.zero()
-    bracket, poch = BracketProduct.from_exponent, BracketProduct.pochhammer
-    mono = BracketProduct.make
     top = 6 * n - 2 * k + 1
-    # (q;q^2)_(n+k), extended to n + k < 0 (PAIR_L2 only) by (a;p)_-m = 1/(a p^-m;p)_m.
-    odd = (poch(1, 2, n + k), 1) if n + k >= 0 else (poch(1 + 2 * (n + k), 2, -n - k), -1)
-    # The core [top] (q;q^2)_(n+k) (q;q^2)_(n-k) / ((q^4;q^4)_n^2 (q^4;q^4)_(n-k)).
-    factors = [(bracket(top), 1), (bracket(1), -1), odd, (poch(1, 2, n - k), 1)]
-    factors += [(poch(4, 4, n), -2), (poch(4, 4, n - k), -1)]
+    # The core [top] (q;q^2)_(n+k) (q;q^2)_(n-k) / ((q^4;q^4)_n^2 (q^4;q^4)_(n-k));
+    # n + k < 0 (PAIR_L2 only) is a negative count.
+    factors = [(top, 1, 1, 1), (1, 1, 1, -1), (1, 2, n + k, 1), (1, 2, n - k, 1)]
+    factors += [(4, 4, n, -2), (4, 4, n - k, -1)]
     if j2:  # times q^((n-k)^2) (q^2;q^4)_n / (q^2;q^4)_k
-        factors += [(mono(1, (n - k) ** 2), 1), (poch(2, 4, n), 1), (poch(2, 4, k), -1)]
+        coeff, shift = 1, (n - k) ** 2
+        factors += [(2, 4, n, 1), (2, 4, k, -1)]
     else:  # times (-1)^(n+k) (q;q^2)_(n-k)
-        factors += [(mono(parity_power(n + k)), 1), (poch(1, 2, n - k), 1)]
+        coeff, shift = parity_power(n + k), 0
+        factors.append((1, 2, n - k, 1))
     if which == "G":  # R = (1 - q^(4n))^2 / ((1 - q^top) (1 - q^(2n+2k-1)))
-        factors += [(bracket(4 * n), 2), (bracket(top), -1), (bracket(2 * n + 2 * k - 1), -1)]
-    return BracketProduct.product(factors)
+        factors += [(4 * n, 1, 1, 2), (top, 1, 1, -1), (2 * n + 2 * k - 1, 1, 1, -1)]
+    return BracketProduct.from_pochhammers(coeff, shift, factors)
 
 
 def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
@@ -185,13 +185,11 @@ def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
         return wz_term_brackets(L2, "G", n, k)
     if sid is SeriesId.SECOND2_RHS:
         return wz_term_brackets(L2, "G", n, n - k).times_q_power((4 * n - k) * k)
-    poch = BracketProduct.pochhammer
-    if sid is SeriesId.SUN_LHS:
-        return (poch(1, 2, k) / poch(4, 4, k)).times_q_power(k * k)
-    if sid is SeriesId.WHIPPLE_LHS:
-        num = poch(1 - n, 2, k) * poch(n + 1, 2, k)
-        den = poch(1, 2, k) * poch(4, 4, k)
-        return (num / den).times_q_power(k * k)
+    if sid is SeriesId.SUN_LHS:  # q^(k^2) (q;q^2)_k / (q^4;q^4)_k
+        return BracketProduct.from_pochhammers(1, k * k, [(1, 2, k, 1), (4, 4, k, -1)])
+    if sid is SeriesId.WHIPPLE_LHS:  # q^(k^2) (q^(1-n),q^(n+1);q^2)_k / ((q;q^2)_k (q^4;q^4)_k)
+        factors = [(1 - n, 2, k, 1), (n + 1, 2, k, 1), (1, 2, k, -1), (4, 4, k, -1)]
+        return BracketProduct.from_pochhammers(1, k * k, factors)
     raise ValueError(f"unknown series {sid}")
 
 

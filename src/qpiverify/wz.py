@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .factored import BracketProduct, sum_terms
-from .qseries import SeriesId, WzPairId, summand_brackets, sun_closed_form, wz_term_brackets
+from .qseries import SeriesId, WzPairId, series_range, series_terms, sun_closed_form, wz_term_brackets
 from .ratfunc import RatFunc
 
 
@@ -72,25 +72,26 @@ def identity_terms(ident: IdentityId, n: int) -> tuple[list[BracketProduct], lis
     """Factored summands of the left and right sides of a finite identity."""
     if n < 1:
         raise ValueError("n must be >= 1")
+
+    def full(sid: SeriesId) -> list[BracketProduct]:
+        return series_terms(sid, n, series_range(sid, n)[1])
+
+    # The left sides sum the J2/L2 series over 0 <= k < n.
     if ident is IdentityId.ID_A2:
-        lhs = [summand_brackets(SeriesId.J2_LHS, None, k) for k in range(n)]
-        rhs = [summand_brackets(SeriesId.A2_RHS, n, k) for k in range(1, n + 1)]
+        lhs, rhs = series_terms(SeriesId.J2_LHS, None, n - 1), full(SeriesId.A2_RHS)
     elif ident is IdentityId.ID_A3:
-        lhs = [summand_brackets(SeriesId.J2_LHS, None, k) for k in range(n)]
-        rhs = [summand_brackets(SeriesId.A3_RHS, n, k) for k in range(n)]
+        lhs, rhs = series_terms(SeriesId.J2_LHS, None, n - 1), full(SeriesId.A3_RHS)
     elif ident is IdentityId.ID_SECOND:
         # The left side is the alternating sum without the q^(3k^2) weight,
         # i.e. F(k, 0) of the second WZ pair.
         lhs = [wz_term_brackets(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
-        rhs = [summand_brackets(SeriesId.SECOND_RHS, n, k) for k in range(1, n + 1)]
+        rhs = full(SeriesId.SECOND_RHS)
     elif ident is IdentityId.ID_SECOND2:
-        lhs = [summand_brackets(SeriesId.L2_LHS, None, k) for k in range(n)]
-        rhs = [summand_brackets(SeriesId.SECOND2_RHS, n, k) for k in range(n)]
+        lhs, rhs = series_terms(SeriesId.L2_LHS, None, n - 1), full(SeriesId.SECOND2_RHS)
     elif ident is IdentityId.ID_WHIPPLE:
         if n % 2 == 0:
             raise ValueError("the Whipple-type identity requires odd n")
-        lhs = [summand_brackets(SeriesId.WHIPPLE_LHS, n, k) for k in range((n - 1) // 2 + 1)]
-        rhs = [sun_closed_form(n)]
+        lhs, rhs = full(SeriesId.WHIPPLE_LHS), [sun_closed_form(n)]
     else:
         raise ValueError(f"unknown identity {ident}")
     return lhs, rhs

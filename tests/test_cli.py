@@ -130,6 +130,11 @@ def test_usage_errors_exit_2(capsys):
     assert "--n-list cannot be combined" in capsys.readouterr().err
     assert run(["verify-congruence", "--which", "J2", "--n-list", "5", "--primes", "3..5"]) == 2
     assert "--n-list cannot be combined" in capsys.readouterr().err
+    # --exploratory widens only the L2 sweep; elsewhere it would be silently ignored.
+    assert run(["verify-congruence", "--which", "modsun", "--exploratory", "--n-list", "3"]) == 2
+    assert "--exploratory applies to --which L2 only" in capsys.readouterr().err
+    assert run(["verify-congruence", "--which", "J2", "--exploratory", "--n-list", "3"]) == 2
+    assert "--exploratory applies to --which L2 only" in capsys.readouterr().err
     # Every valuation is >= 0, so a bound below 1 would pass vacuously.
     assert run(["verify-sun", "--min-valuation", "0"]) == 2
     assert "--min-valuation must be >= 1" in capsys.readouterr().err

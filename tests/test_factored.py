@@ -69,6 +69,8 @@ def test_pochhammer_zero_factor():
     assert BracketProduct.pochhammer(0, 2, 1).is_zero()
     assert BracketProduct.pochhammer(-2, 2, 3).is_zero()  # hits exponent 0 at j=1
     assert BracketProduct.pochhammer(5, 2, 0) == BracketProduct.one()
+    # (q^-1; q^2)_-1 = 1 / (q^-3; q^2)_1 = 1 / (1 - q^-3)
+    assert BracketProduct.pochhammer(-1, 2, -1) == BracketProduct.one() / BracketProduct.from_exponent(-3)
 
 
 def test_negative_exponent_normalization():
@@ -88,19 +90,95 @@ def test_q_integer_bracket_form():
     assert BracketProduct.q_integer(-3).evaluate(Fraction(2)) == (1 - Fraction(1, 8)) / (1 - 2)
 
 
-def test_product_matches_chained_operations():
+POINTS = [Fraction(2), Fraction(3), Fraction(1, 3), Fraction(-2)]
+
+
+def test_make_matches_evaluation():
+    """make() on any integer indices, including 0, against the product it
+    stands for, computed here factor by factor."""
     rng = random.Random(8)
-    for _ in range(200):
-        factors = [(rand_bracket_product(rng), rng.randint(-2, 2)) for _ in range(rng.randint(0, 5))]
-        chained = BracketProduct.one()
-        for f, e in factors:
-            chained = chained * f**e if e >= 0 else chained / f ** (-e)
-        assert BracketProduct.product(factors) == chained
-    zero, two = BracketProduct.zero(), BracketProduct.make(2, 1, {3: 1})
-    assert BracketProduct.product([(two, 1), (zero, 2), (two, -1)]).is_zero()
-    assert BracketProduct.product([(zero, 0), (two, -1)]) == BracketProduct.one() / two
+    for _ in range(300):
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        shift = rng.randint(-4, 4)
+        exps = {rng.randint(-6, 6): rng.randint(-2, 2) for _ in range(rng.randint(0, 4))}
+        if exps.get(0, 0) < 0:
+            with pytest.raises(ZeroDivisionError):
+                BracketProduct.make(coeff, shift, exps)
+            continue
+        bp = BracketProduct.make(coeff, shift, exps)
+        assert all(m >= 1 and e != 0 for m, e in bp.exps)
+        for x in POINTS:
+            value = coeff * x**shift
+            for m, e in exps.items():
+                value *= (1 - x**m) ** e
+            assert bp.evaluate(x) == value
+    # Zero factors: a zero coefficient or a bracket 1 - q^0 in the numerator
+    # gives zero; one in the denominator cannot be divided by.
+    assert BracketProduct.make(0, 3, {2: -1}) == BracketProduct.zero()
+    assert BracketProduct.make(2, 1, {0: 2, 3: -1}) == BracketProduct.zero()
+    assert BracketProduct.make(2, 1, {0: 0, 3: 1}) == BracketProduct.make(2, 1, {3: 1})
     with pytest.raises(ZeroDivisionError):
-        BracketProduct.product([(zero, 1), (zero, -1)])
+        BracketProduct.make(1, 0, {0: -2})
+    with pytest.raises(ZeroDivisionError):
+        BracketProduct.one() / BracketProduct.zero()
+
+
+def test_from_exponent_zero_index_in_denominator():
+    assert BracketProduct.from_exponent(0, 1).is_zero()
+    assert BracketProduct.from_exponent(0, 0) == BracketProduct.one()
+    with pytest.raises(ZeroDivisionError):
+        BracketProduct.from_exponent(0, -1)
+
+
+def _poch_value(base, step, count, x):
+    """(x**base; x**step)_count from the definition, negative counts as
+    (a; p)_(-r) = 1 / (a p**-r; p)_r."""
+    if count < 0:
+        return 1 / _poch_value(base + count * step, step, -count, x)
+    value = Fraction(1)
+    for j in range(count):
+        value *= 1 - x ** (base + j * step)
+    return value
+
+
+def test_from_pochhammers_matches_definition():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        coeff = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        shift = rng.randint(-4, 4)
+        factors = [
+            (rng.randint(-6, 6), rng.randint(1, 3), rng.randint(-3, 4), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 4))
+        ]
+        # A factor holding the bracket 1 - q^0 is zero.  The constructor adds
+        # the powers of these factors: a net power below 0 cannot be divided
+        # by, above 0 gives zero, and 0 is a 0/0 that the definition leaves open.
+        zero_powers = []
+        for base, step, count, power in factors:
+            if count < 0:
+                base, count, power = base + count * step, -count, -power
+            if power and base <= 0 < base + count * step and base % step == 0:
+                zero_powers.append(power)
+        if sum(zero_powers) < 0:
+            with pytest.raises(ZeroDivisionError):
+                BracketProduct.from_pochhammers(coeff, shift, factors)
+            continue
+        bp = BracketProduct.from_pochhammers(coeff, shift, factors)
+        if zero_powers:
+            if sum(zero_powers) > 0:
+                assert bp.is_zero()
+            continue
+        for x in POINTS:
+            value = coeff * x**shift
+            for base, step, count, power in factors:
+                if power:
+                    value *= _poch_value(base, step, count, x) ** power
+            assert bp.evaluate(x) == value
+        checked += 1
+    assert checked > 150
+    with pytest.raises(ValueError):
+        BracketProduct.pochhammer(1, 0, 2)
 
 
 def test_to_ratfunc_evaluation_oracle():

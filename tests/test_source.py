@@ -21,6 +21,24 @@ def test_no_assert_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_bracket_products_built_by_make():
+    """Only `factored` calls the BracketProduct constructor itself; every
+    factored value built elsewhere goes through `make`, the one place that
+    knows the normal form."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "factored.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "BracketProduct":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"direct BracketProduct(...) calls outside factored.py: {found}"
+
+
 def test_traced_layers_resolve():
     """The benchmark's tracer wraps these names from outside the package; a
     moved or renamed layer would break its traced run."""
