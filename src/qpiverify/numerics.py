@@ -1,13 +1,21 @@
 """Arbitrary-precision evaluation of the infinite series and products.
 
-Every evaluation returns an EvalReport carrying a rigorous truncation bound:
-series tails are controlled by a monotone upper bound U(k) on the term ratio
-(so the tail after term k is at most |t_k| U/(1-U) once U < 1), and infinite
-products by |log(1-x)| <= 2x for x <= 1/2 together with the geometric sum of
-the remaining exponents.  Only truncation is bounded: floating round-off is
-kept small by the guard bits of the working precision but is not yet bounded
-(ROADMAP item 4).  Callers fix the working precision explicitly per call;
-nothing reads ambient precision state.
+Every evaluation returns an EvalReport carrying a rigorous truncation bound
+that tracks the true terms, including as q -> 1:
+
+* A series stops after term t_k once |t_k| U/(1 - U) <= eps, where U(k) is
+  a closed-form bound on every term ratio |t_(j+1)/t_j| with j >= k that
+  keeps the numerator factors of the ratio (`_ratio_bound` proves each).
+* An infinite product (x; Q)_inf multiplies its leading factors (1 - x)
+  while x > 1/2 or x > Q and then sums the q-exponential expansion
+  log (x; Q)_inf = -sum_(r>=1) x^r / (r (1 - Q^r)) with an explicit bound
+  on its remainder (`_qpoch_inf`; Gasper and Rahman, Basic Hypergeometric
+  Series, 2nd ed., 2004, ch. 1).
+
+Only truncation is bounded, so a PASS certifies truncation only: floating
+round-off is kept small by the guard bits of the working precision but is
+not bounded (ROADMAP item 1).  Callers fix the working precision explicitly
+per call; nothing reads ambient precision state.
 """
 from __future__ import annotations
 
@@ -138,12 +146,36 @@ def eval_series(
 
 
 def _ratio_bound(sid: SeriesId, qm, k: int):
-    """Monotone upper bound on |t_{j+1}/t_j| valid for every j >= k."""
+    """An upper bound U(k) on |t_(j+1)/t_j| for every j >= k, strict and
+    non-increasing in k.
+
+    With y = q^(2k+1) and z = qy = q^(2k+2), the true ratios at j = k are
+
+      J2:  y (1 - q^(6k+7))/(1 - q^(6k+1)) (1 - y)^2 (1 - y^2) / (1 - z^2)^3
+      L2:  y^3 (1 - q^(6k+7))/(1 - q^(6k+1)) (1 - y)^3 / (1 - z^2)^3
+      SUN: y (1 - y) / (1 - z^2)
+
+    Split 1 - y^2 = (1 - y)(1 + y) and 1 - z^2 = (1 - z)(1 + z), and use
+    0 < (1 - y)/(1 - z) < 1 (as y > z) and (1 - q^a)/(1 - q^b) <= a/b for
+    a > b (the mean of 1, q, ..., q^(a-1) is at most that of its first b
+    terms).  This gives
+
+      J2:  U(k) = (6k+7)/(6k+1) y (1 + y)/(1 + z)^3
+      L2:  U(k) = (6k+7)/(6k+1) y^3/(1 + z)^3
+      SUN: U(k) = y/(1 + z)
+
+    each strictly above the ratio at j = k.  U falls as k grows: (6k+7)/(6k+1)
+    falls, y falls, y/(1 + qy) rises with y, and the y-derivative of
+    y (1 + y)/(1 + qy)^3 has the sign of 1 + 2y(1 - q) - qy^2 > 0.  So U(k)
+    is above the ratio at every j >= k as well.
+    """
+    y = qm ** (2 * k + 1)
+    w = y / (1 + qm * y)
     if sid is SeriesId.J2_LHS:
-        return qm ** (2 * k + 1) / ((1 - qm ** (6 * k + 1)) * (1 - qm ** (4 * k + 4)) ** 3)
+        return mpmath.mpf(6 * k + 7) / (6 * k + 1) * w * (1 + y) / (1 + qm * y) ** 2
     if sid is SeriesId.L2_LHS:
-        return qm ** (6 * k + 3) / ((1 - qm ** (6 * k + 1)) * (1 - qm ** (4 * k + 4)) ** 3)
-    return qm ** (2 * k + 1) / (1 - qm ** (4 * k + 4))
+        return mpmath.mpf(6 * k + 7) / (6 * k + 1) * w**3
+    return w
 
 
 def series_partial_value(sid: SeriesId, q, upper: int, prec: int) -> mpmath.mpf:
@@ -160,31 +192,50 @@ def series_partial_value(sid: SeriesId, q, upper: int, prec: int) -> mpmath.mpf:
 def _qpoch_inf(
     first_exp, step: int, qm, epsm, relative: bool = False, max_terms: int = MAX_TERMS
 ) -> EvalReport:
-    """prod_{m>=0} (1 - q^(first_exp + m*step)) with a rigorous tail factor.
+    """(x; Q)_inf = prod_(m>=0) (1 - x Q^m) with x = q^first_exp, Q = q^step,
+    and a rigorous truncation bound.
 
-    first_exp may be any positive real; step is a positive integer.  With
-    relative=True the stop criterion is on the tail's log (i.e. the relative
-    error), which is what ratios of vanishingly small products need near
-    q -> 1; the reported tail_bound is absolute either way.
+    first_exp may be any positive real; step is a positive integer.  The
+    leading factors are multiplied out while x > 1/2 or x > Q, so that the
+    series below converges at least as fast as more factors would.  For the
+    rest, expanding each log(1 - x Q^m) and summing the geometric series in m
+    gives log (x; Q)_inf = -sum_(r>=1) x^r / (r (1 - Q^r)), and L_R is its
+    first R terms.  Every term is positive and 1/(r (1 - Q^r)) falls as r grows, so
+    the remainder after R terms lies in [0, rem] with
+    rem = x^(R+1) / ((R+1) (1 - Q^(R+1)) (1 - x)).  The value prod exp(-L_R)
+    is therefore at most |value| rem above the true product
+    (1 - exp(-rem) <= rem).  The stop is on rem itself with relative=True
+    (the relative error, which ratios of vanishingly small products need
+    near q -> 1) and on |prod| rem >= |value| rem otherwise; the reported
+    tail_bound is absolute either way.  terms_used counts factors and log
+    terms, and max_terms caps their total.
     """
     one = mpmath.mpf(1)
     q_step = qm**step
     x = qm**first_exp
     prod = one
-    m = 0
-    while True:
-        m += 1
-        if m > max_terms:
+    used = 0
+    while x > q_step or 2 * x > 1:
+        used += 1
+        if used > max_terms:
             raise ConvergenceBudgetExceeded("infinite product tail bound not met")
         prod *= one - x
         x *= q_step
-        # Remaining factors (1 - x q_step^i); for x <= 1/2 their log is
-        # bounded by 2 * x / (1 - q_step) in absolute value.
-        if x <= mpmath.mpf("0.5"):
-            log_tail = 2 * x / (1 - q_step)
-            bound = abs(prod) * (1 - mpmath.exp(-log_tail))
-            if (log_tail if relative else bound) <= epsm:
-                return EvalReport(prod, bound, m)
+    log_sum = mpmath.mpf(0)
+    x_r = q_r = one
+    for r in itertools.count(1):
+        x_r *= x
+        q_r *= q_step
+        term = x_r / (r * (1 - q_r))
+        rem = term / (1 - x)  # remainder after the first r - 1 terms
+        if (rem if relative else prod * rem) <= epsm:
+            break
+        used += 1
+        if used > max_terms:
+            raise ConvergenceBudgetExceeded("infinite product tail bound not met")
+        log_sum += term
+    value = prod * mpmath.exp(-log_sum)
+    return EvalReport(value, value * rem, used)
 
 
 def eval_qpoch_inf(base_exp: int, step: int, q, eps, prec: int | None = None) -> EvalReport:

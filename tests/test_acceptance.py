@@ -110,11 +110,14 @@ def test_criterion_9_classical_limits():
 def test_criterion_10_limit_scans():
     ok = True
     for which in ("PI1", "PI2"):
-        points = limit_scan(which, range(4, 11))
+        points = limit_scan(which, range(4, 17))
         dists = [p.distance for p in points]
         ok = ok and all(dists[i + 1] < dists[i] for i in range(len(dists) - 1))
         ok = ok and dists[-1] < mpmath.mpf("0.01")
-    _report(10, "q->1 distances strictly decreasing over j=4..10 and < 1e-2 at j=10", ok)
+        ok = ok and points[-1].terms_used < 100
+    _report(
+        10, "q->1 distances strictly decreasing over j=4..16, < 1e-2 and < 100 terms at j=16", ok
+    )
 
 
 def test_criterion_11_q_gamma():
@@ -126,7 +129,8 @@ def test_criterion_11_q_gamma():
     rep = q_gamma(Fraction(1, 2), 1 - Fraction(1, 1024), 15)
     with mpmath.workprec(128):
         ok = ok and abs(rep.value - mpmath.sqrt(mpmath.pi)) < mpmath.mpf("0.01")
-    _report(11, "q-Gamma normalization and sqrt(pi) limit within 1e-2", ok)
+    ok = ok and rep.terms_used < 2000
+    _report(11, "q-Gamma normalization and sqrt(pi) limit within 1e-2 in < 2000 terms", ok)
 
 
 def test_criterion_12_cross_path_consistency():

@@ -173,6 +173,16 @@ def test_eval_classical_and_limit(capsys):
     assert all(c["bound"] is not None for c in report["cases"])
 
 
+def test_limit_near_one_sums_few_terms(capsys):
+    code, out = run_capture(
+        capsys, ["limit", "--which", "pi2", "--j-range", "15..16", "--format", "json"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert [c["label"] for c in report["cases"]] == ["limit pi2 j=15", "limit pi2 j=16"]
+    assert all(c["terms"] < 100 for c in report["cases"])
+
+
 def test_congruence_exact_path_flag(capsys):
     code, out = run_capture(
         capsys,

@@ -22,6 +22,10 @@ from qpiverify.numerics import (
 from qpiverify.qseries import SeriesId, partial_sum, summand_brackets
 
 
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def test_working_prec_policy():
     assert working_prec(50) == math.ceil(50 * math.log2(10)) + 64
     with pytest.raises(ValueError):
@@ -192,11 +196,13 @@ def test_identity_residuals_at_standard_points():
 def test_numeric_recurrences_match_the_exact_summands():
     """`_series_terms` and `_ratio_bound` restate the J2, L2 and SUN summands as
     mpmath term ratios; both are checked here against the one exact definition,
-    `summand_brackets`: the first 40 terms agree, and the bound from k on
-    exceeds |t_(j+1) / t_j| for every k <= j < 40."""
+    `summand_brackets`, at moderate q and near q = 1: the first 40 terms agree,
+    the bound from k on exceeds |t_(j+1) / t_j| for every k <= j < 40, and the
+    bound does not increase in k."""
     prec = 256
+    qs = (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(63, 64), Fraction(1023, 1024))
     for sid in (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS):
-        for q in (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)):
+        for q in qs:
             t = [summand_brackets(sid, None, j).evaluate(q) for j in range(41)]
             assert t[0] == 1
             with mpmath.workprec(prec):
@@ -205,8 +211,43 @@ def test_numeric_recurrences_match_the_exact_summands():
                 for j, term in enumerate(got, 1):
                     want = mpmath.mpf(t[j].numerator) / t[j].denominator
                     assert abs(term - want) <= abs(want) * mpmath.mpf(2) ** (-prec + 32)
+                ratios = [_mpf(abs(t[j + 1] / t[j])) for j in range(40)]
+                bounds = [_ratio_bound(sid, qm, k) for k in range(41)]
                 for k in range(40):
-                    bound = _ratio_bound(sid, qm, k)
-                    for j in range(k, 40):
-                        ratio = abs(t[j + 1] / t[j])
-                        assert mpmath.mpf(ratio.numerator) / ratio.denominator < bound
+                    assert bounds[k + 1] <= bounds[k], (sid, q, k)
+                    assert all(ratio < bounds[k] for ratio in ratios[k:]), (sid, q, k)
+
+
+def test_qpoch_matches_mpmath_qp():
+    """(q^base; q^step)_inf against mpmath.qp, within the reported tail bound
+    plus 10^-digits."""
+    digits = 30
+    for q in (Fraction(1, 2), Fraction(9, 10), Fraction(63, 64)):
+        for base, step in ((1, 1), (1, 2), (2, 4), (3, 4), (4, 4), (5, 4), (6, 4), (7, 3)):
+            rep = eval_qpoch_inf(base, step, q, Fraction(1, 10 ** (digits + 5)))
+            with mpmath.workprec(working_prec(digits) + 64):
+                qm = _mpf(q)
+                want = mpmath.qp(qm**base, qm**step, maxterms=10**6)
+                allowed = rep.tail_bound + mpmath.mpf(10) ** -digits
+                assert abs(rep.value - want) <= allowed, (q, base, step)
+
+
+def test_q_gamma_matches_mpmath_qgamma():
+    """q_gamma at q = 1 - 1/64 against mpmath.qgamma, within the reported tail
+    bound plus 10^-digits (mpmath.qgamma does not converge at 1 - 1/1024)."""
+    digits = 20
+    q = Fraction(63, 64)
+    for x in (Fraction(1, 2), Fraction(1, 3), 1, Fraction(5, 2)):
+        rep = q_gamma(x, q, digits)
+        with mpmath.workprec(working_prec(digits) + 64):
+            want = mpmath.qgamma(_mpf(Fraction(x)), _mpf(q), maxterms=10**6)
+            assert abs(rep.value - want) <= rep.tail_bound + mpmath.mpf(10) ** -digits, x
+
+
+def test_q_gamma_near_one_matches_the_multiplied_out_product():
+    """Gamma_q(1/2) at q = 1 - 1/1024, 15 digits, against the value that
+    multiplying out 112,713 factors gave, with its tail bound 8.86e-21."""
+    rep = q_gamma(Fraction(1, 2), 1 - Fraction(1, 1024), 15)
+    with mpmath.workprec(128):
+        pinned = mpmath.mpf("1.77212921132309668358586223024")
+        assert abs(rep.value - pinned) <= rep.tail_bound + mpmath.mpf("8.86e-21")
