@@ -5,9 +5,10 @@ means that in lowest terms M divides A and gcd(B, M) = 1.  Truncated sums are
 checked along two independent routes:
 
 * a modular fast path that accumulates both sides as residue pairs A / D in
-  Z[q]/((1 - q^n)^2), reduces them by M once, and never inverts anything (once
-  both D are coprime to M, the congruence is the cross-multiplied
-  A_sum * D_rhs == A_rhs * D_sum), and
+  Z[q]/((1 - q^n)^2), each residue held as two packed integers X, Y standing
+  for X + (q^n - 1) Y so that a bracket is a rotation of their slots, reduces
+  them by M once, and never inverts anything (once both D are coprime to M,
+  the congruence is the cross-multiplied A_sum * D_rhs == A_rhs * D_sum), and
 * an exact path that forms the difference over its structured common
   denominator and reads off the multiplicity of every irreducible factor of M,
   which is what reduced-form semantics amount to.

@@ -23,8 +23,6 @@ from .polys import (
     divisors,
     expand_bracket_powers,
     expand_cyclo_powers,
-    list_add,
-    list_bracket_mul,
     list_div_exact_monic,
     list_is_zero,
     list_mod_monic,
@@ -335,11 +333,19 @@ class Packing:
         while span < k:
             y = (y + (y << (span * w))) & mask
             span *= 2
-        if y >> (k * w - 1):
-            y -= 1 << (k * w)
+        y = self.split(y, k)[0]
         if y - (y << (m * w)) != v or not self.in_range(y, k):
             raise InexactDivision(f"not divisible by 1 - q^{m} in {w}-bit slots")
         return y
+
+    def split(self, v: int, k: int) -> tuple[int, int]:
+        """(low, high) with v = low + high * 2**(k*w), k >= 1, and low in
+        [-2**(k*w - 1), 2**(k*w - 1)), so high = floor(v / 2**(k*w) + 1/2):
+        low is v's k lowest slots and high the rest whenever those k slots
+        are below 2**(w - 1) in absolute value."""
+        kw = k * self.w
+        high = ((v >> (kw - 1)) + 1) >> 1
+        return v - (high << kw), high
 
     def unpack(self, v: int) -> list[int]:
         """The coefficient list of an in-range value; SlotOverflow otherwise."""
@@ -415,22 +421,37 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # [n] Phi_n do.  Denominators are never inverted: the sum is maintained as
 # A / D with both residues updated multiplicatively; a congruence between two
 # such pairs is the cross-multiplied A_1 * D_2 == A_2 * D_1 (mod M) once both
-# D are coprime to M.  A and D accumulate in Z[q]/(S), where reducing by the
-# three-term S costs two operations per coefficient, and are reduced by the
-# dense M once at the end.  Reduction mod M is a ring homomorphism
-# Z[q]/(S) -> Z[q]/(M) and remainders by a monic M are unique, so the
-# residues are those of accumulating in Z[q]/(M) throughout.
+# D are coprime to M.  A and D accumulate in Z[q]/(S), where S = u**2 with
+# u = q**n - 1, each as a pair of n-slot packed ints (X, Y) standing for
+# X + u*Y: as q**n = 1 + u, a q-power or a bracket rotates the slots and adds
+# a small multiple, with no division.  The canonical residue mod S is rebuilt
+# once, and reduced by the dense M once.  Reduction mod M is a ring
+# homomorphism Z[q]/(S) -> Z[q]/(M) and remainders by a monic M are unique,
+# so the residues are those of accumulating in Z[q]/(M) throughout.
 # ---------------------------------------------------------------------------
 
 
-def _mod_bracket_mul(c: list[int], m: int, mod: Sequence[int]) -> list[int]:
-    return list_mod_monic(list_bracket_mul(c, m), mod)
-
-
-def _mod_shift(c: list[int], delta: int, mod: Sequence[int]) -> list[int]:
-    if not c or delta == 0:
-        return c
-    return list_mod_monic([0] * delta + c, mod)
+def _ratio_walk(ratios: Sequence[BracketProduct], step, lin):
+    """(A, D) after the term-ratio recurrence over `ratios`: term / D is the
+    current summand and A / D the partial sum, each ratio multiplies term by
+    its numerator and A, D by its denominator, and the first ratio is t_0
+    itself.  Values are (X, Y) pairs; step(v, m, bracket) is v * (1 - q**m)
+    when bracket is true and v * q**m otherwise, lin(c, v, v2) is c*v + v2."""
+    zero, term, acc, den = (0, 0), (1, 0), (0, 0), (1, 0)
+    for ratio in ratios:
+        for m, e in ratio.exps:
+            for _ in range(e):
+                term = step(term, m, True)
+            for _ in range(-e):
+                acc, den = step(acc, m, True), step(den, m, True)
+        if ratio.shift > 0:
+            term = step(term, ratio.shift, False)
+        elif ratio.shift < 0:
+            acc, den = step(acc, -ratio.shift, False), step(den, -ratio.shift, False)
+        d = ratio.coeff.denominator
+        term = lin(ratio.coeff.numerator, term, zero)
+        acc, den = lin(d, acc, term), lin(d, den, zero)
+    return acc, den
 
 
 def sum_terms_mod(
@@ -442,44 +463,71 @@ def sum_terms_mod(
     D is a product of brackets (1 - q**m), a q-power, and an integer, so its
     coprimality with a cyclotomic modulus can be read off the returned
     multiset: Phi_d divides (1 - q**m) exactly when d | m.
+
+    The walk keeps the term, A and D as pairs (X, Y) of n-slot packed ints
+    (`Packing`), X + u*Y in Z[q]/(u**2) with u = q**n - 1.  Write
+    m = a*n + r with 0 <= r < n.  Then q**m = q**r (1 + a*u) mod u**2, and
+    q**r X = rot_r(X) + u*wrap_r(X), where rot_r rotates the n slots up by r
+    and wrap_r(X) is X's top r slots moved to the bottom.  So
+
+        q**m (X + u*Y) = rot_r(X) + u*(rot_r(Z) + wrap_r(X)),  Z = Y + a*X,
+
+    and a bracket subtracts this from the pair.  The slot width is fixed up
+    front from bounds (bx, by) on the coefficients of X and Y, carried
+    through the same walk:
+
+    - times q**m: (bx, by + (a + 1)*bx), which also bounds Z;
+    - times 1 - q**m: the pair plus its q**m image, (2*bx, 2*by + (a + 1)*bx);
+    - c*v + v2: |c| times v's bounds plus v2's.
+
+    No step lowers a bound, |c| >= 1, and every term's last value is added
+    into A, so A's and D's final bx + by bound every coefficient the walk
+    splits or unpacks, up to the residue X - Y + q**n * Y itself.  That
+    residue is rebuilt once, through `Packing.unpack`, whose SlotOverflow
+    would report a wrong bound, and reduced by `mod` once.
     """
     if len(mod) < 2 or mod[-1] != 1:
         raise ValueError("modulus must be monic, degree >= 1")
     if n < 1:
         raise ValueError("working modulus index n must be >= 1")
-    work = expand_bracket_powers({n: 2})
     # A modulus that does not divide S would silently get wrong residues.
-    if list_mod_monic(work, mod):
+    if list_mod_monic(expand_bracket_powers({n: 2}), mod):
         raise ValueError(f"modulus does not divide (1 - q^{n})^2")
     live = [t for t in terms if not t.is_zero()]
     if not live:
         return [], [1], {}
 
-    # term / den is the current summand and acc / den the partial sum; each
-    # step multiplies term by the numerator of the term ratio and acc, den by
-    # its denominator.  The first ratio is t_0 itself.
+    ratios = [t / prev for prev, t in zip([BracketProduct.one(), *live], live)]
     den_brackets: dict[int, int] = {}
-    acc: list[int] = []
-    den = [1]
-    term = [1]
-    prev = BracketProduct.one()
-    for t in live:
-        ratio = t / prev
+    for ratio in ratios:
         for m, e in ratio.exps:
-            for _ in range(e):
-                term = _mod_bracket_mul(term, m, work)
-            for _ in range(-e):
-                acc = _mod_bracket_mul(acc, m, work)
-                den = _mod_bracket_mul(den, m, work)
             if e < 0:
                 den_brackets[m] = den_brackets.get(m, 0) - e
-        if ratio.shift >= 0:
-            term = _mod_shift(term, ratio.shift, work)
+
+    def lin(c, v, v2):
+        return c * v[0] + v2[0], c * v[1] + v2[1]
+
+    def step_bound(b, m, bracket):
+        by = b[1] + (m // n + 1) * b[0]
+        return (2 * b[0], b[1] + by) if bracket else (b[0], by)
+
+    acc, den = _ratio_walk(ratios, step_bound, lambda c, b, b2: lin(abs(c), b, b2))
+    pack = Packing(max(sum(acc), sum(den)), n)
+    w = pack.w
+
+    def step(v, m, bracket):
+        x, y = v
+        a, r = divmod(m, n)
+        z = y + a * x
+        if r:
+            (xl, xh), (zl, zh) = pack.split(x, n - r), pack.split(z, n - r)
+            x2, y2 = (xl << (r * w)) + xh, (zl << (r * w)) + zh + xh
         else:
-            acc = _mod_shift(acc, -ratio.shift, work)
-            den = _mod_shift(den, -ratio.shift, work)
-        term = list_scale(term, ratio.coeff.numerator)
-        acc = list_add(list_scale(acc, ratio.coeff.denominator), term)
-        den = list_scale(den, ratio.coeff.denominator)
-        prev = t
-    return list_mod_monic(acc, mod), list_mod_monic(den, mod), den_brackets
+            x2, y2 = x, z
+        return (x - x2, y - y2) if bracket else (x2, y2)
+
+    def residue(v):
+        return list_mod_monic(pack.unpack(v[0] - v[1]) + pack.unpack(v[1]), mod)
+
+    acc, den = _ratio_walk(ratios, step, lin)
+    return residue(acc), residue(den), den_brackets

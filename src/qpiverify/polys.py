@@ -3,11 +3,11 @@ cyclotomic polynomials, and the dense Poly type over the rationals.
 
 The kernels work on plain lists of ints, index i holding the coefficient of
 q**i; trailing zeros are allowed and trimmed lazily, and the zero polynomial
-is any all-zero list (canonically []).  The modular summation walk, the
-moduli, the cyclotomic cache, the bracket expansions and the witness
-residues run on them.  The exact summation walk, `factored.sum_terms`, does
-not: it packs each polynomial into one int (`factored.Packing`) and returns
-a list only at the end.
+is any all-zero list (canonically []).  The moduli, the cyclotomic cache,
+the bracket expansions, the reductions by a modulus and the witness residues
+run on them.  The two summation walks, `factored.sum_terms` and
+`factored.sum_terms_mod`, do not: they pack each polynomial into one int
+(`factored.Packing`) and return lists only at the end.
 
 Rationals reach the kernels through one scaling, `content_split`, which
 writes them as a content times integers with gcd 1: the `Poly` product (one

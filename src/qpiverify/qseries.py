@@ -60,7 +60,8 @@ N_DEPENDENT = frozenset(
 
 @dataclass(frozen=True)
 class QPochSpec:
-    """(q**base_exp; q**step)_count with integer exponents."""
+    """(q**base_exp; q**step)_count with integer exponents and any integer
+    count."""
 
     base_exp: int
     step: int
@@ -69,22 +70,25 @@ class QPochSpec:
     def __post_init__(self):
         if self.step < 1:
             raise ValueError("step must be >= 1")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
 
 
 def q_pochhammer(spec: QPochSpec) -> RatFunc:
-    """prod_{j=0}^{count-1} (1 - q**(base_exp + j*step)), multiplied out.
+    """prod_{j=0}^{count-1} (1 - q**(base_exp + j*step)), multiplied out; a
+    negative count r is 1 / (q**(base_exp + r*step); q**step)_(-r).
 
-    The empty product is 1; a factor with exponent 0 makes the product zero.
-    Negative exponents leave a q-power in the denominator.
+    The empty product is 1; a factor with exponent 0 makes the product zero,
+    or raises ZeroDivisionError in a denominator.  Negative exponents leave a
+    q-power in the denominator.
     """
+    base, count = spec.base_exp, spec.count
+    if count < 0:
+        base, count = base + count * spec.step, -count
     out = RatFunc.one()
-    for j in range(spec.count):
-        out = out * (1 - RatFunc.q_power(spec.base_exp + j * spec.step))
+    for j in range(count):
+        out = out * (1 - RatFunc.q_power(base + j * spec.step))
         if out.is_zero():
             break
-    return out
+    return out if spec.count >= 0 else 1 / out
 
 
 def q_integer(n: int) -> Poly:

@@ -312,6 +312,8 @@ _RESIDUE_DIGESTS = {
     ("J2", 31): "428d78c2face0111a0d148c28476173c7aa19685cb3ea764258b2d915243f146",
     ("J2", 53): "5196aec09c1789a6f1aaecc2b1346d988d287ad66d7692e3f787b7ec86506e3b",
     ("L2", 13): "76e1fc8ddece531393d3edb3c87328552ac2abf86cd404c36782cd397bdfe843",
+    ("modsun", 97): "c4d6b2b36bf64d19638b545e6ddc12dacfa1148be2fafa000213a2033d1e1101",
+    ("J2", 97): "c37b363da0ba36d13283453f0338909bece226b81041cd2206c1392b9e51e826",
 }
 
 
@@ -343,6 +345,39 @@ _WRONG_RHS_WITNESSES = [
     ("J2", 5, BracketProduct.q_integer(5), "q^7 + q^6 + q^5 - q^2 - q - 1"),
     ("L2", 5, BracketProduct.q_integer(5), "-2q^4 - 2q^3 - 2q^2 - 2q - 2"),
 ]
+
+
+#: sha256 of str(witness) on the modular route at n = 97, where the exact
+#: route is out of reach: modsun with its right side negated, and J2 with its
+#: right side times q^(2n + 1).
+_WRONG_RHS_WITNESS_DIGESTS_97 = {
+    "modsun": "8840b32d5499ac3bf79b806aebb83827ebbc0a8583fc7d9c0cce071ab8c9cf73",
+    "J2": "0ce9f8b4c879fea6775972d6f2e980015b31516dde078cfdadba95edb5ee6b34",
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_RHS_WITNESS_DIGESTS_97))
+def test_wrong_rhs_witnesses_pinned_at_n97(case):
+    import hashlib
+
+    from qpiverify.congruences import _check_congruence_modular
+    from qpiverify.qseries import parity_power, series_terms, sun_closed_form
+
+    n = 97
+    if case == "modsun":
+        ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        rhs = -sun_closed_form(n)
+    else:
+        ctx = modulus_build(n, ModulusKind.N_PHI)
+        terms = _intro_split_terms(WzPairId.PAIR_J2, n)
+        e = (1 - n) // 2
+        rhs = BracketProduct.from_pochhammers(
+            parity_power(e), e + 2 * n + 1, [(n, 1, 1, 1), (1, 1, 1, -1)]
+        )
+    result = _check_congruence_modular(terms, rhs, ctx, "wrong modular")
+    assert not result.passed
+    assert hashlib.sha256(str(result.witness).encode()).hexdigest() == _WRONG_RHS_WITNESS_DIGESTS_97[case]
 
 
 @pytest.mark.parametrize("case, n, rhs, witness", _WRONG_RHS_WITNESSES)

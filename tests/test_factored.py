@@ -12,13 +12,16 @@ from qpiverify.polys import (
     Poly,
     cyclotomic,
     cyclotomic_int,
+    divisors,
     expand_bracket_powers,
     expand_cyclo_powers,
+    list_add,
     list_bracket_div,
     list_bracket_mul,
     list_div_exact_monic,
     list_divmod_monic,
     list_mod_monic,
+    list_scale,
     list_trim,
 )
 from qpiverify.ratfunc import RatFunc
@@ -285,6 +288,8 @@ def test_packing_kernels_roundtrip():
         prod = p.bracket_mul(v, m)
         assert p.unpack(prod) == list_bracket_mul(coeffs, m)
         assert p.bracket_div(prod, len(coeffs) - 1 + m, m) == v
+        k = rng.randint(1, len(coeffs))
+        assert p.split(v, k) == (_pack(p, coeffs[:k]), _pack(p, coeffs[k:]))
 
 
 def test_packed_division_rejects_inexact():
@@ -343,6 +348,63 @@ def test_sum_terms_mod_matches_exact():
             lhs = Poly(acc) * exact.den
             rhs = Poly(den) * exact.num
             assert ((lhs - rhs) % Poly(mod)).is_zero()
+
+
+def _sum_terms_mod_by_lists(terms, mod, n):
+    """The reference walk: the same term-ratio recurrence as `sum_terms_mod`
+    on coefficient lists, reducing by (1 - q^n)^2 after every step."""
+    work = expand_bracket_powers({n: 2})
+
+    def bracket_mul(c, m):
+        return list_mod_monic(list_bracket_mul(c, m), work)
+
+    def shift(c, delta):
+        return list_mod_monic([0] * delta + c, work) if c and delta else c
+
+    den_brackets, acc, den, term, prev = {}, [], [1], [1], BracketProduct.one()
+    for t in (t for t in terms if not t.is_zero()):
+        ratio = t / prev
+        for m, e in ratio.exps:
+            for _ in range(e):
+                term = bracket_mul(term, m)
+            for _ in range(-e):
+                acc, den = bracket_mul(acc, m), bracket_mul(den, m)
+            if e < 0:
+                den_brackets[m] = den_brackets.get(m, 0) - e
+        if ratio.shift >= 0:
+            term = shift(term, ratio.shift)
+        else:
+            acc, den = shift(acc, -ratio.shift), shift(den, -ratio.shift)
+        term = list_scale(term, ratio.coeff.numerator)
+        acc = list_add(list_scale(acc, ratio.coeff.denominator), term)
+        den = list_scale(den, ratio.coeff.denominator)
+        prev = t
+    return list_mod_monic(acc, mod), list_mod_monic(den, mod), den_brackets
+
+
+def test_sum_terms_mod_matches_list_walk():
+    """Bit-identical (A, D, den_brackets) against the list walk, with
+    brackets past 2n and at multiples of n, shifts past 2n and below -n, and
+    coefficient ratios that are not integers."""
+    rng = random.Random(23)
+    for n in (1, 2, 3, 5, 9, 15):
+        n_phi = {d: 1 for d in divisors(n) if d > 1}
+        n_phi[n] = n_phi.get(n, 0) + 1
+        # (1 - q^n)^2, Phi_n^2 and [n] Phi_n.
+        moduli = [expand_bracket_powers({n: 2}), expand_cyclo_powers({n: 2}), expand_cyclo_powers(n_phi)]
+        for _ in range(30):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                exps = {rng.randint(1, 5 * n + 3): rng.randint(-2, 2) for _ in range(rng.randint(0, 4))}
+                exps[n * rng.randint(1, 4)] = rng.randint(0, 3)
+                coeff = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 9]))
+                terms.append(BracketProduct.make(coeff, rng.randint(-3 * n - 2, 3 * n + 2), exps))
+            mod = rng.choice(moduli)
+            assert sum_terms_mod(terms, mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+        # At n = 2 every bracket 1 - q doubles X: coefficients near the slot bound.
+        terms = [BracketProduct.make(1, 0, {1: 40, n + 1: 3}), BracketProduct.make(-3, 1, {1: 39})]
+        for mod in moduli:
+            assert sum_terms_mod(terms, mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
 
 
 def test_list_mod_and_exact_division():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpiverify.factored import BracketProduct
 from qpiverify.polys import Poly, list_div_exact_monic
 from qpiverify.qseries import (
     N_DEPENDENT,
@@ -61,8 +62,21 @@ def test_q_integer_values():
 def test_bad_specs_rejected():
     with pytest.raises(ValueError):
         QPochSpec(1, 0, 2)
-    with pytest.raises(ValueError):
-        QPochSpec(1, 2, -1)
+
+
+def test_pochhammer_counts_match_factored_route():
+    """Both routes agree for counts -3..3, where (a; p)_(-r) = 1/(a p^-r; p)_r,
+    and both raise ZeroDivisionError on a denominator factor 1 - q^0."""
+    for base in range(-5, 6):
+        for step in (1, 2, 3):
+            for count in range(-3, 4):
+                if count < 0 and 0 in range(base + count * step, base, step):
+                    for route in (poch_poly, BracketProduct.pochhammer):
+                        with pytest.raises(ZeroDivisionError):
+                            route(base, step, count)
+                else:
+                    expected = BracketProduct.pochhammer(base, step, count).to_ratfunc()
+                    assert poch_poly(base, step, count) == expected
 
 
 def test_summand_j2_first_terms():
