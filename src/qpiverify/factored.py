@@ -356,24 +356,44 @@ class Packing:
         return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
 
 
+def _bracket_changes(em: Mapping[int, int], prev: Mapping[int, int]) -> list[tuple[int, int, int]]:
+    """(m, e, p) for each bracket m whose exponent goes from p in `prev` to
+    e != p in `em`; a bracket missing from a map has exponent 0, and neither
+    map holds a zero exponent."""
+    return [(m, em.get(m, 0), prev.get(m, 0)) for m in {m for m, _ in em.items() ^ prev.items()}]
+
+
 def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     """Exact sum of factored terms over their least common denominator.
 
-    Each cofactor t_i / prefactor is c_i * q**o_i * B_i with an integer c_i
-    and B_i = prod_m (1 - q**m)**r_im, every r_im >= 0.  The coefficient-free
-    B_i is built from B_(i-1) by dividing out the brackets it loses and then
-    multiplying in those it gains, and c_i * q**o_i * B_i is added to the
-    accumulator; both are packed (`Packing`) with one slot width w, fixed up
-    front from a bound on every coefficient that ever appears:
+    With e_im the exponent of bracket m in t_i (0 if t_i has none) and min_m
+    its minimum over all terms, each cofactor t_i / prefactor is
+    c_i * q**o_i * B_i with an integer c_i and
+    B_i = prod_m (1 - q**m)**(e_im - min_m).  The walk splits
+    B_i = P_i * V_i, where V_i = prod_m (1 - q**m)**(low_im - min_m) and
+    low_im is the prefix minimum of e_jm over j <= i, and keeps
 
-    - a product of R brackets has l1-norm at most 2**R (each bracket's is 2),
-      so no coefficient of it exceeds 2**R;
-    - dividing before multiplying, every intermediate cofactor of step i is a
-      product of at most max(R_(i-1), R_i) brackets, where R_i = sum_m r_im;
-      a division's prefix sums are differences y_a - y_b of its quotient's
-      coefficients, so at most 2**R_(i-1) as well;
-    - c_i * B_i and every partial sum of the accumulator are at most
-      sum_i |c_i| * 2**R_i, which bounds the two items above too.
+        bare = P_i,   acc = (sum_(j <= i) c_j * q**o_j * B_j) / V_i.
+
+    Both are polynomials: V_i divides every B_j with j <= i.  From step
+    i - 1 to i, a bracket whose exponent rises multiplies `bare`; one whose
+    exponent falls from p to e < low divides `bare` by its p - low copies
+    above the old prefix minimum and multiplies `acc` by the low - e copies
+    below it, as V_i lost them.  Then c_i * q**o_i * P_i is added.  The
+    last prefix minimum is min_m, so V_K = 1 and `acc` ends as the sum.  A
+    series whose exponents only rise or only fall divides nothing.
+
+    Both are packed (`Packing`) with one slot width w.  Evaluation at 2**w
+    is a ring homomorphism, so `acc` is exact in Z whatever its slots hold,
+    and only `bare` and the final sum need a bound:
+
+    - a product of R brackets has l1-norm at most 2**R (each bracket's is
+      2), so no coefficient of it exceeds 2**R;
+    - dividing before multiplying, every intermediate `bare` of step i
+      divides P_(i-1) or P_i, and P_i has at most R_i = sum_m (e_im - min_m)
+      brackets, as low_im >= min_m; a division's prefix sums are differences
+      y_a - y_b of its quotient's coefficients, so at most 2**R_(i-1) too;
+    - the sum is at most sum_i |c_i| * 2**R_i, which bounds both items.
 
     So w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
     result is unpacked once at the end.
@@ -382,34 +402,56 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     if not live:
         return FactoredSum(BracketProduct.one(), [])
 
-    min_shift = min(t.shift for t in live)
+    # One pass over the maps: each bracket's least exponent where present,
+    # how many maps hold it, and each term's bracket count and degree.
     maps = [t.exps_map() for t in live]
-    all_ms = {m for em in maps for m in em}
-    min_exps = {m: min(em.get(m, 0) for em in maps) for m in all_ms}
+    least: dict[int, int] = {}
+    held: dict[int, int] = {}
+    sizes, degs = [], []
+    for em in maps:
+        size = deg = 0
+        for m, e in em.items():
+            size += e
+            deg += m * e
+            if m in least:
+                held[m] += 1
+                if e < least[m]:
+                    least[m] = e
+            else:
+                least[m], held[m] = e, 1
+        sizes.append(size)
+        degs.append(deg)
+    min_exps = {m: e if held[m] == len(maps) else min(e, 0) for m, e in least.items()}
+    min_shift = min(t.shift for t in live)
     content, int_coeffs = content_split([t.coeff for t in live])
     prefactor = BracketProduct.make(content, min_shift, min_exps)
 
-    # r_im = e_im - min_exps[m], so R_i and deg B_i follow from t_i's own
-    # brackets, and B_i / B_(i-1) from t_i / t_(i-1).  Starting the walk
-    # from a term with brackets min_exps starts it from B = 1.
     offsets = [t.shift - min_shift for t in live]
     min_size = sum(min_exps.values())
     min_deg = sum(m * e for m, e in min_exps.items())
-    bound = sum(abs(c) << (sum(em.values()) - min_size) for c, em in zip(int_coeffs, maps))
-    top = max(o + sum(m * e for m, e in em.items()) - min_deg for o, em in zip(offsets, maps))
+    bound = sum(abs(c) << (size - min_size) for c, size in zip(int_coeffs, sizes))
+    top = max(o + deg for o, deg in zip(offsets, degs)) - min_deg
     pack = Packing(bound, top + 1)
 
-    acc, bare, deg, prev = 0, 1, 0, min_exps
+    acc, bare, deg, prev, low = 0, 1, 0, maps[0], dict(maps[0])
     for c, offset, em in zip(int_coeffs, offsets, maps):
-        deltas = [(m, em.get(m, 0) - prev.get(m, 0)) for m in em.keys() | prev.keys()]
-        for m, delta in deltas:
-            for _ in range(-delta):
+        gained = []
+        for m, e, p in _bracket_changes(em, prev):
+            if e > p:
+                gained.append((m, e - p))
+                continue
+            floor = low.get(m, 0)
+            for _ in range(p - max(e, floor)):
                 bare = pack.bracket_div(bare, deg, m)
                 deg -= m
-        for m, delta in deltas:
-            for _ in range(delta):
+            if e < floor:
+                low[m] = e
+                for _ in range(floor - e):
+                    acc = pack.bracket_mul(acc, m)
+        for m, d in gained:
+            for _ in range(d):
                 bare = pack.bracket_mul(bare, m)
-                deg += m
+            deg += m * d
         acc += (c * bare) << (offset * pack.w)
         prev = em
     return FactoredSum(prefactor, list_trim(pack.unpack(acc)))
@@ -431,25 +473,27 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_walk(ratios: Sequence[BracketProduct], step, lin):
+def _ratio_walk(ratios, step, lin):
     """(A, D) after the term-ratio recurrence over `ratios`: term / D is the
     current summand and A / D the partial sum, each ratio multiplies term by
     its numerator and A, D by its denominator, and the first ratio is t_0
-    itself.  Values are (X, Y) pairs; step(v, m, bracket) is v * (1 - q**m)
-    when bracket is true and v * q**m otherwise, lin(c, v, v2) is c*v + v2."""
+    itself.  A ratio is (brackets, shift, coeff), brackets a list of (m, e)
+    for (1 - q**m)**e.  Values are (X, Y) pairs; step(v, m, bracket) is
+    v * (1 - q**m) when bracket is true and v * q**m otherwise,
+    lin(c, v, v2) is c*v + v2."""
     zero, term, acc, den = (0, 0), (1, 0), (0, 0), (1, 0)
-    for ratio in ratios:
-        for m, e in ratio.exps:
+    for brackets, shift, coeff in ratios:
+        for m, e in brackets:
             for _ in range(e):
                 term = step(term, m, True)
             for _ in range(-e):
                 acc, den = step(acc, m, True), step(den, m, True)
-        if ratio.shift > 0:
-            term = step(term, ratio.shift, False)
-        elif ratio.shift < 0:
-            acc, den = step(acc, -ratio.shift, False), step(den, -ratio.shift, False)
-        d = ratio.coeff.denominator
-        term = lin(ratio.coeff.numerator, term, zero)
+        if shift > 0:
+            term = step(term, shift, False)
+        elif shift < 0:
+            acc, den = step(acc, -shift, False), step(den, -shift, False)
+        d = coeff.denominator
+        term = lin(coeff.numerator, term, zero)
         acc, den = lin(d, acc, term), lin(d, den, zero)
     return acc, den
 
@@ -497,12 +541,18 @@ def sum_terms_mod(
     if not live:
         return [], [1], {}
 
-    ratios = [t / prev for prev, t in zip([BracketProduct.one(), *live], live)]
-    den_brackets: dict[int, int] = {}
-    for ratio in ratios:
-        for m, e in ratio.exps:
+    # Each ratio t / prev, read off the two exponent maps.  Its brackets are
+    # sorted: the order of den_brackets picks the bracket that an error on
+    # a non-invertible denominator names, and must not follow set order.
+    ratios, den_brackets, prev, prev_map = [], {}, BracketProduct.one(), {}
+    for t in live:
+        em = t.exps_map()
+        brackets = sorted((m, e - p) for m, e, p in _bracket_changes(em, prev_map))
+        for m, e in brackets:
             if e < 0:
                 den_brackets[m] = den_brackets.get(m, 0) - e
+        ratios.append((brackets, t.shift - prev.shift, Fraction(t.coeff) / prev.coeff))
+        prev, prev_map = t, em
 
     def lin(c, v, v2):
         return c * v[0] + v2[0], c * v[1] + v2[1]

@@ -271,6 +271,65 @@ def test_sum_terms_edge_cases():
     assert fs.num == [-1] and fs.prefactor == -t
 
 
+def _count_bracket_divs(monkeypatch):
+    calls = []
+    divide = Packing.bracket_div
+
+    def counting(self, v, deg, m):
+        calls.append(m)
+        return divide(self, v, deg, m)
+
+    monkeypatch.setattr(Packing, "bracket_div", counting)
+    return calls
+
+
+def test_sum_terms_divides_only_above_the_prefix_minimum(monkeypatch):
+    """A bracket that falls below every earlier exponent multiplies the
+    accumulator instead of dividing the cofactor: the SUN series, whose
+    exponents only rise, divides nothing, and J2 at most once a step."""
+    from qpiverify.qseries import SeriesId, series_terms
+
+    calls = _count_bracket_divs(monkeypatch)
+    terms = series_terms(SeriesId.SUN_LHS, 97, 48)
+    fs = sum_terms(terms)
+    assert calls == []
+    assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
+    terms = series_terms(SeriesId.J2_LHS, None, 20)
+    fs = sum_terms(terms)
+    assert 0 < len(calls) <= len(terms) - 1
+    assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
+
+
+def test_sum_terms_exponents_that_fall_below_the_prefix_minimum():
+    """Each bracket's exponent rises, falls below every earlier exponent
+    (the first term's included) and rises again, so the walk divides the
+    cofactor, multiplies the accumulator and multiplies the cofactor."""
+    rng = random.Random(14)
+    for _ in range(150):
+        count = rng.randint(3, 9)
+        paths = {}
+        for m in rng.sample(range(1, 10), rng.randint(1, 4)):
+            path = [rng.randint(-2, 3)]
+            for _ in range(count - 1):
+                low = min(path)
+                path.append(rng.choice([path[-1] + rng.randint(1, 3), low - rng.randint(1, 2), path[-1]]))
+            paths[m] = path
+        # At least one bracket is below its start somewhere.
+        m = next(iter(paths))
+        paths[m][rng.randint(1, count - 1)] = min(paths[m]) - 1
+        terms = [
+            BracketProduct.make(
+                Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 5)),
+                rng.randint(-4, 4),
+                {m: path[i] for m, path in paths.items()},
+            )
+            for i in range(count)
+        ]
+        fs = sum_terms(terms)
+        for x in _POINTS:
+            assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
+
+
 def _pack(p, coeffs):
     return sum(c << (j * p.w) for j, c in enumerate(coeffs))
 
