@@ -28,7 +28,6 @@ from .polys import (
     list_mod_monic,
     list_mul,
     list_scale,
-    list_trim,
 )
 from .ratfunc import RatFunc
 
@@ -347,12 +346,22 @@ class Packing:
         high = ((v >> (kw - 1)) + 1) >> 1
         return v - (high << kw), high
 
-    def unpack(self, v: int) -> list[int]:
-        """The coefficient list of an in-range value; SlotOverflow otherwise."""
+    def unpack(self, v: int, trim: bool = False) -> list[int]:
+        """The coefficient list of an in-range value, all `slots` of it, or
+        with `trim` only up to its top nonzero slot; SlotOverflow otherwise.
+
+        An in-range v != 0 with top nonzero slot j has
+        2**(j*w - 1) < |v| < 2**((j + 1)*w - 1), as its slots are at most
+        2**(w - 2) and its lower slots add up to less than 2**(j*w - 1) in
+        absolute value, so j is bits(|v|) // w.
+        """
         if not self.in_range(v, self.slots):
             raise SlotOverflow(f"packed value does not fit {self.slots} slots of {self.w} bits")
+        k = self.slots
+        if trim:
+            k = abs(v).bit_length() // self.w + 1 if v else 0
         size, half = self.w // 8, 1 << (self.w - 2)
-        data = (v + (self._top >> 1)).to_bytes(self.slots * size, "little")
+        data = (v + (self._top >> ((self.slots - k) * self.w + 1))).to_bytes(k * size, "little")
         return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
 
 
@@ -363,15 +372,79 @@ def _bracket_changes(em: Mapping[int, int], prev: Mapping[int, int]) -> list[tup
     return [(m, em.get(m, 0), prev.get(m, 0)) for m in {m for m, _ in em.items() ^ prev.items()}]
 
 
+def _walk(pack: Packing, start: Mapping[int, int], steps) -> tuple[int, dict[int, int]]:
+    """The walk of `sum_terms` over the terms of `steps` in order, from a
+    first term with exponent map `start`: `acc` after the last step and the
+    prefix minima `low` (a bracket missing from `low` is at 0).  A step is
+    (c, offset, changes), with the term's changes from the one before it as
+    `_bracket_changes` lists them (none for the first)."""
+    acc, bare, deg, low = 0, 1, 0, dict(start)
+    for c, offset, changes in steps:
+        gained = []
+        for m, e, p in changes:
+            if e > p:
+                gained.append((m, e - p))
+                continue
+            floor = low.get(m, 0)
+            for _ in range(p - max(e, floor)):
+                bare = pack.bracket_div(bare, deg, m)
+                deg -= m
+            if e < floor:
+                low[m] = e
+                for _ in range(floor - e):
+                    acc = pack.bracket_mul(acc, m)
+        for m, d in gained:
+            for _ in range(d):
+                bare = pack.bracket_mul(bare, m)
+            deg += m * d
+        acc += (c * bare) << (offset * pack.w)
+    return acc, low
+
+
+def _division_costs(start: Mapping[int, int], changes) -> list[int]:
+    """A dry run of `_walk` on the exponent maps alone: after each step, the
+    cost of its divisions so far, each copy of a bracket divided out costing
+    the cofactor's degree at that point."""
+    costs, cost, deg, low = [], 0, 0, dict(start)
+    for step in changes:
+        gained = 0
+        for m, e, p in step:
+            if e > p:
+                gained += m * (e - p)
+                continue
+            floor = low.get(m, 0)
+            for _ in range(p - max(e, floor)):
+                cost += deg
+                deg -= m
+            if e < floor:
+                low[m] = e
+        deg += gained
+        costs.append(cost)
+    return costs
+
+
+def _cheapest_split(maps: Sequence[Mapping[int, int]], front, back) -> int:
+    """The split s in 0..K + 1 of terms t_0 .. t_K whose two walks, over
+    t_0 .. t_(s - 1) and over t_K .. t_s, have the least division cost in
+    total (`_division_costs`), the largest such s on a tie.  `front` holds
+    each term's changes from the one before it and `back` those of t_K,
+    t_(K - 1), ... from the one after it."""
+    before = [0] + _division_costs(maps[0], front)
+    after = _division_costs(maps[-1], back)[::-1] + [0]
+    totals = [f + b for f, b in zip(before, after)]
+    return min(range(len(totals)), key=lambda s: (totals[s], -s))
+
+
 def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     """Exact sum of factored terms over their least common denominator.
 
     With e_im the exponent of bracket m in t_i (0 if t_i has none) and min_m
     its minimum over all terms, each cofactor t_i / prefactor is
     c_i * q**o_i * B_i with an integer c_i and
-    B_i = prod_m (1 - q**m)**(e_im - min_m).  The walk splits
-    B_i = P_i * V_i, where V_i = prod_m (1 - q**m)**(low_im - min_m) and
-    low_im is the prefix minimum of e_jm over j <= i, and keeps
+    B_i = prod_m (1 - q**m)**(e_im - min_m).  A walk over the terms
+    t_0 .. t_i splits B_i = P_i * V_i, where
+    V_i = prod_m (1 - q**m)**(low_im - min_m) and low_im is the prefix
+    minimum of e_jm over j <= i, and keeps
 
         bare = P_i,   acc = (sum_(j <= i) c_j * q**o_j * B_j) / V_i.
 
@@ -379,24 +452,35 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     i - 1 to i, a bracket whose exponent rises multiplies `bare`; one whose
     exponent falls from p to e < low divides `bare` by its p - low copies
     above the old prefix minimum and multiplies `acc` by the low - e copies
-    below it, as V_i lost them.  Then c_i * q**o_i * P_i is added.  The
-    last prefix minimum is min_m, so V_K = 1 and `acc` ends as the sum.  A
+    below it, as V_i lost them.  Then c_i * q**o_i * P_i is added.  A
     series whose exponents only rise or only fall divides nothing.
 
-    Both are packed (`Packing`) with one slot width w.  Evaluation at 2**w
-    is a ring homomorphism, so `acc` is exact in Z whatever its slots hold,
-    and only `bare` and the final sum need a bound:
+    The sum is split at some s into two such walks (`_walk`), one over
+    t_0 .. t_(s - 1) and one over t_K .. t_s: the same walk on the reversed
+    list, whose prefix minima are the suffix minima of the terms.  Each
+    walk's `acc` times its last V, which `bracket_mul` builds, is its part
+    of the sum, and the two parts are added.  A bracket whose exponent
+    rises and later falls, as (q; q)_k (q; q)_(n - k) does in k, is divided
+    out of neither walk when s is at its peak, so s is the split whose
+    dry run of both walks over the exponent maps costs the least
+    (`_cheapest_split`).
+
+    Both walks are packed (`Packing`) with one slot width w.  Evaluation at
+    2**w is a ring homomorphism, so `acc` is exact in Z whatever its slots
+    hold, and so are the products and the sum that join the two walks;
+    only `bare` and the final sum need a bound:
 
     - a product of R brackets has l1-norm at most 2**R (each bracket's is
       2), so no coefficient of it exceeds 2**R;
     - dividing before multiplying, every intermediate `bare` of step i
       divides P_(i-1) or P_i, and P_i has at most R_i = sum_m (e_im - min_m)
-      brackets, as low_im >= min_m; a division's prefix sums are differences
-      y_a - y_b of its quotient's coefficients, so at most 2**R_(i-1) too;
+      brackets, as prefix and suffix minima are >= min_m; a division's
+      prefix sums are differences y_a - y_b of its quotient's coefficients,
+      so at most 2**R_(i-1) too;
     - the sum is at most sum_i |c_i| * 2**R_i, which bounds both items.
 
     So w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
-    result is unpacked once at the end.
+    sum is unpacked once at the end, up to its top nonzero slot.
     """
     live = [t for t in terms if not t.is_zero()]
     if not live:
@@ -433,28 +517,21 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     top = max(o + deg for o, deg in zip(offsets, degs)) - min_deg
     pack = Packing(bound, top + 1)
 
-    acc, bare, deg, prev, low = 0, 1, 0, maps[0], dict(maps[0])
-    for c, offset, em in zip(int_coeffs, offsets, maps):
-        gained = []
-        for m, e, p in _bracket_changes(em, prev):
-            if e > p:
-                gained.append((m, e - p))
-                continue
-            floor = low.get(m, 0)
-            for _ in range(p - max(e, floor)):
-                bare = pack.bracket_div(bare, deg, m)
-                deg -= m
-            if e < floor:
-                low[m] = e
-                for _ in range(floor - e):
-                    acc = pack.bracket_mul(acc, m)
-        for m, d in gained:
-            for _ in range(d):
-                bare = pack.bracket_mul(bare, m)
-            deg += m * d
-        acc += (c * bare) << (offset * pack.w)
-        prev = em
-    return FactoredSum(prefactor, list_trim(pack.unpack(acc)))
+    front = [[]] + [_bracket_changes(em, prev) for prev, em in zip(maps, maps[1:])]
+    back = [[]] + [[(m, p, e) for m, e, p in changes] for changes in front[:0:-1]]
+    s = _cheapest_split(maps, front, back)
+    acc = 0
+    for start, steps in (
+        (maps[0], zip(int_coeffs, offsets, front[:s])),
+        (maps[-1], zip(reversed(int_coeffs), reversed(offsets), back[: len(live) - s])),
+    ):
+        part, low = _walk(pack, start, steps)
+        if part:
+            for m, e in min_exps.items():
+                for _ in range(low.get(m, 0) - e):
+                    part = pack.bracket_mul(part, m)
+        acc += part
+    return FactoredSum(prefactor, pack.unpack(acc, trim=True))
 
 
 # ---------------------------------------------------------------------------

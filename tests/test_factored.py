@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpiverify import factored
 from qpiverify.factored import BracketProduct, Packing, SlotOverflow, sum_terms, sum_terms_mod
 from qpiverify.polys import (
     InexactDivision,
@@ -300,34 +301,71 @@ def test_sum_terms_divides_only_above_the_prefix_minimum(monkeypatch):
     assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
 
 
+def _rise_fall_rise_terms(rng):
+    """3 to 9 terms whose bracket exponents each rise, fall below every
+    earlier exponent (the first term's included) and rise again."""
+    count = rng.randint(3, 9)
+    paths = {}
+    for m in rng.sample(range(1, 10), rng.randint(1, 4)):
+        path = [rng.randint(-2, 3)]
+        for _ in range(count - 1):
+            low = min(path)
+            path.append(rng.choice([path[-1] + rng.randint(1, 3), low - rng.randint(1, 2), path[-1]]))
+        paths[m] = path
+    # At least one bracket is below its start somewhere.
+    m = next(iter(paths))
+    paths[m][rng.randint(1, count - 1)] = min(paths[m]) - 1
+    return [
+        BracketProduct.make(
+            Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 5)),
+            rng.randint(-4, 4),
+            {m: path[i] for m, path in paths.items()},
+        )
+        for i in range(count)
+    ]
+
+
 def test_sum_terms_exponents_that_fall_below_the_prefix_minimum():
     """Each bracket's exponent rises, falls below every earlier exponent
     (the first term's included) and rises again, so the walk divides the
     cofactor, multiplies the accumulator and multiplies the cofactor."""
     rng = random.Random(14)
     for _ in range(150):
-        count = rng.randint(3, 9)
-        paths = {}
-        for m in rng.sample(range(1, 10), rng.randint(1, 4)):
-            path = [rng.randint(-2, 3)]
-            for _ in range(count - 1):
-                low = min(path)
-                path.append(rng.choice([path[-1] + rng.randint(1, 3), low - rng.randint(1, 2), path[-1]]))
-            paths[m] = path
-        # At least one bracket is below its start somewhere.
-        m = next(iter(paths))
-        paths[m][rng.randint(1, count - 1)] = min(paths[m]) - 1
-        terms = [
-            BracketProduct.make(
-                Fraction(rng.randint(-30, 30) or 1, rng.randint(1, 5)),
-                rng.randint(-4, 4),
-                {m: path[i] for m, path in paths.items()},
-            )
-            for i in range(count)
-        ]
+        terms = _rise_fall_rise_terms(rng)
         fs = sum_terms(terms)
         for x in _POINTS:
             assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
+
+
+def test_sum_terms_every_split_of_the_two_walks(monkeypatch):
+    """Joined at any split s, the front walk over t_0 .. t_(s - 1) and the
+    back walk over t_K .. t_s give the sum, on exponents that rise, fall
+    below their start and rise again (s = 0 and s = K + 1 are one walk)."""
+    rng = random.Random(15)
+    for _ in range(40):
+        terms = _rise_fall_rise_terms(rng)
+        expected = {x: sum(t.evaluate(x) for t in terms) for x in _POINTS}
+        for s in range(len(terms) + 1):
+            monkeypatch.setattr(factored, "_cheapest_split", lambda maps, front, back: s)
+            fs = sum_terms(terms)
+            for x in _POINTS:
+                assert _value(fs, x) == expected[x], s
+
+
+def test_sum_terms_peaked_exponents_divide_nothing(monkeypatch):
+    """Each bracket of (q; q)_k (q; q)_(n - k) rises in k and falls again,
+    so a one-way walk divides the cofactor by it on the way down; the two
+    walks meet at the peak and divide nothing, also over (q**3; q)_k."""
+    calls = _count_bracket_divs(monkeypatch)
+    for n in (1, 2, 9, 24):
+        for den in (0, 1):
+            terms = [
+                BracketProduct.from_pochhammers(k - 7, 2 * k, [(1, 1, k, 1), (1, 1, n - k, 1), (3, 1, k, -den)])
+                for k in range(n + 1)
+            ]
+            fs = sum_terms(terms)
+            assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
+    assert calls == []
 
 
 def _pack(p, coeffs):
@@ -374,6 +412,28 @@ def test_unpack_rejects_values_wider_than_their_slots():
     for coeffs in ([0, 0, 0, 1], [0, 0, 0, -1], [0, 64, 0], [0, -65, 0], [-65, 0, 0]):
         with pytest.raises(SlotOverflow):
             p.unpack(_pack(p, coeffs))
+
+
+def test_unpack_trim_reads_the_top_slot_off_the_bit_length():
+    p = Packing(63, 4)  # 8-bit slots, in range in [-64, 64)
+    assert p.unpack(0, trim=True) == [] and p.unpack(0) == [0, 0, 0, 0]
+    # |v| just above 2**(j*w - 1) or just below 2**((j + 1)*w - 1), with j
+    # the top nonzero slot: [-1, 1] is 255, [-64, -64, 1] is 2**15 + 2**14 - 64.
+    for coeffs in ([5], [0, -1], [63, 0, -2], [-64, -64, -64, -64], [-64], [63, 63, -64], [0, 0, 1],
+                   [-1, 1], [1, -1], [-64, -64, 1], [63, 63, -1], [-64, -64, -64, 1]):
+        assert p.unpack(_pack(p, coeffs), trim=True) == coeffs
+        assert p.unpack(_pack(p, coeffs)) == coeffs + [0] * (4 - len(coeffs))
+    # 2**(w - 2) is one past the range: the range check still runs first.
+    for coeffs in ([64], [0, 64], [-64, -64, 64], [0, 0, 0, 64]):
+        with pytest.raises(SlotOverflow):
+            p.unpack(_pack(p, coeffs), trim=True)
+    rng = random.Random(16)
+    for _ in range(300):
+        bound = rng.choice([1, 60, 2**20, 2**70])
+        p = Packing(bound, rng.randint(1, 12))
+        half = 1 << (p.w - 2)
+        coeffs = [rng.choice([-half, half - 1, 0, rng.randint(-half, half - 1)]) for _ in range(p.slots)]
+        assert p.unpack(_pack(p, coeffs), trim=True) == list_trim(list(coeffs))
 
 
 def test_cyclo_multiplicity_counts():
@@ -552,3 +612,13 @@ def test_sum_terms_outputs_pinned(monkeypatch):
         316,
         "0bcddf9d8118b213f04a6d03607db73cb5f0fce73eff7890b8fbbbecf0948997",
     )
+
+
+def test_sum_terms_division_count_over_the_pinned_sweep(monkeypatch):
+    """The sweep of `_sum_terms_digest` makes 513 `Packing.bracket_div`
+    calls with the two walks meeting at the cheapest split, against 3,014
+    for a single walk from t_0 that divides at every fall above the prefix
+    minimum."""
+    calls = _count_bracket_divs(monkeypatch)
+    _sum_terms_digest(monkeypatch)
+    assert len(calls) <= 600
