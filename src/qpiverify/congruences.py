@@ -214,7 +214,10 @@ def _check_congruence_modular(
 def _check_congruence_exact(
     terms, rhs: BracketProduct, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    fs = sum_terms(list(terms) + [-rhs])
+    # The right side goes first.  Like the k = 0 summand it lacks the
+    # series' brackets, so binary splitting multiplies them into one run
+    # holding both; last, it would be multiplied by all of them on its own.
+    fs = sum_terms([-rhs, *terms])
     if fs.is_zero():
         return CheckResult(True, label)
     ill = False
@@ -251,8 +254,11 @@ def verify_modsun(n: int, path: str = "auto") -> CheckResult:
     return _check_congruence_exact(terms, rhs, ctx, label)
 
 
-#: Largest composite n handled by the exact rational-function path by default;
-#: beyond this the summation grows past desk scale.
+#: Largest composite n handled by the exact rational-function path by default.
+#: The exact sum is not what limits it: at large n the multiplicity count
+#: (`FactoredSum.cyclo_multiplicity`) takes most of a passing case, and the
+#: witness of a failing one (`FactoredSum.to_ratfunc`) costs many passes.
+#: ROADMAP item 6 makes both scale and then raises the limit.
 DEFAULT_EXACT_LIMIT = 27
 
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .polys import (
-    InexactDivision,
     Poly,
     content_split,
     cyclotomic_int,
@@ -214,8 +213,8 @@ _ONE_BP = BracketProduct(Fraction(1), 0, ())
 # Given terms t_0 .. t_K, extract the componentwise minimum of shifts and
 # bracket exponents (the common part C, whose negative exponents are exactly
 # the least common denominator); each cofactor t_i / C is then a genuine
-# Laurent-free polynomial, expanded incrementally from its predecessor since
-# consecutive summands differ only in a handful of factors.
+# Laurent-free polynomial, and the cofactors are summed by binary splitting:
+# adjacent runs of terms join with multiplications by brackets only.
 # ---------------------------------------------------------------------------
 
 
@@ -289,8 +288,7 @@ class Packing:
     w is `bound`'s bit length plus 2, rounded up to whole bytes, so every
     |c_j| <= bound lies in [-2**(w - 2), 2**(w - 2)); a value whose slots all
     do is *in range*.  The packing is one-to-one on polynomials whose
-    coefficients are below 2**(w - 1) in absolute value, which includes an
-    in-range value times 1 - q**m.
+    coefficients are below 2**(w - 1) in absolute value.
     """
 
     def __init__(self, bound: int, slots: int):
@@ -299,43 +297,15 @@ class Packing:
         # 2**(w - 1) in every slot; half of it is 2**(w - 2) in every slot.
         self._top = int.from_bytes((bytes(self.w // 8 - 1) + b"\x80") * slots, "little")
 
-    def in_range(self, v: int, k: int) -> bool:
-        """Whether v is an in-range value of at most k slots (k <= slots):
-        biased by 2**(w - 2) per slot, it must fit k slots with every top
-        bit clear."""
-        u = v + (self._top >> ((self.slots - k) * self.w + 1))
-        return not (u >> (k * self.w) or u & self._top)
+    def in_range(self, v: int) -> bool:
+        """Whether v is an in-range value of at most `slots` slots: biased by
+        2**(w - 2) per slot, it must fit them with every top bit clear."""
+        u = v + (self._top >> 1)
+        return not (u >> (self.slots * self.w) or u & self._top)
 
     def bracket_mul(self, v: int, m: int) -> int:
         """v * (1 - q**m)."""
         return v - (v << (m * self.w))
-
-    def bracket_div(self, v: int, deg: int, m: int) -> int:
-        """Exact quotient of the in-range, degree-`deg` value v by 1 - q**m.
-
-        The quotient y has k = deg - m + 1 slots, y_i = sum_{j >= 0} v_(i - j*m),
-        a prefix sum along each residue class mod m, computed by doubling
-        shifts modulo 2**(k*w).  It is returned only if
-        y * (1 - q**m) == v and y is in range; otherwise InexactDivision is
-        raised.  The two checks together are complete: an in-range y times
-        1 - q**m has coefficients below 2**(w - 1), as v has, and such
-        packings are equal only when the polynomials are.  The integer
-        identity alone is not: 32 + 32q + ... + 31q**7 in 8-bit slots is
-        divisible by 2**8 - 1 but not by 1 - q.
-        """
-        w = self.w
-        k = deg - m + 1
-        if k < 1:
-            raise InexactDivision(f"not divisible by 1 - q^{m}")
-        mask = (1 << (k * w)) - 1
-        y, span = v & mask, m
-        while span < k:
-            y = (y + (y << (span * w))) & mask
-            span *= 2
-        y = self.split(y, k)[0]
-        if y - (y << (m * w)) != v or not self.in_range(y, k):
-            raise InexactDivision(f"not divisible by 1 - q^{m} in {w}-bit slots")
-        return y
 
     def split(self, v: int, k: int) -> tuple[int, int]:
         """(low, high) with v = low + high * 2**(k*w), k >= 1, and low in
@@ -355,7 +325,7 @@ class Packing:
         2**(w - 2) and its lower slots add up to less than 2**(j*w - 1) in
         absolute value, so j is bits(|v|) // w.
         """
-        if not self.in_range(v, self.slots):
+        if not self.in_range(v):
             raise SlotOverflow(f"packed value does not fit {self.slots} slots of {self.w} bits")
         k = self.slots
         if trim:
@@ -372,67 +342,28 @@ def _bracket_changes(em: Mapping[int, int], prev: Mapping[int, int]) -> list[tup
     return [(m, em.get(m, 0), prev.get(m, 0)) for m in {m for m, _ in em.items() ^ prev.items()}]
 
 
-def _walk(pack: Packing, start: Mapping[int, int], steps) -> tuple[int, dict[int, int]]:
-    """The walk of `sum_terms` over the terms of `steps` in order, from a
-    first term with exponent map `start`: `acc` after the last step and the
-    prefix minima `low` (a bracket missing from `low` is at 0).  A step is
-    (c, offset, changes), with the term's changes from the one before it as
-    `_bracket_changes` lists them (none for the first)."""
-    acc, bare, deg, low = 0, 1, 0, dict(start)
-    for c, offset, changes in steps:
-        gained = []
-        for m, e, p in changes:
-            if e > p:
-                gained.append((m, e - p))
-                continue
-            floor = low.get(m, 0)
-            for _ in range(p - max(e, floor)):
-                bare = pack.bracket_div(bare, deg, m)
-                deg -= m
-            if e < floor:
+def _join(pack: Packing, left, right):
+    """The node of two adjacent nodes of `sum_terms`: each side times its
+    copies of each bracket above the joint minimum, the side with the larger
+    offset shifted up to it, and the two added."""
+    (v, low, o), (v2, low2, o2) = left, right
+    low = dict(low)
+    for m, e, p in _bracket_changes(low2, low):
+        if e > p:
+            for _ in range(e - p):
+                v2 = pack.bracket_mul(v2, m)
+        else:
+            for _ in range(p - e):
+                v = pack.bracket_mul(v, m)
+            if e:
                 low[m] = e
-                for _ in range(floor - e):
-                    acc = pack.bracket_mul(acc, m)
-        for m, d in gained:
-            for _ in range(d):
-                bare = pack.bracket_mul(bare, m)
-            deg += m * d
-        acc += (c * bare) << (offset * pack.w)
-    return acc, low
-
-
-def _division_costs(start: Mapping[int, int], changes) -> list[int]:
-    """A dry run of `_walk` on the exponent maps alone: after each step, the
-    cost of its divisions so far, each copy of a bracket divided out costing
-    the cofactor's degree at that point."""
-    costs, cost, deg, low = [], 0, 0, dict(start)
-    for step in changes:
-        gained = 0
-        for m, e, p in step:
-            if e > p:
-                gained += m * (e - p)
-                continue
-            floor = low.get(m, 0)
-            for _ in range(p - max(e, floor)):
-                cost += deg
-                deg -= m
-            if e < floor:
-                low[m] = e
-        deg += gained
-        costs.append(cost)
-    return costs
-
-
-def _cheapest_split(maps: Sequence[Mapping[int, int]], front, back) -> int:
-    """The split s in 0..K + 1 of terms t_0 .. t_K whose two walks, over
-    t_0 .. t_(s - 1) and over t_K .. t_s, have the least division cost in
-    total (`_division_costs`), the largest such s on a tie.  `front` holds
-    each term's changes from the one before it and `back` those of t_K,
-    t_(K - 1), ... from the one after it."""
-    before = [0] + _division_costs(maps[0], front)
-    after = _division_costs(maps[-1], back)[::-1] + [0]
-    totals = [f + b for f, b in zip(before, after)]
-    return min(range(len(totals)), key=lambda s: (totals[s], -s))
+            else:
+                del low[m]
+    if o > o2:
+        v, o = v << ((o - o2) * pack.w), o2
+    else:
+        v2 <<= (o2 - o) * pack.w
+    return v + v2, low, o
 
 
 def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
@@ -441,46 +372,30 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     With e_im the exponent of bracket m in t_i (0 if t_i has none) and min_m
     its minimum over all terms, each cofactor t_i / prefactor is
     c_i * q**o_i * B_i with an integer c_i and
-    B_i = prod_m (1 - q**m)**(e_im - min_m).  A walk over the terms
-    t_0 .. t_i splits B_i = P_i * V_i, where
-    V_i = prod_m (1 - q**m)**(low_im - min_m) and low_im is the prefix
-    minimum of e_jm over j <= i, and keeps
+    B_i = prod_m (1 - q**m)**(e_im - min_m).  The sum of the cofactors is
+    built by binary splitting, with no division (Haible and Papanikolaou,
+    "Fast multiprecision evaluation of series of rational numbers", 1998).
+    A node over a run of adjacent terms is (v, low, o), with low_m and o
+    the least e_im and o_i over the run, and
 
-        bare = P_i,   acc = (sum_(j <= i) c_j * q**o_j * B_j) / V_i.
+        v = sum_i c_i * q**(o_i - o) * prod_m (1 - q**m)**(e_im - low_m),
 
-    Both are polynomials: V_i divides every B_j with j <= i.  From step
-    i - 1 to i, a bracket whose exponent rises multiplies `bare`; one whose
-    exponent falls from p to e < low divides `bare` by its p - low copies
-    above the old prefix minimum and multiplies `acc` by the low - e copies
-    below it, as V_i lost them.  Then c_i * q**o_i * P_i is added.  A
-    series whose exponents only rise or only fall divides nothing.
+    a polynomial.  Term i is the node (c_i, e_i, o_i), e_i its exponent
+    map.  Two adjacent nodes join (`_join`) into the node over both runs:
+    each side is multiplied by its low_m - min(low_m, low'_m) copies of each
+    bracket above the joint minimum, the side with the larger offset times
+    q to the difference, and the two are added.  Nodes pair off level by
+    level, left to right, and the root's low is min_m and its offset 0, so
+    its v is the sum.
 
-    The sum is split at some s into two such walks (`_walk`), one over
-    t_0 .. t_(s - 1) and one over t_K .. t_s: the same walk on the reversed
-    list, whose prefix minima are the suffix minima of the terms.  Each
-    walk's `acc` times its last V, which `bracket_mul` builds, is its part
-    of the sum, and the two parts are added.  A bracket whose exponent
-    rises and later falls, as (q; q)_k (q; q)_(n - k) does in k, is divided
-    out of neither walk when s is at its peak, so s is the split whose
-    dry run of both walks over the exponent maps costs the least
-    (`_cheapest_split`).
-
-    Both walks are packed (`Packing`) with one slot width w.  Evaluation at
-    2**w is a ring homomorphism, so `acc` is exact in Z whatever its slots
-    hold, and so are the products and the sum that join the two walks;
-    only `bare` and the final sum need a bound:
-
-    - a product of R brackets has l1-norm at most 2**R (each bracket's is
-      2), so no coefficient of it exceeds 2**R;
-    - dividing before multiplying, every intermediate `bare` of step i
-      divides P_(i-1) or P_i, and P_i has at most R_i = sum_m (e_im - min_m)
-      brackets, as prefix and suffix minima are >= min_m; a division's
-      prefix sums are differences y_a - y_b of its quotient's coefficients,
-      so at most 2**R_(i-1) too;
-    - the sum is at most sum_i |c_i| * 2**R_i, which bounds both items.
-
-    So w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
-    sum is unpacked once at the end, up to its top nonzero slot.
+    Every v is packed (`Packing`) with one slot width w.  Evaluation at
+    2**w is a ring homomorphism and every step above is a ring operation,
+    so each packed v is exact in Z whatever its slots hold; only the final
+    sum needs a bound to unpack.  A product of R brackets has l1-norm at
+    most 2**R (each bracket's is 2), so with R_i = sum_m (e_im - min_m) no
+    coefficient of the sum exceeds sum_i |c_i| * 2**R_i.  So
+    w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
+    root is unpacked once, up to its top nonzero slot.
     """
     live = [t for t in terms if not t.is_zero()]
     if not live:
@@ -517,21 +432,11 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     top = max(o + deg for o, deg in zip(offsets, degs)) - min_deg
     pack = Packing(bound, top + 1)
 
-    front = [[]] + [_bracket_changes(em, prev) for prev, em in zip(maps, maps[1:])]
-    back = [[]] + [[(m, p, e) for m, e, p in changes] for changes in front[:0:-1]]
-    s = _cheapest_split(maps, front, back)
-    acc = 0
-    for start, steps in (
-        (maps[0], zip(int_coeffs, offsets, front[:s])),
-        (maps[-1], zip(reversed(int_coeffs), reversed(offsets), back[: len(live) - s])),
-    ):
-        part, low = _walk(pack, start, steps)
-        if part:
-            for m, e in min_exps.items():
-                for _ in range(low.get(m, 0) - e):
-                    part = pack.bracket_mul(part, m)
-        acc += part
-    return FactoredSum(prefactor, pack.unpack(acc, trim=True))
+    nodes = list(zip(int_coeffs, maps, offsets))
+    while len(nodes) > 1:
+        pairs = [_join(pack, a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = pairs + nodes[len(pairs) * 2 :]
+    return FactoredSum(prefactor, pack.unpack(nodes[0][0], trim=True))
 
 
 # ---------------------------------------------------------------------------

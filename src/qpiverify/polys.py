@@ -5,9 +5,10 @@ The kernels work on plain lists of ints, index i holding the coefficient of
 q**i; trailing zeros are allowed and trimmed lazily, and the zero polynomial
 is any all-zero list (canonically []).  The moduli, the cyclotomic cache,
 the bracket expansions, the reductions by a modulus and the witness residues
-run on them.  The two summation walks, `factored.sum_terms` and
-`factored.sum_terms_mod`, do not: they pack each polynomial into one int
-(`factored.Packing`) and return lists only at the end.
+run on them.  The two summation kernels, the binary splitting of
+`factored.sum_terms` and the ratio walk of `factored.sum_terms_mod`, do not:
+they pack each polynomial into one int (`factored.Packing`) and return lists
+only at the end.
 
 Rationals reach the kernels through one scaling, `content_split`, which
 writes them as a content times integers with gcd 1: the `Poly` product (one

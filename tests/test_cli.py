@@ -246,3 +246,38 @@ def test_witness_strings_are_capped():
     assert text.endswith("chars]")
     assert _fmt_witness(None) is None
     assert _fmt_witness(RatFunc.one()) == "1"
+
+
+def test_pole_at_the_modulus_is_an_ill_posed_row(capsys, monkeypatch):
+    """A right side with a pole at Phi_n makes the exact path's reduced
+    denominator share a factor with the modulus: GcdNotCoprime, reported as
+    an ill-posed row."""
+    from qpiverify import congruences
+    from qpiverify.factored import BracketProduct
+
+    monkeypatch.setattr(congruences, "sun_closed_form", lambda n: BracketProduct.make(1, 0, {n: -1}))
+    argv = ["verify-congruence", "--which", "modsun", "--n-list", "3,5", "--path", "exact", "--format", "json"]
+    code, out = run_capture(capsys, argv)
+    report = json.loads(out)
+    assert [c["status"] for c in report["cases"]] == ["ill-posed", "ill-posed"]
+    assert "shares a factor with the modulus" in report["cases"][0]["witness"]
+    assert report["totals"] == {"pass": 0, "fail": 0, "ill_posed": 2, "skipped": 0}
+    assert code == 1
+
+
+def test_series_without_a_tail_bound_is_a_fail_row(capsys, monkeypatch):
+    """A series whose terms run out before its tail bound is met raises
+    ConvergenceBudgetExceeded, reported as a fail row."""
+    import itertools
+
+    from qpiverify import numerics
+
+    terms = numerics._series_terms
+    monkeypatch.setattr(numerics, "_series_terms", lambda sid, qm: itertools.islice(terms(sid, qm), 3))
+    argv = ["eval", "--identity", "slater", "--q", "1/2", "--digits", "20", "--format", "json"]
+    code, out = run_capture(capsys, argv)
+    report = json.loads(out)
+    assert [c["status"] for c in report["cases"]] == ["fail"]
+    assert "no tail bound within" in report["cases"][0]["witness"]
+    assert report["totals"] == {"pass": 0, "fail": 1, "ill_posed": 0, "skipped": 0}
+    assert code == 1

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from qpiverify import factored
 from qpiverify.factored import BracketProduct, Packing, SlotOverflow, sum_terms, sum_terms_mod
 from qpiverify.polys import (
     InexactDivision,
@@ -272,35 +271,6 @@ def test_sum_terms_edge_cases():
     assert fs.num == [-1] and fs.prefactor == -t
 
 
-def _count_bracket_divs(monkeypatch):
-    calls = []
-    divide = Packing.bracket_div
-
-    def counting(self, v, deg, m):
-        calls.append(m)
-        return divide(self, v, deg, m)
-
-    monkeypatch.setattr(Packing, "bracket_div", counting)
-    return calls
-
-
-def test_sum_terms_divides_only_above_the_prefix_minimum(monkeypatch):
-    """A bracket that falls below every earlier exponent multiplies the
-    accumulator instead of dividing the cofactor: the SUN series, whose
-    exponents only rise, divides nothing, and J2 at most once a step."""
-    from qpiverify.qseries import SeriesId, series_terms
-
-    calls = _count_bracket_divs(monkeypatch)
-    terms = series_terms(SeriesId.SUN_LHS, 97, 48)
-    fs = sum_terms(terms)
-    assert calls == []
-    assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
-    terms = series_terms(SeriesId.J2_LHS, None, 20)
-    fs = sum_terms(terms)
-    assert 0 < len(calls) <= len(terms) - 1
-    assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
-
-
 def _rise_fall_rise_terms(rng):
     """3 to 9 terms whose bracket exponents each rise, fall below every
     earlier exponent (the first term's included) and rise again."""
@@ -327,8 +297,8 @@ def _rise_fall_rise_terms(rng):
 
 def test_sum_terms_exponents_that_fall_below_the_prefix_minimum():
     """Each bracket's exponent rises, falls below every earlier exponent
-    (the first term's included) and rises again, so the walk divides the
-    cofactor, multiplies the accumulator and multiplies the cofactor."""
+    (the first term's included) and rises again, so joins multiply the left
+    side by some brackets and the right side by others."""
     rng = random.Random(14)
     for _ in range(150):
         terms = _rise_fall_rise_terms(rng)
@@ -337,35 +307,26 @@ def test_sum_terms_exponents_that_fall_below_the_prefix_minimum():
             assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
 
 
-def test_sum_terms_every_split_of_the_two_walks(monkeypatch):
-    """Joined at any split s, the front walk over t_0 .. t_(s - 1) and the
-    back walk over t_K .. t_s give the sum, on exponents that rise, fall
-    below their start and rise again (s = 0 and s = K + 1 are one walk)."""
+def test_sum_terms_join_shapes():
+    """Every rotation and the reversal of a term list pair its terms off in
+    other joins, over other runs; each gives the same FactoredSum as the
+    list itself, and that sum has the value of the terms.  The lists rise,
+    fall below their start and rise again, or peak as each bracket of
+    (q; q)_k (q; q)_(n - k) does in k, also over (q**3; q)_k."""
     rng = random.Random(15)
-    for _ in range(40):
-        terms = _rise_fall_rise_terms(rng)
-        expected = {x: sum(t.evaluate(x) for t in terms) for x in _POINTS}
-        for s in range(len(terms) + 1):
-            monkeypatch.setattr(factored, "_cheapest_split", lambda maps, front, back: s)
-            fs = sum_terms(terms)
-            for x in _POINTS:
-                assert _value(fs, x) == expected[x], s
-
-
-def test_sum_terms_peaked_exponents_divide_nothing(monkeypatch):
-    """Each bracket of (q; q)_k (q; q)_(n - k) rises in k and falls again,
-    so a one-way walk divides the cofactor by it on the way down; the two
-    walks meet at the peak and divide nothing, also over (q**3; q)_k."""
-    calls = _count_bracket_divs(monkeypatch)
+    cases = [_rise_fall_rise_terms(rng) for _ in range(40)]
     for n in (1, 2, 9, 24):
         for den in (0, 1):
-            terms = [
+            cases.append([
                 BracketProduct.from_pochhammers(k - 7, 2 * k, [(1, 1, k, 1), (1, 1, n - k, 1), (3, 1, k, -den)])
                 for k in range(n + 1)
-            ]
-            fs = sum_terms(terms)
-            assert _value(fs, Fraction(1, 3)) == sum(t.evaluate(Fraction(1, 3)) for t in terms)
-    assert calls == []
+            ])
+    for terms in cases:
+        fs = sum_terms(terms)
+        for x in _POINTS:
+            assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
+        for other in [terms[s:] + terms[:s] for s in range(1, len(terms))] + [terms[::-1]]:
+            assert sum_terms(other) == fs
 
 
 def _pack(p, coeffs):
@@ -384,26 +345,8 @@ def test_packing_kernels_roundtrip():
         assert p.unpack(v) == coeffs + [0] * m
         prod = p.bracket_mul(v, m)
         assert p.unpack(prod) == list_bracket_mul(coeffs, m)
-        assert p.bracket_div(prod, len(coeffs) - 1 + m, m) == v
         k = rng.randint(1, len(coeffs))
         assert p.split(v, k) == (_pack(p, coeffs[:k]), _pack(p, coeffs[k:]))
-
-
-def test_packed_division_rejects_inexact():
-    p = Packing(63, 8)  # 8-bit slots, in range below 64
-    assert p.w == 8
-    with pytest.raises(InexactDivision):
-        p.bracket_div(_pack(p, [1, 1]), 1, 1)  # 1 + q
-    with pytest.raises(InexactDivision):
-        p.bracket_div(_pack(p, [1, 0, 0, -1]), 3, 2)  # 1 - q^3 by 1 - q^2
-    with pytest.raises(InexactDivision):
-        p.bracket_div(_pack(p, [3]), 0, 1)  # degree below the bracket's
-    # The packed int is divisible by 1 - 2^8, but the polynomial is not
-    # divisible by 1 - q (its value at 1 is 255): only the range check sees it.
-    v = _pack(p, [32] * 7 + [31])
-    assert v % (2**8 - 1) == 0
-    with pytest.raises(InexactDivision):
-        p.bracket_div(v, 7, 1)
 
 
 def test_unpack_rejects_values_wider_than_their_slots():
@@ -614,11 +557,24 @@ def test_sum_terms_outputs_pinned(monkeypatch):
     )
 
 
-def test_sum_terms_division_count_over_the_pinned_sweep(monkeypatch):
-    """The sweep of `_sum_terms_digest` makes 513 `Packing.bracket_div`
-    calls with the two walks meeting at the cheapest split, against 3,014
-    for a single walk from t_0 that divides at every fall above the prefix
-    minimum."""
-    calls = _count_bracket_divs(monkeypatch)
+def test_sum_terms_multiplication_count_over_the_pinned_sweep(monkeypatch):
+    """The sweep of `_sum_terms_digest` makes 13,939 `Packing.bracket_mul`
+    calls, one for each copy of a bracket above the joint minimum of two
+    joined runs, and no division.  The exact J2 congruence at n = 27 makes
+    418 with its right side summed first, and would make 612 with it last."""
+    from qpiverify.congruences import verify_intro
+    from qpiverify.qseries import WzPairId
+
+    calls = []
+    multiply = Packing.bracket_mul
+
+    def counting(self, v, m):
+        calls.append(m)
+        return multiply(self, v, m)
+
+    monkeypatch.setattr(Packing, "bracket_mul", counting)
     _sum_terms_digest(monkeypatch)
-    assert len(calls) <= 600
+    assert 0 < len(calls) <= 16_000
+    calls.clear()
+    assert verify_intro(WzPairId.PAIR_J2, 27, path="exact").passed
+    assert 0 < len(calls) <= 480
