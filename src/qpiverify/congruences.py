@@ -4,11 +4,11 @@ Rational-function congruences use reduced-form semantics: A/B == 0 (mod M)
 means that in lowest terms M divides A and gcd(B, M) = 1.  Truncated sums are
 checked along two independent routes:
 
-* a modular fast path that accumulates both sides as residue pairs A / D in
-  Z[q]/((1 - q^n)^2), each residue held as two packed integers X, Y standing
-  for X + (q^n - 1) Y so that a bracket is a rotation of their slots, reduces
-  them by M once, and never inverts anything (once both D are coprime to M,
-  the congruence is the cross-multiplied A_sum * D_rhs == A_rhs * D_sum), and
+* a modular fast path that accumulates the sum minus its right side in one
+  walk, as a residue pair A / D in Z[q]/((1 - q^n)^2), each residue held as two
+  packed integers X, Y standing for X + (q^n - 1) Y so that a bracket is a
+  rotation of their slots, and reduces A and D by M once (once D is coprime
+  to M, the congruence holds iff A == 0, so a pass inverts nothing), and
 * an exact path that forms the difference over its structured common
   denominator and reads off the multiplicity of every irreducible factor of M,
   which is what reduced-form semantics amount to.
@@ -28,6 +28,7 @@ from .polys import (
     Poly,
     content_split,
     divisors,
+    expand_bracket_powers,
     expand_cyclo_powers,
     factorize,
     list_add,
@@ -188,26 +189,25 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
 def _check_congruence_modular(
     terms, rhs: BracketProduct, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    mod = ctx.coeffs
-    acc, den, den_brackets = sum_terms_mod(terms, mod, ctx.n)
-    rhs_acc, rhs_den, rhs_brackets = sum_terms_mod([rhs], mod, ctx.n)
-    # Each accumulated denominator is an integer times a q-power times
+    # -rhs joins the sum, its numerator brackets multiplied out: the walk puts
+    # into D each bracket whose exponent drops, and 1 - q^n there shares M's factors.
+    rhs_den = {m: e for m, e in rhs.exps if e < 0}
+    coeffs = enumerate(expand_bracket_powers({m: e for m, e in rhs.exps if e > 0}))
+    head = [BracketProduct.make(-rhs.coeff * c, rhs.shift + j, rhs_den) for j, c in coeffs if c]
+    acc, den, den_brackets = sum_terms_mod([*head, *terms], ctx.coeffs, ctx.n)
+    # The accumulated denominator is an integer times a q-power times
     # brackets (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
     for d, _ in ctx.factor_mults:
-        shared = [m for m in (*den_brackets, *rhs_brackets) if m % d == 0]
+        shared = [m for m in den_brackets if m % d == 0]
         if shared:
             raise NonInvertibleDenominator(
                 f"{label}: denominator bracket 1-q^{shared[0]} shares the "
                 f"index-{d} cyclotomic with the modulus"
             )
-    # sum - rhs = (acc * rhs_den - rhs_acc * den) / (den * rhs_den).
-    diff = list_mod_monic(
-        list_add(list_mul(acc, rhs_den), list_scale(list_mul(rhs_acc, den), -1)), mod
-    )
-    if not diff:
+    if not acc:
         return CheckResult(True, label)
-    residue = _residue(Poly(diff), Poly(list_mul(den, rhs_den)), ctx.modulus)
+    residue = _residue(Poly(acc), Poly(den), ctx.modulus)
     return CheckResult(False, label, witness=RatFunc.from_poly(residue))
 
 

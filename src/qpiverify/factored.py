@@ -443,9 +443,9 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # The same accumulation carried out modulo a monic integer polynomial M that
 # divides S = (1 - q**n)**2, as both supercongruence moduli Phi_n**2 and
 # [n] Phi_n do.  Denominators are never inverted: the sum is maintained as
-# A / D with both residues updated multiplicatively; a congruence between two
-# such pairs is the cross-multiplied A_1 * D_2 == A_2 * D_1 (mod M) once both
-# D are coprime to M.  A and D accumulate in Z[q]/(S), where S = u**2 with
+# A / D with both residues updated multiplicatively, so a congruence whose
+# right side is summed as one more term holds iff A == 0 (mod M) once D is
+# coprime to M.  A and D accumulate in Z[q]/(S), where S = u**2 with
 # u = q**n - 1, each as a pair of n-slot packed ints (X, Y) standing for
 # X + u*Y: as q**n = 1 + u, a q-power or a bracket rotates the slots and adds
 # a small multiple, with no division.  The canonical residue mod S is rebuilt

@@ -287,6 +287,47 @@ def test_exact_path_ill_posed_raises():
         _check_congruence_exact([bad_term], BracketProduct.one(), ctx, "ill-posed")
 
 
+def test_modular_path_ill_posed_raises():
+    """A pole at the modulus on the right side, or in an extra leading term,
+    is reported by the modular route's bracket scan."""
+    import re
+
+    from qpiverify.congruences import _check_congruence_modular
+    from qpiverify.qseries import series_terms, sun_closed_form
+
+    n = 9
+    ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+    terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+    pole = BracketProduct.make(1, 0, {n: -1})
+    message = re.escape("denominator bracket 1-q^9 shares the index-9 cyclotomic")
+    with pytest.raises(NonInvertibleDenominator, match=message):
+        _check_congruence_modular(terms, pole, ctx, "pole rhs")
+    with pytest.raises(NonInvertibleDenominator, match=message):
+        _check_congruence_modular([pole, *terms], sun_closed_form(n), ctx, "pole term")
+
+
+@pytest.mark.parametrize("case", ["modsun", "J2"])
+def test_modular_check_is_one_walk(case, monkeypatch):
+    """The modular route sums the terms and the right side in one
+    `sum_terms_mod` walk."""
+    import qpiverify.congruences as congruences
+
+    calls = []
+    walk = congruences.sum_terms_mod
+
+    def counted(terms, mod, n):
+        calls.append(n)
+        return walk(terms, mod, n)
+
+    monkeypatch.setattr(congruences, "sum_terms_mod", counted)
+    if case == "modsun":
+        result = verify_modsun(15, path="modular")
+    else:
+        result = verify_intro(WzPairId.PAIR_J2, 11, path="modular")
+    assert result.passed
+    assert len(calls) == 1
+
+
 def _intro_split_terms(pair, n):
     """The split terms that verify_intro hands to the modular path."""
     from qpiverify.factored import BracketProduct
@@ -344,6 +385,17 @@ _WRONG_RHS_WITNESSES = [
     ("modsun", 9, BracketProduct.make(2, 3, {1: 1}), "-2q^11 - 5q^8 - 6q^5 + 2q^4 - 2q^3 - 4q^2"),
     ("J2", 5, BracketProduct.q_integer(5), "q^7 + q^6 + q^5 - q^2 - q - 1"),
     ("L2", 5, BracketProduct.q_integer(5), "-2q^4 - 2q^3 - 2q^2 - 2q - 2"),
+    # Zero, two numerator brackets, a squared one, and a denominator other
+    # than 1 - q.
+    ("modsun", 7, BracketProduct.zero(), "-q^8 + 2q"),
+    (
+        "modsun",
+        9,
+        BracketProduct.make(1, 0, {9: 1, 3: 1, 1: -1}),
+        "-q^11 + q^10 + q^9 - 5q^8 - 6q^5 - 5q^2 - q - 1",
+    ),
+    ("J2", 7, BracketProduct.make(2, 3, {7: 2, 1: -1}), "-q^10 - q^9 - q^8 - q^7 - q^6 - q^5 - q^4"),
+    ("L2", 5, BracketProduct.make(-1, -2, {5: 1, 2: -1}), "q^7 + 2q^6 + 2q^5 + 2q^4 + 2q^3 + q^2"),
 ]
 
 

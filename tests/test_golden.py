@@ -32,6 +32,10 @@ REPORTS = {
     "congruence_J2_modular_9_11": [
         "verify-congruence", "--which", "J2", "--n-list", "9,11", "--path", "modular",
     ],
+    "congruence_J2_modular_29_97": [
+        "verify-congruence", "--which", "J2", "--primes", "29..97", "--path", "modular",
+    ],
+    "congruence_modsun_modular_default": ["verify-congruence", "--which", "modsun"],
     "congruence_L2_exploratory_9_15": [
         "verify-congruence", "--which", "L2", "--n-list", "9,15", "--exploratory",
     ],
