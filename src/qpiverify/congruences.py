@@ -28,7 +28,6 @@ from .polys import (
     Poly,
     content_split,
     divisors,
-    expand_bracket_powers,
     expand_cyclo_powers,
     factorize,
     list_add,
@@ -189,12 +188,7 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
 def _check_congruence_modular(
     terms, rhs: BracketProduct, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    # -rhs joins the sum, its numerator brackets multiplied out: the walk puts
-    # into D each bracket whose exponent drops, and 1 - q^n there shares M's factors.
-    rhs_den = {m: e for m, e in rhs.exps if e < 0}
-    coeffs = enumerate(expand_bracket_powers({m: e for m, e in rhs.exps if e > 0}))
-    head = [BracketProduct.make(-rhs.coeff * c, rhs.shift + j, rhs_den) for j, c in coeffs if c]
-    acc, den, den_brackets = sum_terms_mod([*head, *terms], ctx.coeffs, ctx.n)
+    acc, den, den_brackets = sum_terms_mod([-rhs, *terms], ctx.coeffs, ctx.n)
     # The accumulated denominator is an integer times a q-power times
     # brackets (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
@@ -272,9 +266,9 @@ def verify_intro(
     """Check the truncated sums against [n](-q)^e modulo [n]*Phi_n(q).
 
     PAIR_J2 is stated for every odd n; PAIR_L2 only for odd prime powers
-    (pass exploratory=True to evaluate other odd n anyway).  Prime n runs on
-    the modular fast path; composite n needs the exact path, whose size is
-    capped by `exact_limit`.
+    (pass exploratory=True to evaluate other odd n anyway).  Both routes sum
+    the terms as built: prime n runs on the modular fast path, composite n
+    needs the exact path, whose size is capped by `exact_limit`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
@@ -303,16 +297,7 @@ def verify_intro(
         )
     label = f"intro {pair.value} n={n} ({resolved})"
     if resolved == "modular":
-        # Split [6k+1] = (1 - q^(6k+1))/(1 - q) so that the accumulated
-        # denominator only ever collects genuine denominator brackets (the
-        # term-ratio chain would otherwise borrow the previous numerator's
-        # 1 - q^(6k-5), whose index can share a factor with n).
-        split_terms: list[BracketProduct] = []
-        for k, t in enumerate(terms):
-            u = t / BracketProduct.from_exponent(6 * k + 1)
-            split_terms.append(u)
-            split_terms.append(-u.times_q_power(6 * k + 1))
-        return _check_congruence_modular(split_terms, rhs, ctx, label)
+        return _check_congruence_modular(terms, rhs, ctx, label)
     if n > exact_limit:
         raise ExactPathLimit(
             f"intro {pair.value} n={n}: exact path capped at n <= {exact_limit}"

@@ -445,13 +445,14 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # [n] Phi_n do.  Denominators are never inverted: the sum is maintained as
 # A / D with both residues updated multiplicatively, so a congruence whose
 # right side is summed as one more term holds iff A == 0 (mod M) once D is
-# coprime to M.  A and D accumulate in Z[q]/(S), where S = u**2 with
-# u = q**n - 1, each as a pair of n-slot packed ints (X, Y) standing for
-# X + u*Y: as q**n = 1 + u, a q-power or a bracket rotates the slots and adds
-# a small multiple, with no division.  The canonical residue mod S is rebuilt
-# once, and reduced by the dense M once.  Reduction mod M is a ring
-# homomorphism Z[q]/(S) -> Z[q]/(M) and remainders by a monic M are unique,
-# so the residues are those of accumulating in Z[q]/(M) throughout.
+# coprime to M, and D gets only denominator brackets.  A and D accumulate in
+# Z[q]/(S), where S = u**2 with u = q**n - 1, each as a pair of n-slot packed
+# ints (X, Y) standing for X + u*Y: as q**n = 1 + u, a q-power or a bracket
+# rotates the slots and adds a small multiple, with no division.  The
+# canonical residue mod S is rebuilt once, and reduced by the dense M once.
+# Reduction mod M is a ring homomorphism Z[q]/(S) -> Z[q]/(M) and remainders
+# by a monic M are unique, so the residues are those of accumulating in
+# Z[q]/(M) throughout.
 # ---------------------------------------------------------------------------
 
 
@@ -459,12 +460,12 @@ def _ratio_walk(ratios, step, lin):
     """(A, D) after the term-ratio recurrence over `ratios`: term / D is the
     current summand and A / D the partial sum, each ratio multiplies term by
     its numerator and A, D by its denominator, and the first ratio is t_0
-    itself.  A ratio is (brackets, shift, coeff), brackets a list of (m, e)
-    for (1 - q**m)**e.  Values are (X, Y) pairs; step(v, m, bracket) is
-    v * (1 - q**m) when bracket is true and v * q**m otherwise,
-    lin(c, v, v2) is c*v + v2."""
+    itself.  A ratio is (brackets, shift, coeff, passing): pairs (m, e) for
+    (1 - q**m)**e, and each m whose 1 - q**m multiplies only the copy of
+    term added into A.  Values are (X, Y) pairs; step(v, m, bracket) is
+    v * (1 - q**m) if bracket else v * q**m, lin(c, v, v2) is c*v + v2."""
     zero, term, acc, den = (0, 0), (1, 0), (0, 0), (1, 0)
-    for brackets, shift, coeff in ratios:
+    for brackets, shift, coeff, passing in ratios:
         for m, e in brackets:
             for _ in range(e):
                 term = step(term, m, True)
@@ -475,8 +476,10 @@ def _ratio_walk(ratios, step, lin):
         elif shift < 0:
             acc, den = step(acc, -shift, False), step(den, -shift, False)
         d = coeff.denominator
-        term = lin(coeff.numerator, term, zero)
-        acc, den = lin(d, acc, term), lin(d, den, zero)
+        term = out = lin(coeff.numerator, term, zero)
+        for m in passing:
+            out = step(out, m, True)
+        acc, den = lin(d, acc, out), lin(d, den, zero)
     return acc, den
 
 
@@ -486,9 +489,12 @@ def sum_terms_mod(
     """Residues (A, D) with sum(terms) = A / D in Q[q]/(mod), plus the bracket
     multiset of D.  `mod` must be monic and divide (1 - q**n)**2.
 
-    D is a product of brackets (1 - q**m), a q-power, and an integer, so its
-    coprimality with a cyclotomic modulus can be read off the returned
-    multiset: Phi_d divides (1 - q**m) exactly when d | m.
+    With e_im the exponent of m in the i-th nonzero term (0 if absent), any
+    excess over keep_i(m), the least max(e_jm, 0) over j > i, *passes*: it
+    multiplies only the copy of term i added into A, and the ratio walk runs
+    over the kept exponents, which never fall from k > 0.  So D is an integer,
+    a q-power and the brackets of the terms' negative exponents, perhaps more
+    often than in their LCD: Phi_d divides D iff d divides a returned m.
 
     The walk keeps the term, A and D as pairs (X, Y) of n-slot packed ints
     (`Packing`), X + u*Y in Z[q]/(u**2) with u = q**n - 1.  Write
@@ -506,11 +512,11 @@ def sum_terms_mod(
     - times 1 - q**m: the pair plus its q**m image, (2*bx, 2*by + (a + 1)*bx);
     - c*v + v2: |c| times v's bounds plus v2's.
 
-    No step lowers a bound, |c| >= 1, and every term's last value is added
-    into A, so A's and D's final bx + by bound every coefficient the walk
-    splits or unpacks, up to the residue X - Y + q**n * Y itself.  That
-    residue is rebuilt once, through `Packing.unpack`, whose SlotOverflow
-    would report a wrong bound, and reduced by `mod` once.
+    No step lowers a bound, |c| >= 1, and A receives each term's last value
+    times its passing brackets, so A's and D's final bx + by bound every
+    coefficient the walk splits or unpacks, up to the residue X - Y + q**n * Y
+    itself.  That residue is rebuilt once, through `Packing.unpack`, whose
+    SlotOverflow would report a wrong bound, and reduced by `mod` once.
     """
     if len(mod) < 2 or mod[-1] != 1:
         raise ValueError("modulus must be monic, degree >= 1")
@@ -523,18 +529,32 @@ def sum_terms_mod(
     if not live:
         return [], [1], {}
 
-    # Each ratio t / prev, read off the two exponent maps.  Its brackets are
+    maps = [t.exps_map() for t in live]
+    changes = list(map(_bracket_changes, maps, [{}, *maps]))
+    falls = {m for ch in changes for m, e, p in ch if p > max(e, 0)}  # all that can pass
+    passing = [[] for _ in maps]
+    if falls:
+        keep = {m: e for m, e in maps[-1].items() if m in falls and e > 0}
+        for em, pas in zip(maps[-2::-1], passing[-2::-1]):
+            for m in em.keys() & falls:
+                e, k = em.pop(m), keep.get(m, 0)
+                pas += [m] * max(e - k, 0)  # the excess passes
+                if min(e, k):
+                    em[m] = min(e, k)
+            keep = {m: em[m] for m in keep if em.get(m, 0) > 0}
+        changes = list(map(_bracket_changes, maps, [{}, *maps]))
+
+    # Each ratio t / prev, read off the two kept maps.  Its brackets are
     # sorted: the order of den_brackets picks the bracket that an error on
     # a non-invertible denominator names, and must not follow set order.
-    ratios, den_brackets, prev, prev_map = [], {}, BracketProduct.one(), {}
-    for t in live:
-        em = t.exps_map()
-        brackets = sorted((m, e - p) for m, e, p in _bracket_changes(em, prev_map))
+    ratios, den_brackets, prev = [], {}, BracketProduct.one()
+    for t, ch, pas in zip(live, changes, passing):
+        brackets = sorted((m, e - p) for m, e, p in ch)
         for m, e in brackets:
             if e < 0:
                 den_brackets[m] = den_brackets.get(m, 0) - e
-        ratios.append((brackets, t.shift - prev.shift, Fraction(t.coeff) / prev.coeff))
-        prev, prev_map = t, em
+        ratios.append((brackets, t.shift - prev.shift, Fraction(t.coeff) / prev.coeff, pas))
+        prev = t
 
     def lin(c, v, v2):
         return c * v[0] + v2[0], c * v[1] + v2[1]

@@ -308,28 +308,54 @@ def test_modular_path_ill_posed_raises():
 
 @pytest.mark.parametrize("case", ["modsun", "J2"])
 def test_modular_check_is_one_walk(case, monkeypatch):
-    """The modular route sums the terms and the right side in one
-    `sum_terms_mod` walk."""
+    """The modular route sums the terms as built and the right side in one
+    `sum_terms_mod` walk, on the list [-rhs, *terms]."""
     import qpiverify.congruences as congruences
+    from qpiverify.qseries import parity_power, series_terms, sun_closed_form
+    from qpiverify.wz import wz_term_brackets
 
     calls = []
     walk = congruences.sum_terms_mod
 
     def counted(terms, mod, n):
-        calls.append(n)
+        calls.append(list(terms))
         return walk(terms, mod, n)
 
     monkeypatch.setattr(congruences, "sum_terms_mod", counted)
     if case == "modsun":
-        result = verify_modsun(15, path="modular")
+        n = 15
+        result = verify_modsun(n, path="modular")
+        want = [-sun_closed_form(n), *series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)]
+        assert len(want) == 9
     else:
-        result = verify_intro(WzPairId.PAIR_J2, 11, path="modular")
+        n, e = 11, -5
+        result = verify_intro(WzPairId.PAIR_J2, n, path="modular")
+        rhs = BracketProduct.from_pochhammers(parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
+        want = [-rhs, *(wz_term_brackets(WzPairId.PAIR_J2, "F", k, 0) for k in range(n))]
+        assert len(want) == 12
     assert result.passed
-    assert len(calls) == 1
+    assert calls == [want]
+
+
+def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
+    """At p = 7 the J2 summand at k = 1 carries [7] = (1 - q^7)/(1 - q),
+    which the next summand lacks; the walk passes it into A, so no bracket
+    of D is divisible by 7 and the modulus [7] Phi_7 stays coprime to D."""
+    from qpiverify.factored import sum_terms_mod
+    from qpiverify.wz import wz_term_brackets
+
+    n = 7
+    ctx = modulus_build(n, ModulusKind.N_PHI)
+    terms = [wz_term_brackets(WzPairId.PAIR_J2, "F", k, 0) for k in range(n)]
+    assert any(m == 7 and e > 0 for m, e in terms[1].exps)
+    _, _, den_brackets = sum_terms_mod(terms, ctx.coeffs, n)
+    assert den_brackets and all(m % n for m in den_brackets)
 
 
 def _intro_split_terms(pair, n):
-    """The split terms that verify_intro hands to the modular path."""
+    """The intro terms with every [6k+1] split into two terms, as the
+    modular path once received them.  `sum_terms_mod` must still give these
+    lists bit-identical residues, so the pins below keep them as inputs."""
     from qpiverify.factored import BracketProduct
     from qpiverify.qseries import series_terms
     from qpiverify.wz import wz_term_brackets

@@ -414,7 +414,9 @@ def test_sum_terms_mod_matches_exact():
 
 def _sum_terms_mod_by_lists(terms, mod, n):
     """The reference walk: the same term-ratio recurrence as `sum_terms_mod`
-    on coefficient lists, reducing by (1 - q^n)^2 after every step."""
+    on coefficient lists, reducing by (1 - q^n)^2 after every step.  Each
+    positive exponent above its least clipped value over the later terms,
+    taken directly, passes its excess into the copy added into A."""
     work = expand_bracket_powers({n: 2})
 
     def bracket_mul(c, m):
@@ -423,8 +425,20 @@ def _sum_terms_mod_by_lists(terms, mod, n):
     def shift(c, delta):
         return list_mod_monic([0] * delta + c, work) if c and delta else c
 
+    live = [t for t in terms if not t.is_zero()]
+    kept, passing = [], []
+    for i, t in enumerate(live):
+        exps, excess = t.exps_map(), {}
+        for m, e in t.exps:
+            later = [max(u.exps_map().get(m, 0), 0) for u in live[i + 1 :]]
+            if e > 0 and later and e > min(later):
+                excess[m] = e - min(later)
+                exps[m] = min(later)
+        kept.append(BracketProduct.make(t.coeff, t.shift, exps))
+        passing.append(excess)
+
     den_brackets, acc, den, term, prev = {}, [], [1], [1], BracketProduct.one()
-    for t in (t for t in terms if not t.is_zero()):
+    for t, excess in zip(kept, passing):
         ratio = t / prev
         for m, e in ratio.exps:
             for _ in range(e):
@@ -438,7 +452,11 @@ def _sum_terms_mod_by_lists(terms, mod, n):
         else:
             acc, den = shift(acc, -ratio.shift), shift(den, -ratio.shift)
         term = list_scale(term, ratio.coeff.numerator)
-        acc = list_add(list_scale(acc, ratio.coeff.denominator), term)
+        out = term
+        for m, e in excess.items():
+            for _ in range(e):
+                out = bracket_mul(out, m)
+        acc = list_add(list_scale(acc, ratio.coeff.denominator), out)
         den = list_scale(den, ratio.coeff.denominator)
         prev = t
     return list_mod_monic(acc, mod), list_mod_monic(den, mod), den_brackets
@@ -462,7 +480,10 @@ def test_sum_terms_mod_matches_list_walk():
                 coeff = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 9]))
                 terms.append(BracketProduct.make(coeff, rng.randint(-3 * n - 2, 3 * n + 2), exps))
             mod = rng.choice(moduli)
-            assert sum_terms_mod(terms, mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+            out = sum_terms_mod(terms, mod, n)
+            assert out == _sum_terms_mod_by_lists(terms, mod, n)
+            # D holds exactly the brackets that some term has in its denominator.
+            assert set(out[2]) == {m for t in terms for m, e in t.exps if e < 0}
         # At n = 2 every bracket 1 - q doubles X: coefficients near the slot bound.
         terms = [BracketProduct.make(1, 0, {1: 40, n + 1: 3}), BracketProduct.make(-3, 1, {1: 39})]
         for mod in moduli:

@@ -35,6 +35,13 @@ REPORTS = {
     "congruence_J2_modular_29_97": [
         "verify-congruence", "--which", "J2", "--primes", "29..97", "--path", "modular",
     ],
+    "congruence_J2_modular_3_23": [
+        "verify-congruence", "--which", "J2", "--primes", "3..23", "--path", "modular",
+    ],
+    "congruence_L2_modular_3_31": [
+        "verify-congruence", "--which", "L2", "--n-list", "3,5,7,11,13,17,19,23,29,31",
+        "--path", "modular",
+    ],
     "congruence_modsun_modular_default": ["verify-congruence", "--which", "modsun"],
     "congruence_L2_exploratory_9_15": [
         "verify-congruence", "--which", "L2", "--n-list", "9,15", "--exploratory",

@@ -41,17 +41,21 @@ def test_bracket_products_built_by_make():
 
 def test_traced_layers_resolve():
     """The benchmark's tracer wraps these names from outside the package; a
-    moved or renamed layer would break its traced run."""
+    moved or renamed layer would break its traced run.  Names resolve as the
+    tracer looks them up: a dotted one through its class's own `__dict__`,
+    so an inherited or renamed method does not count."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
     missing = []
     for name, module_name, attr, _ in tracer.LAYERS:
-        target = importlib.import_module(module_name)
-        for part in attr.split("."):
-            target = getattr(target, part, None)
-        if not callable(target):
+        *classes, fn = attr.split(".")
+        owner = importlib.import_module(module_name)
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        if not callable(vars(owner).get(fn) if owner is not None else None):
             missing.append(f"{name}: {module_name}.{attr}")
     assert not missing, f"traced layers that do not resolve: {missing}"
 
