@@ -10,8 +10,12 @@ checked along two independent routes:
   rotation of their slots, and reduces A and D by M once (once D is coprime
   to M, the congruence holds iff A == 0, so a pass inverts nothing), and
 * an exact path that forms the difference over its structured common
-  denominator and reads off the multiplicity of every irreducible factor of M,
-  which is what reduced-form semantics amount to.
+  denominator, folds its numerator once modulo (q^n - 1)^K (`u_fold`), and
+  reads off the multiplicity of every irreducible factor of M from that
+  residue of fewer than K n coefficients, which is what reduced-form
+  semantics amount to; every factor of M divides q^n - 1, and K covers the
+  largest count any of them needs.  A failure's witness is built from the
+  same residue.
 
 A failure's witness is its residue in Q[q]/(M), certified in integer arithmetic
 by `_residue`; every modulus M is monic with integer coefficients.
@@ -23,7 +27,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .factored import BracketProduct, sum_terms, sum_terms_mod
+from .factored import (
+    BracketProduct,
+    FactoredSum,
+    divide_out_cyclotomic,
+    sum_terms,
+    sum_terms_mod,
+    u_fold,
+)
 from .polys import (
     Poly,
     content_split,
@@ -214,10 +225,16 @@ def _check_congruence_exact(
     fs = sum_terms([-rhs, *terms])
     if fs.is_zero():
         return CheckResult(True, label)
+    # Every factor Phi_d of M divides u = q^n - 1, so Phi_d^k divides u^K for
+    # k <= K: with K the largest count any factor needs past the prefactor,
+    # the numerator mod u^K counts each of them as the numerator does.
+    pref = fs.prefactor.cyclo_mults()
+    fold = max(mult - pref.get(d, 0) for d, mult in ctx.factor_mults)
+    folded = FactoredSum(fs.prefactor, u_fold(fs.num, ctx.n, fold))
     ill = False
     failed = False
     for d, mult in ctx.factor_mults:
-        total = fs.cyclo_multiplicity(d, mult)
+        total = folded.cyclo_multiplicity(d, mult)
         if total >= mult:
             continue
         if total < 0:
@@ -228,7 +245,40 @@ def _check_congruence_exact(
         raise GcdNotCoprime(f"{label}: reduced denominator shares a factor with the modulus")
     if not failed:
         return CheckResult(True, label)
-    return CheckResult(False, label, witness=RatFunc.from_poly(mod_reduce(fs.to_ratfunc(), ctx)))
+    return CheckResult(False, label, witness=RatFunc.from_poly(_folded_residue(folded, ctx)))
+
+
+def _folded_residue(folded: FactoredSum, ctx: ModulusContext) -> Poly:
+    """The residue mod M of a failing exact check's value, from its numerator
+    folded mod u^K.
+
+    Up to sign the prefactor is c q^s prod_d Phi_d^(p_d), and the folded
+    numerator differs from the whole one by a multiple of u^K, so for each
+    factor Phi_d^(m_d) of M the value moves by a multiple of Phi_d^(p_d + K);
+    K >= m_d - p_d makes the move a multiple of M, and the residue is the
+    same.  No factor of M has a negative total count here, so the folded
+    numerator holds each Phi_d^(-p_d) of M's factors, and they are divided
+    out exactly.  The prefactor's other cyclotomics, coprime to M where they
+    are denominators, go to `_residue` with it.
+    """
+    pf = folded.prefactor
+    mults = pf.cyclo_mults()
+    num = folded.num
+    for d, _ in ctx.factor_mults:
+        if mults.get(d, 0) < 0:
+            _, num = divide_out_cyclotomic(num, d, -mults.pop(d))
+    num = list_mul(num, expand_cyclo_powers({d: e for d, e in mults.items() if e > 0}))
+    den = expand_cyclo_powers({d: -e for d, e in mults.items() if e < 0})
+    # M divides u^2, so both sides fold to 2n coefficients before `_residue`.
+    num, den = u_fold(num, ctx.n, 2), u_fold(den, ctx.n, 2)
+    # (1 - q^m) = -(q^m - 1) flips the sign once per bracket.
+    sign = (-1) ** (sum(e for _, e in pf.exps) % 2)
+    num_poly, den_poly = Poly(num) * (pf.coeff * sign), Poly(den)
+    if pf.shift >= 0:
+        num_poly = num_poly.shifted(pf.shift)
+    else:
+        den_poly = den_poly.shifted(-pf.shift)
+    return _residue(num_poly, den_poly, ctx.modulus)
 
 
 def verify_modsun(n: int, path: str = "auto") -> CheckResult:
@@ -249,11 +299,11 @@ def verify_modsun(n: int, path: str = "auto") -> CheckResult:
 
 
 #: Largest composite n handled by the exact rational-function path by default.
-#: The exact sum is not what limits it: at large n the multiplicity count
-#: (`FactoredSum.cyclo_multiplicity`) takes most of a passing case, and the
-#: witness of a failing one (`FactoredSum.to_ratfunc`) costs many passes.
-#: ROADMAP item 6 makes both scale and then raises the limit.
-DEFAULT_EXACT_LIMIT = 27
+#: The path folds its sum's numerator once modulo (q^n - 1)^K and counts the
+#: factors of M, or builds a failure's witness, from that short residue, so
+#: the exact sum and the fold set its cost: J2 at n = 99, the largest case,
+#: takes about 1.3 s on a 2-CPU machine, against 60-130 ms at n = 45.
+DEFAULT_EXACT_LIMIT = 99
 
 
 def verify_intro(

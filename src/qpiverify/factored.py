@@ -11,8 +11,10 @@ operations per bracket, on polynomials packed into single ints (`Packing`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .polys import (
@@ -26,7 +28,6 @@ from .polys import (
     list_is_zero,
     list_mod_monic,
     list_mul,
-    list_scale,
 )
 from .ratfunc import RatFunc
 
@@ -232,16 +233,19 @@ class FactoredSum:
         """Multiplicity of Phi_d in the value, saturated at `need`.
 
         Returns the exact (possibly negative) multiplicity when it is below
-        `need`, and `need` otherwise.
+        `need`, and `need` otherwise.  With pref the multiplicity of Phi_d in
+        the prefactor, Phi_d**cap with cap = need - pref divides
+        (q**d - 1)**cap, so `num` folded by it (`u_fold`, cap*d coefficients)
+        has the same count of Phi_d up to cap, which exact division finds.
+        The fold walks all of `num`, so a caller counting for several
+        divisors d of one n folds a long `num` once by (q**n - 1)**K first,
+        with K the largest cap: Phi_d**cap divides that too.
         """
         pref = sum(e for m, e in self.prefactor.exps if m % d == 0)
         if self.is_zero():
             return need
         cap = max(0, need - pref)
-        # Phi_d**cap divides the monic (q**d - 1)**cap, so reducing by it
-        # first leaves the count up to cap unchanged and the dividend short.
-        fold = list_scale(expand_bracket_powers({d: cap}), (-1) ** cap)
-        count, _ = divide_out_cyclotomic(list_mod_monic(self.num, fold), d, cap)
+        count, _ = divide_out_cyclotomic(u_fold(self.num, d, cap), d, cap)
         if count >= cap:
             return need
         return pref + count
@@ -316,6 +320,14 @@ class Packing:
         high = ((v >> (kw - 1)) + 1) >> 1
         return v - (high << kw), high
 
+    def pack(self, c: Sequence[int]) -> int:
+        """The value of a coefficient list of at most `slots` entries, each
+        below 2**(w - 1) in absolute value: biased by 2**(w - 1), every
+        coefficient is one unsigned w-bit field of a byte string."""
+        size, top = self.w // 8, 1 << (self.w - 1)
+        data = b"".join((v + top).to_bytes(size, "little") for v in c)
+        return int.from_bytes(data, "little") - (self._top >> ((self.slots - len(c)) * self.w))
+
     def unpack(self, v: int, trim: bool = False) -> list[int]:
         """The coefficient list of an in-range value, all `slots` of it, or
         with `trim` only up to its top nonzero slot; SlotOverflow otherwise.
@@ -333,6 +345,46 @@ class Packing:
         size, half = self.w // 8, 1 << (self.w - 2)
         data = (v + (self._top >> ((self.slots - k) * self.w + 1))).to_bytes(k * size, "little")
         return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+
+
+def u_fold(c: Sequence[int], n: int, k: int) -> list[int]:
+    """c mod u**k with u = q**n - 1, from the first k digits of c in base u.
+
+    Cut c into m rows of n coefficients, c = sum_i P_i x**i with x = q**n
+    and each P_i of degree < n.  With x = 1 + u, c = sum_j T_j u**j where
+    T_j = sum_i binom(i, j) P_i (a Taylor shift to x = 1; von zur Gathen and
+    Gerhard, "Fast algorithms for Taylor shifts and certain difference
+    equations", ISSAC 1997), so c mod u**k = sum_{j<k} T_j u**j, of degree
+    < k*n.  Synthetic division by x - 1 leaves the remainder T_0 = sum_i P_i
+    and the quotient rows sum_{i' > i} P_i', whose own digits are T_1,
+    T_2, ...: each digit is one pass of suffix sums over the rows.  Each row
+    is one packed int (`Packing`), and the remainder is rebuilt by Horner in
+    u, where v*u = v*q**n - v is one shift and one subtract.
+
+    The slot width: with |c_i| <= B, every slot of T_j is at most
+    B * sum_{i<m} binom(i, j) = B * binom(m, j + 1).  T_j u**j is
+    sum_l binom(j, l) (-1)**(j - l) T_j x**l, whose terms fill disjoint runs
+    of slots, so no coefficient of the remainder exceeds
+    B * sum_{j<k} binom(m, j + 1) * 2**j.  The rows and the remainder are
+    packed at the width of that bound, and the remainder's unpack checks it
+    (SlotOverflow).
+    """
+    if not c or k < 1:
+        return []
+    m = -(-len(c) // n)
+    bound = max(map(abs, c)) * sum(math.comb(m, j + 1) << j for j in range(k))
+    pack = Packing(bound, k * n)
+    # The rows top first: their running sums are the suffix sums, the last
+    # is the digit, and the others are the quotient's rows, top first.
+    rows = [pack.pack(c[i : i + n]) for i in range((m - 1) * n, -1, -n)]
+    digits = []
+    for _ in range(k):
+        rows = list(accumulate(rows))
+        digits.append(rows.pop() if rows else 0)
+    r = 0
+    for t in reversed(digits):
+        r = (r << (n * pack.w)) - r + t
+    return pack.unpack(r, trim=True)
 
 
 def _bracket_changes(em: Mapping[int, int], prev: Mapping[int, int]) -> list[tuple[int, int, int]]:

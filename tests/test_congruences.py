@@ -181,6 +181,9 @@ def test_exact_path_limit():
 
     with pytest.raises(ExactPathLimit):
         verify_intro(WzPairId.PAIR_J2, 33, exact_limit=27)
+    assert verify_intro(WzPairId.PAIR_J2, 33).passed  # the default limit is 99
+    with pytest.raises(ExactPathLimit):
+        verify_intro(WzPairId.PAIR_J2, 101, path="exact")
 
 
 def test_euler_numbers():
@@ -304,6 +307,136 @@ def test_modular_path_ill_posed_raises():
         _check_congruence_modular(terms, pole, ctx, "pole rhs")
     with pytest.raises(NonInvertibleDenominator, match=message):
         _check_congruence_modular([pole, *terms], sun_closed_form(n), ctx, "pole term")
+
+
+def _exact_case(case, n, rhs_shift=0):
+    """The terms, right side and modulus context of an exact-path check, with
+    the right side times q**rhs_shift."""
+    from qpiverify.qseries import parity_power, series_terms, sun_closed_form
+    from qpiverify.wz import wz_term_brackets
+
+    if case == "modsun":
+        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        rhs = sun_closed_form(n)
+        ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
+    else:
+        pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
+        terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
+        e = (1 - n) // 2 if case == "J2" else -(n - 1) * (n + 5) // 8
+        rhs = BracketProduct.from_pochhammers(parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
+        ctx = modulus_build(n, ModulusKind.N_PHI)
+    return terms, rhs.times_q_power(rhs_shift), ctx
+
+
+def _dense_cyclo_multiplicity(fs, d, need):
+    """The count as made before the fold: the whole numerator reduced by the
+    expanded (q**d - 1)**cap, then divided by Phi_d."""
+    from qpiverify.factored import divide_out_cyclotomic
+    from qpiverify.polys import expand_bracket_powers, list_mod_monic, list_scale
+
+    pref = sum(e for m, e in fs.prefactor.exps if m % d == 0)
+    if fs.is_zero():
+        return need
+    cap = max(0, need - pref)
+    fold = list_scale(expand_bracket_powers({d: cap}), (-1) ** cap)
+    count, _ = divide_out_cyclotomic(list_mod_monic(fs.num, fold), d, cap)
+    return need if count >= cap else pref + count
+
+
+_COMPOSITES_TO_45 = [9, 15, 21, 25, 27, 33, 35, 39, 45]
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [("J2", n) for n in _COMPOSITES_TO_45]
+    + [("L2", n) for n in _COMPOSITES_TO_45]
+    + [("modsun", n) for n in (9, 15, 21)],
+)
+def test_cyclo_multiplicity_matches_the_dense_count(case, n):
+    """Counting on the numerator, and on its fold by (q^n - 1)^K, agrees with
+    the dense count, at the modulus' multiplicities and three above them."""
+    from qpiverify.factored import FactoredSum, sum_terms, u_fold
+
+    terms, rhs, ctx = _exact_case(case, n)
+    fs = sum_terms([-rhs, *terms])
+    pref = fs.prefactor.cyclo_mults()
+    for extra in (0, 3):
+        needs = {d: mult + extra for d, mult in ctx.factor_mults}
+        fold = max(need - pref.get(d, 0) for d, need in needs.items())
+        folded = FactoredSum(fs.prefactor, u_fold(fs.num, n, fold))
+        for d, need in needs.items():
+            want = _dense_cyclo_multiplicity(fs, d, need)
+            assert fs.cyclo_multiplicity(d, need) == want, (d, need)
+            assert folded.cyclo_multiplicity(d, need) == want, (d, need)
+
+
+#: Witnesses of the exact route for the right side times q, as the route
+#: gave them when it reduced the whole difference to lowest terms.
+_SHIFTED_RHS_WITNESSES = [
+    (
+        "J2",
+        21,
+        "q^29 + q^26 + q^25 + q^23 + q^22 + q^20 + q^19 + q^18 + q^17 + q^16 + q^15"
+        " + q^14 + q^13 + q^12 + q^11 + q^10 + q^9 + q^7 + q^6 + q^3 + 1",
+    ),
+    ("J2", 27, "q^41 - q^14"),
+    ("L2", 27, "-q^31 + q^4"),
+    (
+        "J2",
+        45,
+        "q^67 + q^66 + q^59 + q^58 + q^57 + q^53 + q^52 + q^51 + q^50 + q^49 + q^48"
+        " + q^44 + q^43 + q^42 + q^41 + q^40 + q^39 + q^38 + q^37 + q^36 + q^35"
+        " + q^34 + q^33 + q^32 + q^31 + q^30 + q^29 + q^28 + q^27 + q^26 + q^25"
+        " + q^24 + q^23 + q^20 + q^19 + q^18 + q^17 + q^16 + q^15 + q^11 + q^10"
+        " + q^9 + q^2 + q + 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, n, witness", _SHIFTED_RHS_WITNESSES, ids=[f"{c}-{n}" for c, n, _ in _SHIFTED_RHS_WITNESSES]
+)
+def test_exact_witnesses_pinned(case, n, witness):
+    from qpiverify.congruences import _check_congruence_exact
+
+    terms, rhs, ctx = _exact_case(case, n, rhs_shift=1)
+    result = _check_congruence_exact(terms, rhs, ctx, "shifted exact")
+    assert not result.passed
+    assert str(result.witness) == witness
+
+
+@pytest.mark.parametrize("case, n, rhs_shift", [("J2", 27, 0), ("modsun", 15, 0), ("J2", 27, 1)])
+def test_exact_check_is_one_fold(case, n, rhs_shift, monkeypatch):
+    """The exact route folds the whole numerator once, by (q^n - 1)^K, and
+    no remainder on a pass or a failure walks a list as long as it."""
+    import qpiverify.congruences as congruences
+    import qpiverify.factored as factored
+
+    sums, folds, mods = [], [], []
+    summed, folded, reduced = congruences.sum_terms, factored.u_fold, factored.list_mod_monic
+
+    def sum_counted(terms):
+        sums.append(summed(terms))
+        return sums[-1]
+
+    def fold_counted(c, m, k):
+        folds.append((c is sums[0].num, m))
+        return folded(c, m, k)
+
+    def mod_counted(c, d):
+        mods.append(len(c))
+        return reduced(c, d)
+
+    monkeypatch.setattr(congruences, "sum_terms", sum_counted)
+    for module in (congruences, factored):
+        monkeypatch.setattr(module, "u_fold", fold_counted)
+        monkeypatch.setattr(module, "list_mod_monic", mod_counted)
+    terms, rhs, ctx = _exact_case(case, n, rhs_shift)
+    result = congruences._check_congruence_exact(terms, rhs, ctx, "counted")
+    assert result.passed == (rhs_shift == 0)
+    [fs] = sums
+    assert [m for whole, m in folds if whole] == [n]
+    assert max(mods, default=0) < len(fs.num)
 
 
 @pytest.mark.parametrize("case", ["modsun", "J2"])

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from qpiverify.factored import BracketProduct, Packing, SlotOverflow, sum_terms, sum_terms_mod
+from qpiverify.factored import (
+    BracketProduct,
+    Packing,
+    SlotOverflow,
+    sum_terms,
+    sum_terms_mod,
+    u_fold,
+)
 from qpiverify.polys import (
     InexactDivision,
     Poly,
@@ -342,6 +349,7 @@ def test_packing_kernels_roundtrip():
         p = Packing(bound, len(coeffs) + m)
         assert p.w % 8 == 0 and bound < 2 ** (p.w - 2)
         v = _pack(p, coeffs)
+        assert p.pack(coeffs) == v
         assert p.unpack(v) == coeffs + [0] * m
         prod = p.bracket_mul(v, m)
         assert p.unpack(prod) == list_bracket_mul(coeffs, m)
@@ -388,6 +396,20 @@ def test_cyclo_multiplicity_counts():
     assert fs.cyclo_multiplicity(3, 5) == 0
     assert fs.cyclo_multiplicity(6, 5) == 1
     assert fs.cyclo_multiplicity(6, 1) == 1  # saturation at `need`
+
+
+def test_u_fold_matches_the_dense_remainder():
+    """u_fold(c, d, cap) is the remainder of c by the expanded (q**d - 1)**cap,
+    on empty lists, lists shorter than d, and long lists of negative and
+    200-bit coefficients."""
+    rng = random.Random(19)
+    for d in range(1, 13):
+        for cap in range(31):
+            mod = list_scale(expand_bracket_powers({d: cap}), (-1) ** cap)
+            for size in (0, d - 1, rng.randint(d, 40 * d + 40)):
+                bits = rng.choice([1, 64, 200])
+                c = [rng.randint(-(1 << bits), 1 << bits) for _ in range(size)]
+                assert u_fold(c, d, cap) == list_mod_monic(c, mod), (d, cap, size)
 
 
 def test_sum_terms_mod_matches_exact():
