@@ -52,9 +52,11 @@ from .qseries import (
     SeriesId,
     WzPairId,
     parity_power,
+    series_factors,
     series_terms,
     sun_closed_form,
     wz_term_brackets,
+    wz_term_factors,
 )
 from .ratfunc import RatFunc
 from .wz import CheckResult
@@ -290,19 +292,19 @@ def verify_modsun(n: int, path: str = "auto") -> CheckResult:
         raise ValueError("path must be auto, modular, or exact")
     resolved = "modular" if path in ("auto", "modular") else "exact"
     ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-    terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
     rhs = sun_closed_form(n)
     label = f"modsun n={n} ({resolved})"
     if resolved == "modular":
-        return _check_congruence_modular(terms, rhs, ctx, label)
-    return _check_congruence_exact(terms, rhs, ctx, label)
+        return _check_congruence_modular(series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2), rhs, ctx, label)
+    return _check_congruence_exact(series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2), rhs, ctx, label)
 
 
 #: Largest composite n handled by the exact rational-function path by default.
 #: The path folds its sum's numerator once modulo (q^n - 1)^K and counts the
 #: factors of M, or builds a failure's witness, from that short residue, so
 #: the exact sum and the fold set its cost: J2 at n = 99, the largest case,
-#: takes about 1.3 s on a 2-CPU machine, against 60-130 ms at n = 45.
+#: takes about 0.8 s on a 2-CPU machine, against about 50 ms at n = 45
+#: (`verify-congruence --which J2 --n-list 99`, by the report's elapsed_ms).
 DEFAULT_EXACT_LIMIT = 99
 
 
@@ -317,8 +319,9 @@ def verify_intro(
 
     PAIR_J2 is stated for every odd n; PAIR_L2 only for odd prime powers
     (pass exploratory=True to evaluate other odd n anyway).  Both routes sum
-    the terms as built: prime n runs on the modular fast path, composite n
-    needs the exact path, whose size is capped by `exact_limit`.
+    the terms as built, the modular one as their factor lists: prime n runs
+    on the modular fast path, composite n needs the exact path, whose size
+    is capped by `exact_limit`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
@@ -326,7 +329,6 @@ def verify_intro(
         raise ValueError("path must be auto, modular, or exact")
     if pair is WzPairId.PAIR_L2 and not exploratory and not is_prime_power(n):
         raise ValueError("the PAIR_L2 congruence is stated for odd prime powers only")
-    terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
     if pair is WzPairId.PAIR_J2:
         e = (1 - n) // 2
     else:
@@ -347,11 +349,13 @@ def verify_intro(
         )
     label = f"intro {pair.value} n={n} ({resolved})"
     if resolved == "modular":
+        terms = [wz_term_factors(pair, "F", k, 0) for k in range(n)]
         return _check_congruence_modular(terms, rhs, ctx, label)
     if n > exact_limit:
         raise ExactPathLimit(
             f"intro {pair.value} n={n}: exact path capped at n <= {exact_limit}"
         )
+    terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
     return _check_congruence_exact(terms, rhs, ctx, label)
 
 

@@ -66,26 +66,20 @@ class BracketProduct:
         """coeff * q**shift * prod_m (1 - q**m)**e for any integer indices m,
         in normal form: indices m >= 1 with e != 0, in order.
 
-        A negative index m becomes (-1)**e q**(m e) (1 - q**-m)**e and merges
-        with the entry for -m.  As 1 - q**0 = 0, index 0 with e > 0 gives zero
-        and with e < 0 raises ZeroDivisionError.  The form is unique: the
+        Indices below 1 follow `_fold_indices`: a negative index m becomes
+        (-1)**e q**(m e) (1 - q**-m)**e and merges with the entry for -m, and
+        index 0 with e > 0 gives zero and with e < 0 raises
+        ZeroDivisionError.  The form is unique: the
         brackets 1 - q**m = -prod_(d | m) Phi_d (m >= 1) have unitriangular
         exponent vectors over the cyclotomics, so no product of them equals
         another, and every normalization yields the same (coeff, shift, exps).
         """
         coeff, exps = Fraction(coeff), exps or {}
         if min(exps, default=1) < 1:
-            merged: dict[int, int] = {}
-            for m, e in exps.items():
-                if m < 0:
-                    coeff, shift, m = (-coeff if e % 2 else coeff), shift + m * e, -m
-                merged[m] = merged.get(m, 0) + e
-            zero_power = merged.pop(0, 0)
-            if zero_power < 0:
-                raise ZeroDivisionError("1 - q^0 = 0 in a denominator")
-            if zero_power > 0:
+            folded = _fold_indices(coeff, shift, exps)
+            if folded is None:
                 return _ZERO_BP
-            exps = merged
+            coeff, shift, exps = folded
         if coeff == 0:
             return _ZERO_BP
         return BracketProduct(coeff, shift, tuple(sorted((m, e) for m, e in exps.items() if e)))
@@ -102,12 +96,7 @@ class BracketProduct:
         """
         exps: dict[int, int] = {}
         for base, step, count, power in factors:
-            if step < 1:
-                raise ValueError("pochhammer step must be >= 1")
-            if count < 0:
-                base, count, power = base + count * step, -count, -power
-            for m in range(base, base + count * step, step):
-                exps[m] = exps.get(m, 0) + power
+            _add_run(exps, base + count * step, base, step, power)
         return BracketProduct.make(coeff, shift, exps)
 
     @staticmethod
@@ -206,6 +195,36 @@ class BracketProduct:
 
 _ZERO_BP = BracketProduct(Fraction(0), 0, ())
 _ONE_BP = BracketProduct(Fraction(1), 0, ())
+
+#: (coeff, shift, factors): the arguments of `BracketProduct.from_pochhammers`.
+FactorList = tuple[Fraction | int, int, Sequence[tuple[int, int, int, int]]]
+
+
+def _fold_indices(
+    coeff: Fraction, shift: int, exps: Mapping[int, int]
+) -> tuple[Fraction, int, dict[int, int]] | None:
+    """`make`'s rules for indices below 1, on the exponents of a product or
+    on the change of them from one product to another: (coeff, shift, map)
+    with every index of the map >= 1 (its exponents may be 0), or None when
+    index 0 has a positive exponent, which makes the product zero.
+
+    A negative index m with exponent e becomes (-1)**e q**(m e)
+    (1 - q**-m)**e and merges with the entry for -m.  As 1 - q**0 = 0, index
+    0 with e < 0 raises ZeroDivisionError.  Each rule is additive in e, so
+    it maps the change of a product's exponents to the change of its
+    normal form.
+    """
+    merged: dict[int, int] = {}
+    for m, e in exps.items():
+        if m < 0:
+            coeff, shift, m = (-coeff if e % 2 else coeff), shift + m * e, -m
+        merged[m] = merged.get(m, 0) + e
+    zero_power = merged.pop(0, 0)
+    if zero_power < 0:
+        raise ZeroDivisionError("1 - q^0 = 0 in a denominator")
+    if zero_power > 0:
+        return None
+    return coeff, shift, merged
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +523,62 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
 # canonical residue mod S is rebuilt once, and reduced by the dense M once.
 # Reduction mod M is a ring homomorphism Z[q]/(S) -> Z[q]/(M) and remainders
 # by a monic M are unique, so the residues are those of accumulating in
-# Z[q]/(M) throughout.
+# Z[q]/(M) throughout.  The walk needs only each term's ratio to the one
+# before, and reads it off the two terms' factor lists (`FactorList`, the
+# arguments of `BracketProduct.from_pochhammers`): a q-shifted factorial whose
+# base and end move along its own progression changes only at its two ends,
+# so no term is normalized and no whole exponent map is built per term.
 # ---------------------------------------------------------------------------
+
+
+def _add_run(out: dict[int, int], c: int, c2: int, step: int, power: int) -> None:
+    """Add power * (H(c2) - H(c)) to `out`, with H(c) the indicator of the
+    indices >= c in the progression c + step*Z (c2 on it): +power on the
+    indices from c2 up to c, or -power on those from c up to c2.  The factor
+    (a, s, r, P) of `from_pochhammers` is the run (a + r*s, a, s, P)."""
+    if step < 1:
+        raise ValueError("pochhammer step must be >= 1")
+    if c2 < c:
+        for m in range(c2, c, step):
+            out[m] = out.get(m, 0) + power
+    else:
+        for m in range(c, c2, step):
+            out[m] = out.get(m, 0) - power
+
+
+def _list_changes(old: Sequence, new: Sequence) -> dict[int, int]:
+    """The change of the exponents from factor list `old` to `new`, on any
+    integer indices (entries may be 0), as `from_pochhammers` lists them.
+
+    A factor (a, s, r, P) has exponents P * (H(a) - H(b)) with b = a + r*s,
+    H as in `_add_run`: P at a, a + s, ..., b - s for r >= 0, and -P at
+    b, ..., a - s for r < 0, as `from_pochhammers` sums them.  Lists of one
+    length pair their factors by position.  A pair with one
+    step and power whose bases lie on one progression changes by
+    P * (H(a') - H(a)) + P * (H(b) - H(b')), only between its two bases and
+    between its two ends; it is read so when that lists no more indices
+    than the two factors do.  Any other pair, and every factor of lists of
+    different lengths, is listed in full.
+    """
+    out: dict[int, int] = {}
+    if len(old) != len(new):
+        for a, s, r, p in old:
+            _add_run(out, a, a + r * s, s, p)
+        for a, s, r, p in new:
+            _add_run(out, a + r * s, a, s, p)
+        return out
+    for f, f2 in zip(old, new):
+        if f == f2:
+            continue
+        (a, s, r, p), (a2, s2, r2, p2) = f, f2
+        b, b2 = a + r * s, a2 + r2 * s2
+        if s == s2 > 0 and p == p2 and (a2 - a) % s == 0 and abs(a2 - a) + abs(b2 - b) <= (abs(r) + abs(r2)) * s:
+            _add_run(out, a, a2, s, p)
+            _add_run(out, b2, b, s, p)
+        else:
+            _add_run(out, a, b, s, p)
+            _add_run(out, b2, a2, s2, p2)
+    return out
 
 
 def _ratio_walk(ratios, step, lin):
@@ -536,17 +609,46 @@ def _ratio_walk(ratios, step, lin):
 
 
 def sum_terms_mod(
-    terms: Iterable[BracketProduct], mod: Sequence[int], n: int
+    terms: Iterable[BracketProduct | FactorList], mod: Sequence[int], n: int
 ) -> tuple[list[int], list[int], dict[int, int]]:
     """Residues (A, D) with sum(terms) = A / D in Q[q]/(mod), plus the bracket
     multiset of D.  `mod` must be monic and divide (1 - q**n)**2.
 
-    With e_im the exponent of m in the i-th nonzero term (0 if absent), any
-    excess over keep_i(m), the least max(e_jm, 0) over j > i, *passes*: it
-    multiplies only the copy of term i added into A, and the ratio walk runs
-    over the kept exponents, which never fall from k > 0.  So D is an integer,
-    a q-power and the brackets of the terms' negative exponents, perhaps more
-    often than in their LCD: Phi_d divides D iff d divides a returned m.
+    A term is a factor list (coeff, shift, factors), the value of
+    `BracketProduct.from_pochhammers(coeff, shift, factors)`, or a
+    BracketProduct, read as its list of single brackets (m, 1, 1, e).  A list
+    whose coeff is 0 is zero.
+
+    Term ratios.  Let E_i be the exponents that `from_pochhammers` sums for
+    the i-th nonzero term, on any integer indices, and E_(-1) = 0 for the
+    empty list, 1.  `_list_changes` of two consecutive lists is
+    E_i - E_(i-1): summed factor by factor, it is each pair's difference,
+    listed in full or telescoped to the two ends.  `make` normalizes E_i by
+    `_fold_indices`, whose rules are additive in each exponent, and
+    t_(i-1) != 0 has no exponent at index 0.  So `_fold_indices` of the
+    change, started from the ratio of the lists' coefficients and shifts, is
+    t_i's normal form less t_(i-1)'s: its nonzero entries are the brackets
+    m >= 1 whose normalized exponents differ, by e - p (`_bracket_changes` of
+    the two normalized maps), with the coefficient and shift of
+    t_i / t_(i-1); and its index 0 is t_i's own, so t_i is zero or raises
+    exactly as `make` would.  One running map, updated by these changes
+    alone, gives each change as (m, e, p).
+
+    Passing.  With e_im the exponent of m in the i-th nonzero term (0 if
+    absent), any excess over keep_i(m), the least max(e_jm, 0) over j > i,
+    *passes*: it multiplies only the copy of term i added into A, and the
+    ratio walk runs over the kept exponents min(e_im, keep_i(m)), which never
+    fall from k > 0.  So D is an integer, a q-power and the brackets of the
+    terms' negative exponents, perhaps more often than in their LCD: Phi_d
+    divides D iff d divides a returned m.  Only a bracket whose exponent
+    falls somewhere from p > max(e, 0) can pass, since for any other
+    max(e_im, 0) never decreases in i.  On a run of terms where e_im = e is
+    constant, with K the least max(e_jm, 0) after the run, keep_i(m) is K
+    at the run's last term and min(K, max(e, 0)) before it, so the kept
+    exponent is min(e, K) and the excess max(e - K, 0) all along the run.
+    The analysis therefore walks back over the changes of the falling
+    brackets only: each change (m, e, p) at term i ends a run of p, whose K
+    is min(K, max(e, 0)), and the kept exponents change only there.
 
     The walk keeps the term, A and D as pairs (X, Y) of n-slot packed ints
     (`Packing`), X + u*Y in Z[q]/(u**2) with u = q**n - 1.  Write
@@ -568,7 +670,9 @@ def sum_terms_mod(
     times its passing brackets, so A's and D's final bx + by bound every
     coefficient the walk splits or unpacks, up to the residue X - Y + q**n * Y
     itself.  That residue is rebuilt once, through `Packing.unpack`, whose
-    SlotOverflow would report a wrong bound, and reduced by `mod` once.
+    SlotOverflow would report a wrong bound, and reduced by `mod` once.  The
+    steps' bounds are linear maps that commute and the steps are exact, so
+    neither depends on the order of a ratio's or a term's passing brackets.
     """
     if len(mod) < 2 or mod[-1] != 1:
         raise ValueError("modulus must be monic, degree >= 1")
@@ -577,36 +681,68 @@ def sum_terms_mod(
     # A modulus that does not divide S would silently get wrong residues.
     if list_mod_monic(expand_bracket_powers({n: 2}), mod):
         raise ValueError(f"modulus does not divide (1 - q^{n})^2")
-    live = [t for t in terms if not t.is_zero()]
-    if not live:
+
+    # Each ratio's changes (m, e, p), coefficient and shift, for the nonzero
+    # terms; `exps` is the running map of the current term's exponents.
+    changes, heads, exps, prev = [], [], {}, (1, 0, ())
+    for t in terms:
+        if isinstance(t, BracketProduct):
+            t = (t.coeff, t.shift, [(m, 1, 1, e) for m, e in t.exps])
+        if t[0] == 0:
+            continue
+        folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
+        if folded is None:
+            continue
+        coeff, shift, delta = folded
+        ch = []
+        for m, d in delta.items():
+            if d:
+                p = exps.get(m, 0)
+                exps[m] = p + d
+                ch.append((m, p + d, p))
+        changes.append(ch)
+        heads.append((shift, coeff))
+        prev = t
+    if not changes:
         return [], [1], {}
 
-    maps = [t.exps_map() for t in live]
-    changes = list(map(_bracket_changes, maps, [{}, *maps]))
+    # Walk back over the falling brackets' changes.  For each such m, `keep`
+    # holds K of the run that holds the current term (absent: the last run)
+    # and `excess` what passes along it, when positive.
     falls = {m for ch in changes for m, e, p in ch if p > max(e, 0)}  # all that can pass
-    passing = [[] for _ in maps]
+    passing = [[] for _ in changes]
     if falls:
-        keep = {m: e for m, e in maps[-1].items() if m in falls and e > 0}
-        for em, pas in zip(maps[-2::-1], passing[-2::-1]):
-            for m in em.keys() & falls:
-                e, k = em.pop(m), keep.get(m, 0)
-                pas += [m] * max(e - k, 0)  # the excess passes
-                if min(e, k):
-                    em[m] = min(e, k)
-            keep = {m: em[m] for m in keep if em.get(m, 0) > 0}
-        changes = list(map(_bracket_changes, maps, [{}, *maps]))
+        keep: dict[int, int] = {}
+        excess: dict[int, int] = {}
+        for i in range(len(changes) - 1, -1, -1):
+            passing[i] = [m for m, x in excess.items() for _ in range(x)]
+            kept = []
+            for m, e, p in changes[i]:
+                if m in falls:
+                    k = keep.get(m)
+                    if k is not None and e > k:
+                        e = k
+                    # The earlier run's K: min(K, max(e, 0)) is the kept e's.
+                    keep[m] = k = max(e, 0)
+                    if p > k:
+                        excess[m] = p - k
+                    else:
+                        excess.pop(m, None)
+                    p = min(p, k)
+                if e != p:
+                    kept.append((m, e, p))
+            changes[i] = kept
 
-    # Each ratio t / prev, read off the two kept maps.  Its brackets are
-    # sorted: the order of den_brackets picks the bracket that an error on
-    # a non-invertible denominator names, and must not follow set order.
-    ratios, den_brackets, prev = [], {}, BracketProduct.one()
-    for t, ch, pas in zip(live, changes, passing):
+    # Each ratio t / prev, from its kept changes.  Its brackets are sorted:
+    # the order of den_brackets picks the bracket that an error on a
+    # non-invertible denominator names, and must not follow set order.
+    ratios, den_brackets = [], {}
+    for ch, (shift, coeff), pas in zip(changes, heads, passing):
         brackets = sorted((m, e - p) for m, e, p in ch)
         for m, e in brackets:
             if e < 0:
                 den_brackets[m] = den_brackets.get(m, 0) - e
-        ratios.append((brackets, t.shift - prev.shift, Fraction(t.coeff) / prev.coeff, pas))
-        prev = t
+        ratios.append((brackets, shift, coeff, pas))
 
     def lin(c, v, v2):
         return c * v[0] + v2[0], c * v[1] + v2[1]

@@ -2,7 +2,7 @@
 the verified series.
 
 Every exact summand is defined here, once.  The WZ pairs' F and G
-(`wz_term_brackets`) share the core
+(`wz_term_factors`) share the core
 C(n, k) = [6n-2k+1] (q;q^2)_(n+k) (q;q^2)_(n-k) / ((q^4;q^4)_n^2 (q^4;q^4)_(n-k)):
 F = C (q^2;q^4)_n / (q^2;q^4)_k q^((n-k)^2) for PAIR_J2, F = C (q;q^2)_(n-k)
 (-1)^(n+k) for PAIR_L2, and G = R F for both, with the certificate
@@ -12,20 +12,27 @@ vanish for n < k, and for k < 0 in PAIR_J2, so sweeps over a rectangular
 telescoped right sides are G(n, k), G(n, n-k) and q-power multiples of them;
 `wz` checks the pairs and the identities.
 
-Summands are addressed by a SeriesId tag.  Each one is available both as a
-fully reduced rational function (`summand`) and in the internal factored form
-(`summand_brackets`) that the exact summation engine consumes.  The two
+Every summand has one definition: a factor list (coeff, shift, factors),
+coeff * q**shift * prod (q**base; q**step)_count**power over the
+(base, step, count, power) factors, which are the arguments of
+`BracketProduct.from_pochhammers` (`wz_term_factors`, `summand_factors`,
+`series_factors`).  The exact route normalizes each list once, with one
+`from_pochhammers` call (`wz_term_brackets`, `summand_brackets`,
+`series_terms`), for the exact summation engine; the modular walk
+`sum_terms_mod` reads the lists directly, taking each term ratio off two
+consecutive lists, so it builds no normalized product per term.  Summands
+are addressed by a SeriesId tag, and each one is also available as a fully
+reduced rational function (`summand`).  The two
 construction routes are independent: `q_pochhammer` and `q_integer` multiply
-the defining factors out directly, while the factored route lists a summand's
-q-shifted factorials for one `BracketProduct.from_pochhammers` call, so the
-test suite can play them against each other.
+the defining factors out directly, while the factored route goes through the
+factor lists, so the test suite can play them against each other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .factored import BracketProduct, sum_terms
+from .factored import BracketProduct, FactorList, sum_terms
 from .polys import Poly
 from .ratfunc import RatFunc
 
@@ -144,9 +151,9 @@ def sun_closed_form(n: int) -> BracketProduct:
     return BracketProduct.make(parity_power(e), e, {})
 
 
-def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProduct:
-    """F(n, k) or G(n, k) = R(n, k) F(n, k) in factored form; zero when out
-    of support (n - k < 0 for both pairs, k < 0 too for PAIR_J2)."""
+def wz_term_factors(pair: WzPairId, which: str, n: int, k: int) -> FactorList:
+    """F(n, k) or G(n, k) = R(n, k) F(n, k) as a factor list; zero, (0, 0, []),
+    when out of support (n - k < 0 for both pairs, k < 0 too for PAIR_J2)."""
     if which not in ("F", "G"):
         raise ValueError("which must be 'F' or 'G'")
     if n < 0:
@@ -155,7 +162,7 @@ def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProdu
         raise ValueError(f"unknown pair {pair}")
     j2 = pair is WzPairId.PAIR_J2
     if n - k < 0 or (j2 and k < 0):
-        return BracketProduct.zero()
+        return 0, 0, []
     top = 6 * n - 2 * k + 1
     # The core [top] (q;q^2)_(n+k) (q;q^2)_(n-k) / ((q^4;q^4)_n^2 (q^4;q^4)_(n-k));
     # n + k < 0 (PAIR_L2 only) is a negative count.
@@ -169,32 +176,44 @@ def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProdu
         factors.append((1, 2, n - k, 1))
     if which == "G":  # R = (1 - q^(4n))^2 / ((1 - q^top) (1 - q^(2n+2k-1)))
         factors += [(4 * n, 1, 1, 2), (top, 1, 1, -1), (2 * n + 2 * k - 1, 1, 1, -1)]
-    return BracketProduct.from_pochhammers(coeff, shift, factors)
+    return coeff, shift, factors
 
 
-def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
-    """The k-th summand in factored form (exact, fully cancelled); the J2/L2
-    series and the telescoped right sides come from the WZ pairs' F and G."""
+def wz_term_brackets(pair: WzPairId, which: str, n: int, k: int) -> BracketProduct:
+    """F(n, k) or G(n, k) in factored form: its factor list, normalized."""
+    return BracketProduct.from_pochhammers(*wz_term_factors(pair, which, n, k))
+
+
+def summand_factors(sid: SeriesId, n: int | None, k: int) -> FactorList:
+    """The k-th summand as a factor list; the J2/L2 series and the telescoped
+    right sides are the WZ pairs' F and G."""
     _check_args(sid, n, k)
     J2, L2 = WzPairId.PAIR_J2, WzPairId.PAIR_L2
     if sid is SeriesId.J2_LHS:
-        return wz_term_brackets(J2, "F", k, 0)
+        return wz_term_factors(J2, "F", k, 0)
     if sid is SeriesId.L2_LHS:
-        return wz_term_brackets(L2, "F", k, 0).times_q_power(3 * k * k)
+        coeff, shift, factors = wz_term_factors(L2, "F", k, 0)
+        return coeff, shift + 3 * k * k, factors
     if sid is SeriesId.A2_RHS:
-        return wz_term_brackets(J2, "G", n, k)
+        return wz_term_factors(J2, "G", n, k)
     if sid is SeriesId.A3_RHS:
-        return wz_term_brackets(J2, "G", n, n - k)
+        return wz_term_factors(J2, "G", n, n - k)
     if sid is SeriesId.SECOND_RHS:
-        return wz_term_brackets(L2, "G", n, k)
+        return wz_term_factors(L2, "G", n, k)
     if sid is SeriesId.SECOND2_RHS:
-        return wz_term_brackets(L2, "G", n, n - k).times_q_power((4 * n - k) * k)
+        coeff, shift, factors = wz_term_factors(L2, "G", n, n - k)
+        return coeff, shift + (4 * n - k) * k, factors
     if sid is SeriesId.SUN_LHS:  # q^(k^2) (q;q^2)_k / (q^4;q^4)_k
-        return BracketProduct.from_pochhammers(1, k * k, [(1, 2, k, 1), (4, 4, k, -1)])
+        return 1, k * k, [(1, 2, k, 1), (4, 4, k, -1)]
     if sid is SeriesId.WHIPPLE_LHS:  # q^(k^2) (q^(1-n),q^(n+1);q^2)_k / ((q;q^2)_k (q^4;q^4)_k)
-        factors = [(1 - n, 2, k, 1), (n + 1, 2, k, 1), (1, 2, k, -1), (4, 4, k, -1)]
-        return BracketProduct.from_pochhammers(1, k * k, factors)
+        return 1, k * k, [(1 - n, 2, k, 1), (n + 1, 2, k, 1), (1, 2, k, -1), (4, 4, k, -1)]
     raise ValueError(f"unknown series {sid}")
+
+
+def summand_brackets(sid: SeriesId, n: int | None, k: int) -> BracketProduct:
+    """The k-th summand in factored form (exact, fully cancelled): its factor
+    list, normalized."""
+    return BracketProduct.from_pochhammers(*summand_factors(sid, n, k))
 
 
 def summand(sid: SeriesId, n: int | None, k: int) -> RatFunc:
@@ -203,17 +222,27 @@ def summand(sid: SeriesId, n: int | None, k: int) -> RatFunc:
     return summand_brackets(sid, n, k).to_ratfunc()
 
 
-def series_terms(sid: SeriesId, n: int | None, upper: int) -> list[BracketProduct]:
-    """Factored summands from the series' start index through `upper`.
-
-    For SUN_LHS the parameter n only bounds the range (the summand itself
-    does not depend on it), so it is accepted here but not passed down.
-    """
+def _series_indices(sid: SeriesId, n: int | None, upper: int) -> tuple[range, int | None]:
+    """The indices k from the series' start through `upper`, and the n to
+    pass to the summand.  For SUN_LHS the parameter n only bounds the range
+    (the summand itself does not depend on it), so it is not passed down."""
     start, end = series_range(sid, n)
     if upper < start or (end is not None and upper > end):
         raise ValueError(f"upper={upper} outside the range of {sid.value}")
-    n_arg = n if sid in N_DEPENDENT else None
-    return [summand_brackets(sid, n_arg, k) for k in range(start, upper + 1)]
+    return range(start, upper + 1), n if sid in N_DEPENDENT else None
+
+
+def series_factors(sid: SeriesId, n: int | None, upper: int) -> list[FactorList]:
+    """The summands' factor lists from the series' start index through `upper`."""
+    ks, n_arg = _series_indices(sid, n, upper)
+    return [summand_factors(sid, n_arg, k) for k in ks]
+
+
+def series_terms(sid: SeriesId, n: int | None, upper: int) -> list[BracketProduct]:
+    """Factored summands from the series' start index through `upper`: the
+    `series_factors` lists, normalized."""
+    ks, n_arg = _series_indices(sid, n, upper)
+    return [summand_brackets(sid, n_arg, k) for k in ks]
 
 
 def partial_sum(sid: SeriesId, n: int | None, upper: int) -> RatFunc:

@@ -442,7 +442,8 @@ def test_exact_check_is_one_fold(case, n, rhs_shift, monkeypatch):
 @pytest.mark.parametrize("case", ["modsun", "J2"])
 def test_modular_check_is_one_walk(case, monkeypatch):
     """The modular route sums the terms as built and the right side in one
-    `sum_terms_mod` walk, on the list [-rhs, *terms]."""
+    `sum_terms_mod` walk, on the list [-rhs, *terms]; the terms go in as
+    factor lists, which normalize to the summands."""
     import qpiverify.congruences as congruences
     from qpiverify.qseries import parity_power, series_terms, sun_closed_form
     from qpiverify.wz import wz_term_brackets
@@ -467,7 +468,29 @@ def test_modular_check_is_one_walk(case, monkeypatch):
         want = [-rhs, *(wz_term_brackets(WzPairId.PAIR_J2, "F", k, 0) for k in range(n))]
         assert len(want) == 12
     assert result.passed
-    assert calls == [want]
+    [walked] = calls
+    assert [t if isinstance(t, BracketProduct) else BracketProduct.from_pochhammers(*t) for t in walked] == want
+
+
+@pytest.mark.parametrize("case, n", [("J2", 97), ("modsun", 99)])
+def test_modular_check_normalizes_no_term(case, n, monkeypatch):
+    """The modular route hands `sum_terms_mod` factor lists and reads each
+    term ratio off them, so `BracketProduct.make` runs for the right side
+    only, not once per term."""
+    made = []
+    make = BracketProduct.make
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(BracketProduct, "make", staticmethod(counted))
+    if case == "J2":
+        result = verify_intro(WzPairId.PAIR_J2, n, path="modular")
+    else:
+        result = verify_modsun(n, path="modular")
+    assert result.passed
+    assert len(made) <= 2
 
 
 def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
@@ -514,6 +537,8 @@ _RESIDUE_DIGESTS = {
     ("L2", 13): "76e1fc8ddece531393d3edb3c87328552ac2abf86cd404c36782cd397bdfe843",
     ("modsun", 97): "c4d6b2b36bf64d19638b545e6ddc12dacfa1148be2fafa000213a2033d1e1101",
     ("J2", 97): "c37b363da0ba36d13283453f0338909bece226b81041cd2206c1392b9e51e826",
+    ("J2", 199): "16104a18648521fef0722c8119140c869292c83ebcebc4a16dde139a71449638",
+    ("modsun", 499): "9ca2d083d0f61c256dd4974aa8e76572c2fa653add0afa93ca7a52e7c5403308",
 }
 
 
@@ -535,6 +560,39 @@ def test_sum_terms_mod_residues_pinned(case, n):
         terms = _intro_split_terms(pair, n)
     out = sum_terms_mod(terms, ctx.coeffs, n)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _RESIDUE_DIGESTS[case, n]
+
+
+#: sha256 of repr(sum_terms_mod(...)) on the modular route's own walk,
+#: [-rhs, *terms], pinned from the terms as normalized products.
+_WALK_DIGESTS = {
+    ("J2", 199): "3d6a8b597d1196dfcc71157203b7534e8f76e2c05c40348fdd98f137793e3571",
+    ("modsun", 499): "8f2f0c79ee0dc08ecb7b45941e61facb7f1b57b13c86e33c9eee0170f8dce557",
+}
+
+
+@pytest.mark.parametrize("case, n", list(_WALK_DIGESTS))
+def test_modular_walk_on_factor_lists_pinned(case, n, monkeypatch):
+    """The walk of `verify_intro` and `verify_modsun`, on the factor lists
+    they pass, gives the residues pinned from normalized products."""
+    import hashlib
+
+    import qpiverify.congruences as congruences
+
+    outs = []
+    walk = congruences.sum_terms_mod
+
+    def recorded(terms, mod, m):
+        outs.append(walk(terms, mod, m))
+        return outs[-1]
+
+    monkeypatch.setattr(congruences, "sum_terms_mod", recorded)
+    if case == "J2":
+        result = verify_intro(WzPairId.PAIR_J2, n, path="modular")
+    else:
+        result = verify_modsun(n, path="modular")
+    assert result.passed
+    [out] = outs
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _WALK_DIGESTS[case, n]
 
 
 _WRONG_RHS_WITNESSES = [

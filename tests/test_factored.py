@@ -31,6 +31,7 @@ from qpiverify.polys import (
     list_scale,
     list_trim,
 )
+from qpiverify.qseries import SeriesId
 from qpiverify.ratfunc import RatFunc
 
 
@@ -510,6 +511,103 @@ def test_sum_terms_mod_matches_list_walk():
         terms = [BracketProduct.make(1, 0, {1: 40, n + 1: 3}), BracketProduct.make(-3, 1, {1: 39})]
         for mod in moduli:
             assert sum_terms_mod(terms, mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+
+
+def _factor_list_walks():
+    """Runs of factor lists along k: every SeriesId, both WZ pairs' F and G
+    (L2's negative counts n + k < 0, zero terms out of support and the
+    index-0 zeros of G at n = 0), runs that mix lists of unequal lengths and
+    BracketProducts, and random runs."""
+    from qpiverify.qseries import N_DEPENDENT, WzPairId, series_range, summand_factors, wz_term_factors
+
+    walks = []
+    for sid in SeriesId:
+        for n in (1, 5, 9) if sid in N_DEPENDENT else (None, 9):
+            start, end = series_range(sid, n)
+            n_arg = n if sid in N_DEPENDENT else None
+            walks.append([summand_factors(sid, n_arg, k) for k in range(start, (start + 12 if end is None else end) + 1)])
+    for pair in WzPairId:
+        for which in ("F", "G"):
+            for n in range(7):
+                walks.append([wz_term_factors(pair, which, n, k) for k in range(-n - 3, n + 3)])
+            walks.append([wz_term_factors(pair, which, n, 2) for n in range(9)])
+    sun = [summand_factors(SeriesId.SUN_LHS, None, k) for k in range(6)]
+    whipple = [summand_factors(SeriesId.WHIPPLE_LHS, 11, k) for k in range(6)]
+    j2 = [wz_term_factors(WzPairId.PAIR_J2, "F", k, 0) for k in range(6)]
+    walks.append([t for pair in zip(sun, whipple, j2) for t in pair])
+    walks.append([BracketProduct.make(-1, -3, {5: 1, 1: -1}), *j2, BracketProduct.make(2, 1, {3: 2}), *sun])
+    # Random lists whose factors move their bases on and off their
+    # progressions, with counts of either sign, and now and then change length.
+    rng = random.Random(29)
+
+    def factor():
+        return rng.randint(-6, 6), rng.randint(1, 3), rng.randint(-3, 4), rng.choice([-2, -1, 1, 2])
+
+    for _ in range(60):
+        factors, walk = [factor() for _ in range(rng.randint(0, 3))], []
+        while len(walk) < 8:
+            if rng.random() < 0.15:
+                moved = [factor() for _ in range(rng.randint(0, 3))]
+            else:
+                moved = [(a + rng.randint(-2, 2) * rng.choice([1, s]), s, r + rng.randint(-2, 2), p) for a, s, r, p in factors]
+            t = (rng.choice([1, -2, Fraction(3, 5)]), rng.randint(-4, 4), moved)
+            try:
+                BracketProduct.from_pochhammers(*t)
+            except ZeroDivisionError:
+                continue
+            factors = moved
+            walk.append(t)
+        walks.append(walk)
+    return walks
+
+
+def test_term_ratios_read_off_factor_lists():
+    """The change from one nonzero factor list to the next, read as
+    `sum_terms_mod` reads it, is the difference of the two normalized
+    products: its brackets are `_bracket_changes` of their maps, with the
+    ratio's coefficient and shift, and a zero list reads as zero."""
+    from qpiverify.factored import _bracket_changes, _fold_indices, _list_changes
+
+    read = zeros = 0
+    for walk in _factor_list_walks():
+        prev, prev_bp = (1, 0, ()), BracketProduct.one()
+        for t in walk:
+            bp = t if isinstance(t, BracketProduct) else BracketProduct.from_pochhammers(*t)
+            if isinstance(t, BracketProduct):
+                t = (t.coeff, t.shift, [(m, 1, 1, e) for m, e in t.exps])
+            folded = None
+            if t[0] != 0:
+                folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
+            if folded is None:
+                assert bp.is_zero()
+                zeros += t[0] != 0
+                continue
+            coeff, shift, delta = folded
+            want = _bracket_changes(bp.exps_map(), prev_bp.exps_map())
+            assert sorted((m, d) for m, d in delta.items() if d) == sorted((m, e - p) for m, e, p in want)
+            assert (coeff, shift) == (bp.coeff / prev_bp.coeff, bp.shift - prev_bp.shift)
+            prev, prev_bp = t, bp
+            read += 1
+    assert read > 700 and zeros > 0
+    # Index 0 in a denominator raises, as `from_pochhammers` does.
+    with pytest.raises(ZeroDivisionError):
+        sum_terms_mod([(1, 0, [(1, 1, 1, 1)]), (1, 0, [(0, 2, 2, -1)])], [1, -2, 1], 1)
+
+
+def test_sum_terms_mod_on_factor_lists_matches_products():
+    """`sum_terms_mod` gives the same residues on factor lists as on the
+    products they normalize to."""
+    from qpiverify.qseries import wz_term_factors
+    from qpiverify.wz import WzPairId
+
+    walks = _factor_list_walks()
+    # Brackets that fall and rise again, and fall to negative exponents.
+    walks.append([wz_term_factors(WzPairId.PAIR_L2, "G", n, n - 3) for n in range(3, 12)][::-1])
+    for walk in walks:
+        products = [t if isinstance(t, BracketProduct) else BracketProduct.from_pochhammers(*t) for t in walk]
+        for n in (3, 7):
+            for mod in (expand_bracket_powers({n: 2}), expand_cyclo_powers({n: 2})):
+                assert sum_terms_mod(walk, mod, n) == sum_terms_mod(products, mod, n)
 
 
 def test_list_mod_and_exact_division():

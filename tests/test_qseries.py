@@ -13,6 +13,7 @@ from qpiverify.qseries import (
     partial_sum,
     q_integer,
     q_pochhammer,
+    series_factors,
     series_range,
     series_terms,
     summand,
@@ -279,3 +280,9 @@ def test_series_terms_and_range():
         series_terms(SeriesId.SUN_LHS, 9, 5)
     with pytest.raises(ValueError):
         series_range(SeriesId.A2_RHS, None)
+    # The factor lists cover the same range and normalize to the terms.
+    for sid, n, upper in [(SeriesId.SUN_LHS, 9, 4), (SeriesId.A2_RHS, 6, 6), (SeriesId.WHIPPLE_LHS, 11, 5)]:
+        factors = series_factors(sid, n, upper)
+        assert [BracketProduct.from_pochhammers(*f) for f in factors] == series_terms(sid, n, upper)
+    with pytest.raises(ValueError):
+        series_factors(SeriesId.SUN_LHS, 9, 5)
