@@ -13,7 +13,6 @@ from .congruences import (
     congruent_zero,
     euler_number,
     legendre_symbol,
-    mod_reduce,
     modulus_build,
     verify_intro,
     verify_modsun,
@@ -68,7 +67,6 @@ __all__ = [
     "euler_number",
     "legendre_symbol",
     "limit_scan",
-    "mod_reduce",
     "modulus_build",
     "partial_sum",
     "poly_gcd",

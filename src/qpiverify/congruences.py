@@ -28,9 +28,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .factored import (
-    BracketProduct,
     FactoredSum,
+    FactorList,
     divide_out_cyclotomic,
+    negated,
     sum_terms,
     sum_terms_mod,
     u_fold,
@@ -53,9 +54,7 @@ from .qseries import (
     WzPairId,
     parity_power,
     series_factors,
-    series_terms,
     sun_closed_form,
-    wz_term_brackets,
     wz_term_factors,
 )
 from .ratfunc import RatFunc
@@ -171,16 +170,6 @@ def _rational_lift(x: list[int], P: int) -> list[Fraction] | None:
     return out
 
 
-def mod_reduce(r: RatFunc, ctx: ModulusContext) -> Poly:
-    """Residue of a rational function in Q[q]/(modulus), through `_residue`.
-
-    Negative q-powers live in the denominator of `r` and are cleared through
-    the same inverse computation; q itself is always invertible here since
-    the modulus has nonzero constant term.
-    """
-    return _residue(r.num, r.den, ctx.modulus)
-
-
 def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckResult:
     """Reduced-form congruence r == 0 (mod m): m | num(r) and gcd(den(r), m) = 1,
     for m integral and monic up to a scalar.  Both halves are read off
@@ -199,9 +188,9 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
 
 
 def _check_congruence_modular(
-    terms, rhs: BracketProduct, ctx: ModulusContext, label: str
+    terms: list[FactorList], rhs: FactorList, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    acc, den, den_brackets = sum_terms_mod([-rhs, *terms], ctx.coeffs, ctx.n)
+    acc, den, den_brackets = sum_terms_mod([negated(rhs), *terms], ctx.coeffs, ctx.n)
     # The accumulated denominator is an integer times a q-power times
     # brackets (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
@@ -219,12 +208,12 @@ def _check_congruence_modular(
 
 
 def _check_congruence_exact(
-    terms, rhs: BracketProduct, ctx: ModulusContext, label: str
+    terms: list[FactorList], rhs: FactorList, ctx: ModulusContext, label: str
 ) -> CheckResult:
     # The right side goes first.  Like the k = 0 summand it lacks the
     # series' brackets, so binary splitting multiplies them into one run
     # holding both; last, it would be multiplied by all of them on its own.
-    fs = sum_terms([-rhs, *terms])
+    fs = sum_terms([negated(rhs), *terms])
     if fs.is_zero():
         return CheckResult(True, label)
     # Every factor Phi_d of M divides u = q^n - 1, so Phi_d^k divides u^K for
@@ -292,19 +281,17 @@ def verify_modsun(n: int, path: str = "auto") -> CheckResult:
         raise ValueError("path must be auto, modular, or exact")
     resolved = "modular" if path in ("auto", "modular") else "exact"
     ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-    rhs = sun_closed_form(n)
     label = f"modsun n={n} ({resolved})"
-    if resolved == "modular":
-        return _check_congruence_modular(series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2), rhs, ctx, label)
-    return _check_congruence_exact(series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2), rhs, ctx, label)
+    check = _check_congruence_modular if resolved == "modular" else _check_congruence_exact
+    return check(series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2), sun_closed_form(n), ctx, label)
 
 
 #: Largest composite n handled by the exact rational-function path by default.
 #: The path folds its sum's numerator once modulo (q^n - 1)^K and counts the
 #: factors of M, or builds a failure's witness, from that short residue, so
-#: the exact sum and the fold set its cost: J2 at n = 99, the largest case,
-#: takes about 0.8 s on a 2-CPU machine, against about 50 ms at n = 45
-#: (`verify-congruence --which J2 --n-list 99`, by the report's elapsed_ms).
+#: the exact sum and the fold set its cost.  J2 at n = 99 is the largest
+#: case: its sum's numerator has 58,312 coefficients of up to 186 bits, and
+#: the fold takes K = 97.
 DEFAULT_EXACT_LIMIT = 99
 
 
@@ -319,9 +306,9 @@ def verify_intro(
 
     PAIR_J2 is stated for every odd n; PAIR_L2 only for odd prime powers
     (pass exploratory=True to evaluate other odd n anyway).  Both routes sum
-    the terms as built, the modular one as their factor lists: prime n runs
-    on the modular fast path, composite n needs the exact path, whose size
-    is capped by `exact_limit`.
+    the same factor lists, the right side's included: prime n runs on the
+    modular fast path, composite n needs the exact path, whose size is
+    capped by `exact_limit`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
@@ -335,7 +322,7 @@ def verify_intro(
         e, r = divmod(-(n - 1) * (n + 5), 8)
         if r:
             raise ArithmeticError("odd n must make the exponent integral")
-    rhs = BracketProduct.from_pochhammers(parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
+    rhs = parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)]
     ctx = modulus_build(n, ModulusKind.N_PHI)
     if path == "auto":
         resolved = "modular" if is_prime(n) else "exact"
@@ -347,16 +334,13 @@ def verify_intro(
         raise NonInvertibleDenominator(
             f"intro {pair.value} n={n}: modular path requires prime n"
         )
-    label = f"intro {pair.value} n={n} ({resolved})"
-    if resolved == "modular":
-        terms = [wz_term_factors(pair, "F", k, 0) for k in range(n)]
-        return _check_congruence_modular(terms, rhs, ctx, label)
-    if n > exact_limit:
+    if resolved == "exact" and n > exact_limit:
         raise ExactPathLimit(
             f"intro {pair.value} n={n}: exact path capped at n <= {exact_limit}"
         )
-    terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
-    return _check_congruence_exact(terms, rhs, ctx, label)
+    label = f"intro {pair.value} n={n} ({resolved})"
+    check = _check_congruence_modular if resolved == "modular" else _check_congruence_exact
+    return check([wz_term_factors(pair, "F", k, 0) for k in range(n)], rhs, ctx, label)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +421,10 @@ def verify_sun(p: int, min_valuation: int = 3) -> tuple[PadicWitness, CheckResul
 def check_square_completion(n: int, j: int) -> bool:
     """Exact Laurent identity
     (1-q^(n-2j+1))(1-q^(n+2j-1)) + (1-q^(2j-1))^2 q^(n-2j+1) = (1-q^n)^2."""
-    bracket = BracketProduct.from_exponent
     a = n - 2 * j + 1
     terms = [
-        bracket(a) * bracket(n + 2 * j - 1),
-        (bracket(2 * j - 1) ** 2).times_q_power(a),
-        -(bracket(n) ** 2),
+        (1, 0, [(a, 1, 1, 1), (n + 2 * j - 1, 1, 1, 1)]),
+        (1, a, [(2 * j - 1, 1, 1, 2)]),
+        (-1, 0, [(n, 1, 1, 2)]),
     ]
     return sum_terms(terms).is_zero()

@@ -8,6 +8,11 @@ bracket splits into distinct irreducible cyclotomic factors, products can be
 reduced exactly without any polynomial gcd, and sums of many such terms can be
 accumulated over a structured common denominator with a few big-integer
 operations per bracket, on polynomials packed into single ints (`Packing`).
+
+Both summation kernels take each summand as a factor list (`FactorList`), a
+product of q-shifted factorials: `sum_terms` normalizes each list with one
+`BracketProduct.from_pochhammers` call, and `sum_terms_mod` reads each term
+ratio off two consecutive lists.
 """
 from __future__ import annotations
 
@@ -107,66 +112,11 @@ class BracketProduct:
     def zero() -> BracketProduct:
         return _ZERO_BP
 
-    @staticmethod
-    def from_exponent(e: int, power: int = 1) -> BracketProduct:
-        """(1 - q**e)**power for any integer e."""
-        return BracketProduct.make(1, 0, {e: power})
-
-    @staticmethod
-    def pochhammer(base_exp: int, step: int, count: int) -> BracketProduct:
-        """(q**base_exp; q**step)_count, for any integer count."""
-        return BracketProduct.from_pochhammers(1, 0, [(base_exp, step, count, 1)])
-
-    @staticmethod
-    def q_integer(m: int) -> BracketProduct:
-        """[m] = (1 - q**m)/(1 - q), extended to any integer m; [0] = 0."""
-        return BracketProduct.from_pochhammers(1, 0, [(m, 1, 1, 1), (1, 1, 1, -1)])
-
     def is_zero(self) -> bool:
         return self.coeff == 0
 
     def exps_map(self) -> dict[int, int]:
         return dict(self.exps)
-
-    def __mul__(self, other: BracketProduct) -> BracketProduct:
-        if self.is_zero() or other.is_zero():
-            return _ZERO_BP
-        exps = self.exps_map()
-        for m, e in other.exps:
-            exps[m] = exps.get(m, 0) + e
-        return BracketProduct.make(self.coeff * other.coeff, self.shift + other.shift, exps)
-
-    def __truediv__(self, other: BracketProduct) -> BracketProduct:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero factored product")
-        if self.is_zero():
-            return _ZERO_BP
-        exps = self.exps_map()
-        for m, e in other.exps:
-            exps[m] = exps.get(m, 0) - e
-        return BracketProduct.make(self.coeff / other.coeff, self.shift - other.shift, exps)
-
-    def __pow__(self, n: int) -> BracketProduct:
-        if n < 0:
-            raise ValueError("negative power; divide explicitly instead")
-        if self.is_zero():
-            return _ZERO_BP if n else _ONE_BP
-        return BracketProduct.make(
-            self.coeff**n, self.shift * n, {m: e * n for m, e in self.exps}
-        )
-
-    def __neg__(self) -> BracketProduct:
-        # Negating the coefficient keeps the normal form (zero stays zero).
-        return BracketProduct(-self.coeff, self.shift, self.exps)
-
-    def times_q_power(self, e: int) -> BracketProduct:
-        if self.is_zero():
-            return _ZERO_BP
-        return BracketProduct(self.coeff, self.shift + e, self.exps)
-
-    def substitute_q_inverse(self) -> BracketProduct:
-        """The factored form of the value at q -> 1/q."""
-        return BracketProduct.make(self.coeff, -self.shift, {-m: e for m, e in self.exps})
 
     def cyclo_mults(self) -> dict[int, int]:
         """Multiplicity of each irreducible cyclotomic factor."""
@@ -198,6 +148,12 @@ _ONE_BP = BracketProduct(Fraction(1), 0, ())
 
 #: (coeff, shift, factors): the arguments of `BracketProduct.from_pochhammers`.
 FactorList = tuple[Fraction | int, int, Sequence[tuple[int, int, int, int]]]
+
+
+def negated(t: FactorList) -> FactorList:
+    """The factor list of -t."""
+    coeff, shift, factors = t
+    return -coeff, shift, factors
 
 
 def _fold_indices(
@@ -437,8 +393,13 @@ def _join(pack: Packing, left, right):
     return v + v2, low, o
 
 
-def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
-    """Exact sum of factored terms over their least common denominator.
+def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
+    """Exact sum of factor lists over their least common denominator.
+
+    Each list (coeff, shift, factors) is normalized once, by
+    `BracketProduct.from_pochhammers`, into the term t_i; a list with coeff 0
+    or index 0 in its numerator is zero, and index 0 in its denominator
+    raises ZeroDivisionError.
 
     With e_im the exponent of bracket m in t_i (0 if t_i has none) and min_m
     its minimum over all terms, each cofactor t_i / prefactor is
@@ -468,7 +429,7 @@ def sum_terms(terms: Iterable[BracketProduct]) -> FactoredSum:
     w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
     root is unpacked once, up to its top nonzero slot.
     """
-    live = [t for t in terms if not t.is_zero()]
+    live = [t for t in (BracketProduct.from_pochhammers(*f) for f in terms) if not t.is_zero()]
     if not live:
         return FactoredSum(BracketProduct.one(), [])
 
@@ -609,15 +570,16 @@ def _ratio_walk(ratios, step, lin):
 
 
 def sum_terms_mod(
-    terms: Iterable[BracketProduct | FactorList], mod: Sequence[int], n: int
+    terms: Iterable[FactorList], mod: Sequence[int], n: int
 ) -> tuple[list[int], list[int], dict[int, int]]:
     """Residues (A, D) with sum(terms) = A / D in Q[q]/(mod), plus the bracket
     multiset of D.  `mod` must be monic and divide (1 - q**n)**2.
 
-    A term is a factor list (coeff, shift, factors), the value of
-    `BracketProduct.from_pochhammers(coeff, shift, factors)`, or a
-    BracketProduct, read as its list of single brackets (m, 1, 1, e).  A list
-    whose coeff is 0 is zero.
+    Each term is a factor list (coeff, shift, factors), the value of
+    `BracketProduct.from_pochhammers(coeff, shift, factors)`, which is never
+    built.  A list whose coeff is 0 is zero, whatever its factors; in any
+    other list, index 0 in the numerator makes it zero and in a denominator
+    raises ZeroDivisionError.
 
     Term ratios.  Let E_i be the exponents that `from_pochhammers` sums for
     the i-th nonzero term, on any integer indices, and E_(-1) = 0 for the
@@ -686,8 +648,6 @@ def sum_terms_mod(
     # terms; `exps` is the running map of the current term's exponents.
     changes, heads, exps, prev = [], [], {}, (1, 0, ())
     for t in terms:
-        if isinstance(t, BracketProduct):
-            t = (t.coeff, t.shift, [(m, 1, 1, e) for m, e in t.exps])
         if t[0] == 0:
             continue
         folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))

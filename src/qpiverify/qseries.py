@@ -16,16 +16,15 @@ Every summand has one definition: a factor list (coeff, shift, factors),
 coeff * q**shift * prod (q**base; q**step)_count**power over the
 (base, step, count, power) factors, which are the arguments of
 `BracketProduct.from_pochhammers` (`wz_term_factors`, `summand_factors`,
-`series_factors`).  The exact route normalizes each list once, with one
-`from_pochhammers` call (`wz_term_brackets`, `summand_brackets`,
-`series_terms`), for the exact summation engine; the modular walk
-`sum_terms_mod` reads the lists directly, taking each term ratio off two
-consecutive lists, so it builds no normalized product per term.  Summands
-are addressed by a SeriesId tag, and each one is also available as a fully
-reduced rational function (`summand`).  The two
-construction routes are independent: `q_pochhammer` and `q_integer` multiply
-the defining factors out directly, while the factored route goes through the
-factor lists, so the test suite can play them against each other.
+`series_factors`), and both summation engines take the lists: `sum_terms`
+normalizes each once, with one `from_pochhammers` call, and `sum_terms_mod`
+takes each term ratio off two consecutive lists, so it builds no normalized
+product per term.  `summand_brackets` and `wz_term_brackets` give one
+summand in normal form.  Summands are addressed by a SeriesId tag, and each
+one is also available as a fully reduced rational function (`summand`).  The
+two construction routes are independent: `q_pochhammer` and `q_integer`
+multiply the defining factors out directly, while the factored route goes
+through the factor lists, so the test suite can play them against each other.
 """
 from __future__ import annotations
 
@@ -142,13 +141,13 @@ def parity_power(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def sun_closed_form(n: int) -> BracketProduct:
-    """(-q)**((1 - n**2)/8) for odd n: the right side of the modsun
-    congruence and of the Whipple-type sum."""
+def sun_closed_form(n: int) -> FactorList:
+    """(-q)**((1 - n**2)/8) for odd n, as a factor list: the right side of
+    the modsun congruence and of the Whipple-type sum."""
     e, r = divmod(1 - n * n, 8)
     if r:
         raise ArithmeticError("odd n must have n^2 = 1 (mod 8)")
-    return BracketProduct.make(parity_power(e), e, {})
+    return parity_power(e), e, []
 
 
 def wz_term_factors(pair: WzPairId, which: str, n: int, k: int) -> FactorList:
@@ -222,29 +221,17 @@ def summand(sid: SeriesId, n: int | None, k: int) -> RatFunc:
     return summand_brackets(sid, n, k).to_ratfunc()
 
 
-def _series_indices(sid: SeriesId, n: int | None, upper: int) -> tuple[range, int | None]:
-    """The indices k from the series' start through `upper`, and the n to
-    pass to the summand.  For SUN_LHS the parameter n only bounds the range
-    (the summand itself does not depend on it), so it is not passed down."""
+def series_factors(sid: SeriesId, n: int | None, upper: int) -> list[FactorList]:
+    """The summands' factor lists from the series' start index through
+    `upper`.  For SUN_LHS the parameter n only bounds the range (the summand
+    itself does not depend on it), so it is not passed down."""
     start, end = series_range(sid, n)
     if upper < start or (end is not None and upper > end):
         raise ValueError(f"upper={upper} outside the range of {sid.value}")
-    return range(start, upper + 1), n if sid in N_DEPENDENT else None
-
-
-def series_factors(sid: SeriesId, n: int | None, upper: int) -> list[FactorList]:
-    """The summands' factor lists from the series' start index through `upper`."""
-    ks, n_arg = _series_indices(sid, n, upper)
-    return [summand_factors(sid, n_arg, k) for k in ks]
-
-
-def series_terms(sid: SeriesId, n: int | None, upper: int) -> list[BracketProduct]:
-    """Factored summands from the series' start index through `upper`: the
-    `series_factors` lists, normalized."""
-    ks, n_arg = _series_indices(sid, n, upper)
-    return [summand_brackets(sid, n_arg, k) for k in ks]
+    n_arg = n if sid in N_DEPENDENT else None
+    return [summand_factors(sid, n_arg, k) for k in range(start, upper + 1)]
 
 
 def partial_sum(sid: SeriesId, n: int | None, upper: int) -> RatFunc:
     """Exact sum of the summands from the start of the range through `upper`."""
-    return sum_terms(series_terms(sid, n, upper)).to_ratfunc()
+    return sum_terms(series_factors(sid, n, upper)).to_ratfunc()

@@ -14,8 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .factored import BracketProduct, sum_terms
-from .qseries import SeriesId, WzPairId, series_range, series_terms, sun_closed_form, wz_term_brackets
+from .factored import FactorList, negated, sum_terms
+from .qseries import (
+    SeriesId,
+    WzPairId,
+    series_factors,
+    series_range,
+    sun_closed_form,
+    wz_term_brackets,
+    wz_term_factors,
+)
 from .ratfunc import RatFunc
 
 
@@ -57,10 +65,10 @@ def check_telescoping(pair: WzPairId, n: int, k: int) -> CheckResult:
         raise ValueError("k must be >= 1")
     label = f"telescoping {pair.value} n={n} k={k}"
     terms = [
-        wz_term_brackets(pair, "F", n, k - 1),
-        -wz_term_brackets(pair, "F", n, k),
-        -wz_term_brackets(pair, "G", n + 1, k),
-        wz_term_brackets(pair, "G", n, k),
+        wz_term_factors(pair, "F", n, k - 1),
+        negated(wz_term_factors(pair, "F", n, k)),
+        negated(wz_term_factors(pair, "G", n + 1, k)),
+        wz_term_factors(pair, "G", n, k),
     ]
     diff = sum_terms(terms)
     if diff.is_zero():
@@ -68,26 +76,27 @@ def check_telescoping(pair: WzPairId, n: int, k: int) -> CheckResult:
     return CheckResult(False, label, witness=diff.to_ratfunc())
 
 
-def identity_terms(ident: IdentityId, n: int) -> tuple[list[BracketProduct], list[BracketProduct]]:
-    """Factored summands of the left and right sides of a finite identity."""
+def identity_terms(ident: IdentityId, n: int) -> tuple[list[FactorList], list[FactorList]]:
+    """The summands' factor lists of the left and right sides of a finite
+    identity."""
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def full(sid: SeriesId) -> list[BracketProduct]:
-        return series_terms(sid, n, series_range(sid, n)[1])
+    def full(sid: SeriesId) -> list[FactorList]:
+        return series_factors(sid, n, series_range(sid, n)[1])
 
     # The left sides sum the J2/L2 series over 0 <= k < n.
     if ident is IdentityId.ID_A2:
-        lhs, rhs = series_terms(SeriesId.J2_LHS, None, n - 1), full(SeriesId.A2_RHS)
+        lhs, rhs = series_factors(SeriesId.J2_LHS, None, n - 1), full(SeriesId.A2_RHS)
     elif ident is IdentityId.ID_A3:
-        lhs, rhs = series_terms(SeriesId.J2_LHS, None, n - 1), full(SeriesId.A3_RHS)
+        lhs, rhs = series_factors(SeriesId.J2_LHS, None, n - 1), full(SeriesId.A3_RHS)
     elif ident is IdentityId.ID_SECOND:
         # The left side is the alternating sum without the q^(3k^2) weight,
         # i.e. F(k, 0) of the second WZ pair.
-        lhs = [wz_term_brackets(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
+        lhs = [wz_term_factors(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
         rhs = full(SeriesId.SECOND_RHS)
     elif ident is IdentityId.ID_SECOND2:
-        lhs, rhs = series_terms(SeriesId.L2_LHS, None, n - 1), full(SeriesId.SECOND2_RHS)
+        lhs, rhs = series_factors(SeriesId.L2_LHS, None, n - 1), full(SeriesId.SECOND2_RHS)
     elif ident is IdentityId.ID_WHIPPLE:
         if n % 2 == 0:
             raise ValueError("the Whipple-type identity requires odd n")
@@ -101,7 +110,7 @@ def check_identity(ident: IdentityId, n: int) -> CheckResult:
     """Exact check that LHS(n) - RHS(n) is the zero rational function."""
     label = f"{ident.value} n={n}"
     lhs, rhs = identity_terms(ident, n)
-    diff = sum_terms(lhs + [-t for t in rhs])
+    diff = sum_terms(lhs + [negated(t) for t in rhs])
     if diff.is_zero():
         return CheckResult(True, label)
     return CheckResult(False, label, witness=diff.to_ratfunc())

@@ -253,9 +253,8 @@ def test_pole_at_the_modulus_is_an_ill_posed_row(capsys, monkeypatch):
     denominator share a factor with the modulus: GcdNotCoprime, reported as
     an ill-posed row."""
     from qpiverify import congruences
-    from qpiverify.factored import BracketProduct
 
-    monkeypatch.setattr(congruences, "sun_closed_form", lambda n: BracketProduct.make(1, 0, {n: -1}))
+    monkeypatch.setattr(congruences, "sun_closed_form", lambda n: (1, 0, [(n, 1, 1, -1)]))
     argv = ["verify-congruence", "--which", "modsun", "--n-list", "3,5", "--path", "exact", "--format", "json"]
     code, out = run_capture(capsys, argv)
     report = json.loads(out)

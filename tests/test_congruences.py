@@ -7,21 +7,21 @@ from qpiverify.congruences import (
     GcdNotCoprime,
     ModulusKind,
     NonInvertibleDenominator,
+    _residue,
     check_square_completion,
     congruent_zero,
     euler_number,
     is_prime,
     is_prime_power,
     legendre_symbol,
-    mod_reduce,
     modulus_build,
     verify_intro,
     verify_modsun,
     verify_sun,
 )
-from qpiverify.factored import BracketProduct
+from qpiverify.factored import BracketProduct, negated
 from qpiverify.polys import Poly, cyclotomic
-from qpiverify.qseries import SeriesId, partial_sum
+from qpiverify.qseries import SeriesId, partial_sum, series_factors, sun_closed_form, wz_term_factors
 from qpiverify.ratfunc import RatFunc
 from qpiverify.wz import WzPairId
 
@@ -45,14 +45,19 @@ def test_modulus_build_rejects_even():
         modulus_build(4, ModulusKind.PHI_SQUARED)
 
 
+def _reduced(r, ctx):
+    """The residue of a rational function in Q[q]/(modulus)."""
+    return _residue(r.num, r.den, ctx.modulus)
+
+
 def test_mod_reduce_constant():
     ctx = modulus_build(3, ModulusKind.PHI_SQUARED)
-    assert mod_reduce(RatFunc.one(), ctx) == Poly.one()
+    assert _reduced(RatFunc.one(), ctx) == Poly.one()
 
 
 def test_mod_reduce_inverse_of_q():
     ctx = modulus_build(3, ModulusKind.PHI_SQUARED)
-    r = mod_reduce(RatFunc.q_power(-1), ctx)
+    r = _reduced(RatFunc.q_power(-1), ctx)
     assert r.degree <= 3
     assert (Poly.monomial(1, 1) * r % ctx.modulus) == Poly.one()
 
@@ -60,7 +65,7 @@ def test_mod_reduce_inverse_of_q():
 def test_mod_reduce_noninvertible():
     ctx = modulus_build(3, ModulusKind.PHI_SQUARED)
     with pytest.raises(NonInvertibleDenominator):
-        mod_reduce(RatFunc(Poly([1]), Poly([1, 0, 0, -1])), ctx)  # 1/(1-q^3)
+        _reduced(RatFunc(Poly([1]), Poly([1, 0, 0, -1])), ctx)  # 1/(1-q^3)
 
 
 def test_mod_reduce_is_ring_homomorphism():
@@ -82,16 +87,16 @@ def test_mod_reduce_is_ring_homomorphism():
 
     for _ in range(40):
         a, b = rand_rf(), rand_rf()
-        ra, rb = mod_reduce(a, ctx), mod_reduce(b, ctx)
-        assert mod_reduce(a * b, ctx) == (ra * rb) % mod
-        assert mod_reduce(a + b, ctx) == (ra + rb) % mod
+        ra, rb = _reduced(a, ctx), _reduced(b, ctx)
+        assert _reduced(a * b, ctx) == (ra * rb) % mod
+        assert _reduced(a + b, ctx) == (ra + rb) % mod
 
 
 def test_mod_reduce_inverse_contract():
     ctx = modulus_build(5, ModulusKind.PHI_SQUARED)
     d = RatFunc.from_poly(Poly([1, 1]))
-    inv = mod_reduce(RatFunc.one() / d, ctx)
-    direct = mod_reduce(d, ctx)
+    inv = _reduced(RatFunc.one() / d, ctx)
+    direct = _reduced(d, ctx)
     assert (inv * direct % ctx.modulus) == Poly.one()
 
 
@@ -176,7 +181,8 @@ def test_verify_intro_validation():
     assert result.case_label.startswith("intro L2 n=15")
 
 
-def test_exact_path_limit():
+def test_exact_path_limit(monkeypatch):
+    import qpiverify.congruences as congruences
     from qpiverify.congruences import ExactPathLimit
 
     with pytest.raises(ExactPathLimit):
@@ -184,6 +190,14 @@ def test_exact_path_limit():
     assert verify_intro(WzPairId.PAIR_J2, 33).passed  # the default limit is 99
     with pytest.raises(ExactPathLimit):
         verify_intro(WzPairId.PAIR_J2, 101, path="exact")
+    # Both path checks raise before any term is built.
+    built = []
+    monkeypatch.setattr(congruences, "wz_term_factors", lambda *args: built.append(args))
+    with pytest.raises(ExactPathLimit):
+        verify_intro(WzPairId.PAIR_J2, 101, path="exact")
+    with pytest.raises(NonInvertibleDenominator):
+        verify_intro(WzPairId.PAIR_J2, 33, path="modular")
+    assert not built
 
 
 def test_euler_numbers():
@@ -266,13 +280,11 @@ def test_failing_congruence_witnesses_agree_across_paths():
         _check_congruence_modular,
         modulus_build,
     )
-    from qpiverify.factored import BracketProduct
-    from qpiverify.qseries import SeriesId, series_terms
 
-    wrong_rhs = BracketProduct.make(1, 0, {})  # the true right side is (-q)^((1-n^2)/8)
+    wrong_rhs = (1, 0, [])  # the true right side is (-q)^((1-n^2)/8)
     for n in (7, 15, 21, 29, 45):
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
         modular = _check_congruence_modular(terms, wrong_rhs, ctx, "wrong modular")
         exact = _check_congruence_exact(terms, wrong_rhs, ctx, "wrong exact")
         assert not modular.passed and not exact.passed
@@ -282,12 +294,11 @@ def test_failing_congruence_witnesses_agree_across_paths():
 
 def test_exact_path_ill_posed_raises():
     from qpiverify.congruences import ModulusKind, _check_congruence_exact, modulus_build
-    from qpiverify.factored import BracketProduct
 
     ctx = modulus_build(3, ModulusKind.PHI_SQUARED)
-    bad_term = BracketProduct.make(1, 0, {3: -1})  # 1/(1-q^3): pole at the modulus
+    bad_term = (1, 0, [(3, 1, 1, -1)])  # 1/(1-q^3): pole at the modulus
     with pytest.raises(GcdNotCoprime):
-        _check_congruence_exact([bad_term], BracketProduct.one(), ctx, "ill-posed")
+        _check_congruence_exact([bad_term], (1, 0, []), ctx, "ill-posed")
 
 
 def test_modular_path_ill_posed_raises():
@@ -296,12 +307,11 @@ def test_modular_path_ill_posed_raises():
     import re
 
     from qpiverify.congruences import _check_congruence_modular
-    from qpiverify.qseries import series_terms, sun_closed_form
 
     n = 9
     ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-    terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-    pole = BracketProduct.make(1, 0, {n: -1})
+    terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
+    pole = (1, 0, [(n, 1, 1, -1)])
     message = re.escape("denominator bracket 1-q^9 shares the index-9 cyclotomic")
     with pytest.raises(NonInvertibleDenominator, match=message):
         _check_congruence_modular(terms, pole, ctx, "pole rhs")
@@ -312,20 +322,19 @@ def test_modular_path_ill_posed_raises():
 def _exact_case(case, n, rhs_shift=0):
     """The terms, right side and modulus context of an exact-path check, with
     the right side times q**rhs_shift."""
-    from qpiverify.qseries import parity_power, series_terms, sun_closed_form
-    from qpiverify.wz import wz_term_brackets
+    from qpiverify.qseries import parity_power
 
     if case == "modsun":
-        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-        rhs = sun_closed_form(n)
+        terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        coeff, shift, factors = sun_closed_form(n)
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
     else:
         pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
-        terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
+        terms = [wz_term_factors(pair, "F", k, 0) for k in range(n)]
         e = (1 - n) // 2 if case == "J2" else -(n - 1) * (n + 5) // 8
-        rhs = BracketProduct.from_pochhammers(parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
+        coeff, shift, factors = parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)]
         ctx = modulus_build(n, ModulusKind.N_PHI)
-    return terms, rhs.times_q_power(rhs_shift), ctx
+    return terms, (coeff, shift + rhs_shift, factors), ctx
 
 
 def _dense_cyclo_multiplicity(fs, d, need):
@@ -358,7 +367,7 @@ def test_cyclo_multiplicity_matches_the_dense_count(case, n):
     from qpiverify.factored import FactoredSum, sum_terms, u_fold
 
     terms, rhs, ctx = _exact_case(case, n)
-    fs = sum_terms([-rhs, *terms])
+    fs = sum_terms([negated(rhs), *terms])
     pref = fs.prefactor.cyclo_mults()
     for extra in (0, 3):
         needs = {d: mult + extra for d, mult in ctx.factor_mults}
@@ -445,7 +454,7 @@ def test_modular_check_is_one_walk(case, monkeypatch):
     `sum_terms_mod` walk, on the list [-rhs, *terms]; the terms go in as
     factor lists, which normalize to the summands."""
     import qpiverify.congruences as congruences
-    from qpiverify.qseries import parity_power, series_terms, sun_closed_form
+    from qpiverify.qseries import parity_power, summand_brackets
     from qpiverify.wz import wz_term_brackets
 
     calls = []
@@ -459,24 +468,26 @@ def test_modular_check_is_one_walk(case, monkeypatch):
     if case == "modsun":
         n = 15
         result = verify_modsun(n, path="modular")
-        want = [-sun_closed_form(n), *series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)]
+        e = (1 - n * n) // 8
+        want = [BracketProduct.make(-parity_power(e), e)]
+        want += [summand_brackets(SeriesId.SUN_LHS, None, k) for k in range((n + 1) // 2)]
         assert len(want) == 9
     else:
         n, e = 11, -5
         result = verify_intro(WzPairId.PAIR_J2, n, path="modular")
-        rhs = BracketProduct.from_pochhammers(parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
-        want = [-rhs, *(wz_term_brackets(WzPairId.PAIR_J2, "F", k, 0) for k in range(n))]
+        rhs = BracketProduct.from_pochhammers(-parity_power(e), e, [(n, 1, 1, 1), (1, 1, 1, -1)])
+        want = [rhs, *(wz_term_brackets(WzPairId.PAIR_J2, "F", k, 0) for k in range(n))]
         assert len(want) == 12
     assert result.passed
     [walked] = calls
-    assert [t if isinstance(t, BracketProduct) else BracketProduct.from_pochhammers(*t) for t in walked] == want
+    assert [BracketProduct.from_pochhammers(*t) for t in walked] == want
 
 
 @pytest.mark.parametrize("case, n", [("J2", 97), ("modsun", 99)])
 def test_modular_check_normalizes_no_term(case, n, monkeypatch):
-    """The modular route hands `sum_terms_mod` factor lists and reads each
-    term ratio off them, so `BracketProduct.make` runs for the right side
-    only, not once per term."""
+    """The modular route hands `sum_terms_mod` factor lists, the right
+    side's included, and reads each term ratio off them, so
+    `BracketProduct.make` never runs."""
     made = []
     make = BracketProduct.make
 
@@ -490,7 +501,7 @@ def test_modular_check_normalizes_no_term(case, n, monkeypatch):
     else:
         result = verify_modsun(n, path="modular")
     assert result.passed
-    assert len(made) <= 2
+    assert not made
 
 
 def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
@@ -502,8 +513,8 @@ def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
 
     n = 7
     ctx = modulus_build(n, ModulusKind.N_PHI)
-    terms = [wz_term_brackets(WzPairId.PAIR_J2, "F", k, 0) for k in range(n)]
-    assert any(m == 7 and e > 0 for m, e in terms[1].exps)
+    terms = [wz_term_factors(WzPairId.PAIR_J2, "F", k, 0) for k in range(n)]
+    assert any(m == 7 and e > 0 for m, e in wz_term_brackets(WzPairId.PAIR_J2, "F", 1, 0).exps)
     _, _, den_brackets = sum_terms_mod(terms, ctx.coeffs, n)
     assert den_brackets and all(m % n for m in den_brackets)
 
@@ -511,19 +522,13 @@ def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
 def _intro_split_terms(pair, n):
     """The intro terms with every [6k+1] split into two terms, as the
     modular path once received them.  `sum_terms_mod` must still give these
-    lists bit-identical residues, so the pins below keep them as inputs."""
-    from qpiverify.factored import BracketProduct
-    from qpiverify.qseries import series_terms
-    from qpiverify.wz import wz_term_brackets
-
-    if pair is WzPairId.PAIR_J2:
-        terms = series_terms(SeriesId.J2_LHS, None, n - 1)
-    else:
-        terms = [wz_term_brackets(WzPairId.PAIR_L2, "F", k, 0) for k in range(n)]
+    lists bit-identical residues, so the pins below keep them as inputs: the
+    summand F(k, 0) / (1 - q^(6k+1)) and its negative times q^(6k+1)."""
     split = []
-    for k, t in enumerate(terms):
-        u = t / BracketProduct.from_exponent(6 * k + 1)
-        split += [u, -u.times_q_power(6 * k + 1)]
+    for k in range(n):
+        coeff, shift, factors = wz_term_factors(pair, "F", k, 0)
+        factors = [*factors, (6 * k + 1, 1, 1, -1)]
+        split += [(coeff, shift, factors), (-coeff, shift + 6 * k + 1, factors)]
     return split
 
 
@@ -549,11 +554,10 @@ def test_sum_terms_mod_residues_pinned(case, n):
     import hashlib
 
     from qpiverify.factored import sum_terms_mod
-    from qpiverify.qseries import series_terms
 
     if case == "modsun":
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
     else:
         ctx = modulus_build(n, ModulusKind.N_PHI)
         pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
@@ -597,22 +601,22 @@ def test_modular_walk_on_factor_lists_pinned(case, n, monkeypatch):
 
 _WRONG_RHS_WITNESSES = [
     # q^5 and -q^-7 shift the right side either way; 2q^3(1-q) carries a bracket.
-    ("modsun", 7, BracketProduct.make(1, 5), "-q^8 - q^5 + 2q"),
-    ("modsun", 7, BracketProduct.make(-1, -7), "-q^8 - q^7 + 2q + 2"),
-    ("modsun", 9, BracketProduct.make(2, 3, {1: 1}), "-2q^11 - 5q^8 - 6q^5 + 2q^4 - 2q^3 - 4q^2"),
-    ("J2", 5, BracketProduct.q_integer(5), "q^7 + q^6 + q^5 - q^2 - q - 1"),
-    ("L2", 5, BracketProduct.q_integer(5), "-2q^4 - 2q^3 - 2q^2 - 2q - 2"),
+    ("modsun", 7, (1, 5, []), "-q^8 - q^5 + 2q"),
+    ("modsun", 7, (-1, -7, []), "-q^8 - q^7 + 2q + 2"),
+    ("modsun", 9, (2, 3, [(1, 1, 1, 1)]), "-2q^11 - 5q^8 - 6q^5 + 2q^4 - 2q^3 - 4q^2"),
+    ("J2", 5, (1, 0, [(5, 1, 1, 1), (1, 1, 1, -1)]), "q^7 + q^6 + q^5 - q^2 - q - 1"),
+    ("L2", 5, (1, 0, [(5, 1, 1, 1), (1, 1, 1, -1)]), "-2q^4 - 2q^3 - 2q^2 - 2q - 2"),
     # Zero, two numerator brackets, a squared one, and a denominator other
     # than 1 - q.
-    ("modsun", 7, BracketProduct.zero(), "-q^8 + 2q"),
+    ("modsun", 7, (0, 0, []), "-q^8 + 2q"),
     (
         "modsun",
         9,
-        BracketProduct.make(1, 0, {9: 1, 3: 1, 1: -1}),
+        (1, 0, [(9, 1, 1, 1), (3, 1, 1, 1), (1, 1, 1, -1)]),
         "-q^11 + q^10 + q^9 - 5q^8 - 6q^5 - 5q^2 - q - 1",
     ),
-    ("J2", 7, BracketProduct.make(2, 3, {7: 2, 1: -1}), "-q^10 - q^9 - q^8 - q^7 - q^6 - q^5 - q^4"),
-    ("L2", 5, BracketProduct.make(-1, -2, {5: 1, 2: -1}), "q^7 + 2q^6 + 2q^5 + 2q^4 + 2q^3 + q^2"),
+    ("J2", 7, (2, 3, [(7, 1, 1, 2), (1, 1, 1, -1)]), "-q^10 - q^9 - q^8 - q^7 - q^6 - q^5 - q^4"),
+    ("L2", 5, (-1, -2, [(5, 1, 1, 1), (2, 1, 1, -1)]), "q^7 + 2q^6 + 2q^5 + 2q^4 + 2q^3 + q^2"),
 ]
 
 
@@ -630,20 +634,18 @@ def test_wrong_rhs_witnesses_pinned_at_n97(case):
     import hashlib
 
     from qpiverify.congruences import _check_congruence_modular
-    from qpiverify.qseries import parity_power, series_terms, sun_closed_form
+    from qpiverify.qseries import parity_power
 
     n = 97
     if case == "modsun":
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-        rhs = -sun_closed_form(n)
+        terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        rhs = negated(sun_closed_form(n))
     else:
         ctx = modulus_build(n, ModulusKind.N_PHI)
         terms = _intro_split_terms(WzPairId.PAIR_J2, n)
         e = (1 - n) // 2
-        rhs = BracketProduct.from_pochhammers(
-            parity_power(e), e + 2 * n + 1, [(n, 1, 1, 1), (1, 1, 1, -1)]
-        )
+        rhs = parity_power(e), e + 2 * n + 1, [(n, 1, 1, 1), (1, 1, 1, -1)]
     result = _check_congruence_modular(terms, rhs, ctx, "wrong modular")
     assert not result.passed
     assert hashlib.sha256(str(result.witness).encode()).hexdigest() == _WRONG_RHS_WITNESS_DIGESTS_97[case]
@@ -654,16 +656,15 @@ def test_wrong_rhs_witnesses_pinned(case, n, rhs, witness):
     """Both routes report the same, pinned residue of sum - rhs for wrong
     right sides of every shape."""
     from qpiverify.congruences import _check_congruence_exact, _check_congruence_modular
-    from qpiverify.qseries import series_terms, wz_term_brackets
 
     if case == "modsun":
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
         split = terms
     else:
         ctx = modulus_build(n, ModulusKind.N_PHI)
         pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
-        terms = [wz_term_brackets(pair, "F", k, 0) for k in range(n)]
+        terms = [wz_term_factors(pair, "F", k, 0) for k in range(n)]
         split = _intro_split_terms(pair, n)
     modular = _check_congruence_modular(split, rhs, ctx, "wrong modular")
     exact = _check_congruence_exact(terms, rhs, ctx, "wrong exact")
@@ -695,7 +696,6 @@ def test_slow_witnesses_pinned(shape, n, witness):
     """Witnesses whose denominators are far from reduced: the residue must
     not depend on how the inverse of the denominator is found."""
     from qpiverify.congruences import _check_congruence_modular
-    from qpiverify.qseries import series_terms, sun_closed_form
 
     if shape == "perturbed":
         m = cyclotomic(n) ** 2
@@ -705,8 +705,8 @@ def test_slow_witnesses_pinned(shape, n, witness):
         result = congruent_zero(partial_sum(SeriesId.SUN_LHS, n, (n - 1) // 2) - rhs, m)
     else:
         ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-        terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-        result = _check_congruence_modular(terms, -sun_closed_form(n), ctx, "negated")
+        terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
+        result = _check_congruence_modular(terms, negated(sun_closed_form(n)), ctx, "negated")
     assert not result.passed
     assert str(result.witness) == witness
 
@@ -775,12 +775,11 @@ def test_negated_rhs_fails_on_modular_route_at_n97():
     witness W such that den * W == num (mod M) for the route's num / den."""
     from qpiverify.congruences import _check_congruence_modular
     from qpiverify.factored import sum_terms_mod
-    from qpiverify.qseries import series_terms, sun_closed_form
 
     n = 97
     ctx = modulus_build(n, ModulusKind.PHI_SQUARED)
-    terms = series_terms(SeriesId.SUN_LHS, n, (n - 1) // 2)
-    rhs = -sun_closed_form(n)
+    terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
+    rhs = negated(sun_closed_form(n))
     result = _check_congruence_modular(terms, rhs, ctx, "negated")
     assert not result.passed
     w = result.witness.num

@@ -10,6 +10,7 @@ from qpiverify.factored import (
     BracketProduct,
     Packing,
     SlotOverflow,
+    negated,
     sum_terms,
     sum_terms_mod,
     u_fold,
@@ -28,6 +29,7 @@ from qpiverify.polys import (
     list_div_exact_monic,
     list_divmod_monic,
     list_mod_monic,
+    list_mul,
     list_scale,
     list_trim,
 )
@@ -40,6 +42,16 @@ def rand_bracket_product(rng, rational=True):
     den = rng.randint(1, 3) if rational else 1
     exps = {rng.randint(1, 6): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
     return BracketProduct.make(Fraction(num, den), rng.randint(-4, 4), exps)
+
+
+def _as_list(bp):
+    """A BracketProduct as the factor list of its single brackets."""
+    return bp.coeff, bp.shift, [(m, 1, 1, e) for m, e in bp.exps]
+
+
+def _sum(terms):
+    """sum_terms of BracketProducts, each handed over as its factor list."""
+    return sum_terms([_as_list(t) for t in terms])
 
 
 def test_bracket_kernels_roundtrip():
@@ -76,17 +88,22 @@ def test_expand_cyclo_powers_spot_checks():
     assert Poly(expand_cyclo_powers({1: 2, 4: 1})) == cyclotomic(1) ** 2 * cyclotomic(4)
 
 
+def _poch(base, step, count):
+    """(q**base; q**step)_count in factored form."""
+    return BracketProduct.from_pochhammers(1, 0, [(base, step, count, 1)])
+
+
 def test_pochhammer_zero_factor():
-    assert BracketProduct.pochhammer(0, 2, 1).is_zero()
-    assert BracketProduct.pochhammer(-2, 2, 3).is_zero()  # hits exponent 0 at j=1
-    assert BracketProduct.pochhammer(5, 2, 0) == BracketProduct.one()
-    # (q^-1; q^2)_-1 = 1 / (q^-3; q^2)_1 = 1 / (1 - q^-3)
-    assert BracketProduct.pochhammer(-1, 2, -1) == BracketProduct.one() / BracketProduct.from_exponent(-3)
+    assert _poch(0, 2, 1).is_zero()
+    assert _poch(-2, 2, 3).is_zero()  # hits exponent 0 at j=1
+    assert _poch(5, 2, 0) == BracketProduct.one()
+    # (q^-1; q^2)_-1 = 1 / (q^-3; q^2)_1 = 1 / (1 - q^-3) = -q^3 / (1 - q^3)
+    assert _poch(-1, 2, -1) == BracketProduct.make(1, 0, {-3: -1}) == BracketProduct.make(-1, 3, {3: -1})
 
 
 def test_negative_exponent_normalization():
     # 1 - q^-2 = -q^-2 (1 - q^2)
-    bp = BracketProduct.from_exponent(-2)
+    bp = BracketProduct.make(1, 0, {-2: 1})
     assert bp.coeff == -1 and bp.shift == -2 and bp.exps == ((2, 1),)
     x = Fraction(3)
     assert bp.evaluate(x) == 1 - x**-2
@@ -95,10 +112,13 @@ def test_negative_exponent_normalization():
 def test_q_integer_bracket_form():
     from qpiverify.qseries import q_integer
 
+    def bracket_q_integer(m):  # [m] = (1 - q**m)/(1 - q), for any integer m
+        return BracketProduct.from_pochhammers(1, 0, [(m, 1, 1, 1), (1, 1, 1, -1)])
+
     for m in range(0, 9):
-        assert BracketProduct.q_integer(m).to_ratfunc() == RatFunc.from_poly(q_integer(m))
+        assert bracket_q_integer(m).to_ratfunc() == RatFunc.from_poly(q_integer(m))
     # Laurent extension: [-m] = -q^-m [m]
-    assert BracketProduct.q_integer(-3).evaluate(Fraction(2)) == (1 - Fraction(1, 8)) / (1 - 2)
+    assert bracket_q_integer(-3).evaluate(Fraction(2)) == (1 - Fraction(1, 8)) / (1 - 2)
 
 
 POINTS = [Fraction(2), Fraction(3), Fraction(1, 3), Fraction(-2)]
@@ -131,14 +151,16 @@ def test_make_matches_evaluation():
     with pytest.raises(ZeroDivisionError):
         BracketProduct.make(1, 0, {0: -2})
     with pytest.raises(ZeroDivisionError):
-        BracketProduct.one() / BracketProduct.zero()
+        BracketProduct.from_pochhammers(1, 0, [(0, 1, 1, -1)])
 
 
 def test_from_exponent_zero_index_in_denominator():
-    assert BracketProduct.from_exponent(0, 1).is_zero()
-    assert BracketProduct.from_exponent(0, 0) == BracketProduct.one()
+    """The single bracket (1 - q**0)**e: zero for e > 0, one for e = 0, and
+    no value for e < 0."""
+    assert BracketProduct.make(1, 0, {0: 1}).is_zero()
+    assert BracketProduct.make(1, 0, {0: 0}) == BracketProduct.one()
     with pytest.raises(ZeroDivisionError):
-        BracketProduct.from_exponent(0, -1)
+        BracketProduct.make(1, 0, {0: -1})
 
 
 def _poch_value(base, step, count, x):
@@ -189,7 +211,7 @@ def test_from_pochhammers_matches_definition():
         checked += 1
     assert checked > 150
     with pytest.raises(ValueError):
-        BracketProduct.pochhammer(1, 0, 2)
+        BracketProduct.from_pochhammers(1, 0, [(1, 0, 2, 1)])
 
 
 def test_to_ratfunc_evaluation_oracle():
@@ -204,18 +226,21 @@ def test_to_ratfunc_evaluation_oracle():
 
 
 def test_substitute_q_inverse():
+    """At q -> 1/q, c q**s prod (1 - q**m)**e is c q**-s prod (1 - q**-m)**e,
+    which `make` normalizes."""
     rng = random.Random(8)
     for _ in range(100):
         bp = rand_bracket_product(rng)
         x = Fraction(rng.choice([2, 3, 5]), 1)
-        assert bp.substitute_q_inverse().evaluate(x) == bp.evaluate(1 / x)
+        inverted = BracketProduct.make(bp.coeff, -bp.shift, {-m: e for m, e in bp.exps})
+        assert inverted.evaluate(x) == bp.evaluate(1 / x)
 
 
 def test_sum_terms_against_ratfunc_arithmetic():
     rng = random.Random(9)
     for _ in range(150):
         terms = [rand_bracket_product(rng) for _ in range(rng.randint(1, 5))]
-        engine = sum_terms(terms).to_ratfunc()
+        engine = _sum(terms).to_ratfunc()
         direct = RatFunc.zero()
         for t in terms:
             direct = direct + t.to_ratfunc()
@@ -224,12 +249,26 @@ def test_sum_terms_against_ratfunc_arithmetic():
 
 def test_sum_terms_zero_and_empty():
     assert sum_terms([]).is_zero()
-    assert sum_terms([BracketProduct.zero()]).is_zero()
-    t = BracketProduct.make(1, 0, {2: 1})
-    assert sum_terms([t, -t]).is_zero()
+    assert sum_terms([(0, 0, [])]).is_zero()
+    t = (1, 0, [(2, 1, 1, 1)])
+    assert sum_terms([t, negated(t)]).is_zero()
     # (1 - q^2) - (1 - q) - q (1 - q) cancels through the accumulator.
-    fs = sum_terms([t, BracketProduct.make(-1, 0, {1: 1}), BracketProduct.make(-1, 1, {1: 1})])
+    fs = sum_terms([t, (-1, 0, [(1, 1, 1, 1)]), (-1, 1, [(1, 1, 1, 1)])])
     assert fs.num == [] and fs.is_zero()
+    # Both walks read a list with coeff 0, or with index 0 in its numerator,
+    # as zero, and raise on index 0 in a denominator.
+    mod, n = expand_cyclo_powers({3: 2}), 3
+    for zero in [(0, 2, [(1, 1, 3, 1)]), (5, 1, [(0, 1, 1, 1), (2, 1, 1, -1)]), (1, 0, [(-2, 1, 4, 1)])]:
+        assert sum_terms([zero]).is_zero()
+        assert sum_terms_mod([zero], mod, n) == ([], [1], {})
+        assert sum_terms([zero, t]) == sum_terms([t])
+        assert sum_terms_mod([t, zero, t], mod, n) == sum_terms_mod([t, t], mod, n)
+    for pole in [(1, 0, [(0, 1, 1, -1)]), (2, 1, [(1, 1, 2, 1), (-4, 2, 3, -1)])]:
+        for terms in ([pole], [t, pole]):
+            with pytest.raises(ZeroDivisionError):
+                sum_terms(terms)
+            with pytest.raises(ZeroDivisionError):
+                sum_terms_mod(terms, mod, n)
 
 
 def _value(fs, x):
@@ -248,7 +287,7 @@ def test_sum_terms_matches_evaluation_at_rationals():
             exps = {rng.randint(1, 9): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
             coeff = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
             terms.append(BracketProduct.make(coeff, rng.randint(-6, 6), exps))
-        fs = sum_terms(terms)
+        fs = _sum(terms)
         for x in _POINTS:
             assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
 
@@ -256,7 +295,7 @@ def test_sum_terms_matches_evaluation_at_rationals():
 def test_sum_terms_edge_cases():
     # (1 - q)^80 stays in the cofactor (the other term has no bracket), and
     # its middle binomial coefficients are near 2^77.
-    fs = sum_terms([BracketProduct.make(1, 0, {1: 80}), BracketProduct.make(5, 3)])
+    fs = sum_terms([(1, 0, [(1, 1, 1, 80)]), (5, 3, [])])
     expected = [(-1) ** j * math.comb(80, j) for j in range(81)]
     expected[3] += 5
     assert fs.prefactor == BracketProduct.one() and fs.num == expected
@@ -270,13 +309,12 @@ def test_sum_terms_edge_cases():
         [BracketProduct.make(k - 3, -2 * k, {3: k % 3 - 1, 5: 1}) for k in range(7)],
     ]
     for terms in cases:
-        fs = sum_terms(terms)
+        fs = _sum(terms)
         for x in _POINTS:
             assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
     # One term: everything goes to the prefactor.
-    t = BracketProduct.make(Fraction(-4, 9), -3, {2: 2, 7: -1})
-    fs = sum_terms([t])
-    assert fs.num == [-1] and fs.prefactor == -t
+    fs = sum_terms([(Fraction(-4, 9), -3, [(2, 1, 1, 2), (7, 1, 1, -1)])])
+    assert fs.num == [-1] and fs.prefactor == BracketProduct.make(Fraction(4, 9), -3, {2: 2, 7: -1})
 
 
 def _rise_fall_rise_terms(rng):
@@ -310,7 +348,7 @@ def test_sum_terms_exponents_that_fall_below_the_prefix_minimum():
     rng = random.Random(14)
     for _ in range(150):
         terms = _rise_fall_rise_terms(rng)
-        fs = sum_terms(terms)
+        fs = _sum(terms)
         for x in _POINTS:
             assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
 
@@ -330,11 +368,11 @@ def test_sum_terms_join_shapes():
                 for k in range(n + 1)
             ])
     for terms in cases:
-        fs = sum_terms(terms)
+        fs = _sum(terms)
         for x in _POINTS:
             assert _value(fs, x) == sum(t.evaluate(x) for t in terms)
         for other in [terms[s:] + terms[:s] for s in range(1, len(terms))] + [terms[::-1]]:
-            assert sum_terms(other) == fs
+            assert _sum(other) == fs
 
 
 def _pack(p, coeffs):
@@ -390,8 +428,7 @@ def test_unpack_trim_reads_the_top_slot_off_the_bit_length():
 
 def test_cyclo_multiplicity_counts():
     # (1-q)^2 (1-q^6) / (1-q^3) has Phi_1 multiplicity 2, Phi_2 1, Phi_3 0, Phi_6 1.
-    bp = BracketProduct.make(1, 0, {1: 2, 6: 1, 3: -1})
-    fs = sum_terms([bp])
+    fs = sum_terms([(1, 0, [(1, 1, 1, 2), (6, 1, 1, 1), (3, 1, 1, -1)])])
     assert fs.cyclo_multiplicity(1, 5) == 2
     assert fs.cyclo_multiplicity(2, 5) == 1
     assert fs.cyclo_multiplicity(3, 5) == 0
@@ -426,9 +463,10 @@ def test_sum_terms_mod_matches_exact():
             for _ in range(rng.randint(1, 4)):
                 exps = {rng.choice(ms): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
                 terms.append(BracketProduct.make(rng.randint(-3, 3) or 1, rng.randint(0, 4), exps))
-            acc, den, den_brackets = sum_terms_mod(terms, mod, n)
+            lists = [_as_list(t) for t in terms]
+            acc, den, den_brackets = sum_terms_mod(lists, mod, n)
             assert all(m % d for m in den_brackets for d in mults)
-            exact = sum_terms(terms).to_ratfunc()
+            exact = sum_terms(lists).to_ratfunc()
             # acc/den == exact (mod M): cross-multiply.
             lhs = Poly(acc) * exact.den
             rhs = Poly(den) * exact.num
@@ -462,7 +500,10 @@ def _sum_terms_mod_by_lists(terms, mod, n):
 
     den_brackets, acc, den, term, prev = {}, [], [1], [1], BracketProduct.one()
     for t, excess in zip(kept, passing):
-        ratio = t / prev
+        exps = t.exps_map()
+        for m, e in prev.exps:
+            exps[m] = exps.get(m, 0) - e
+        ratio = BracketProduct.make(t.coeff / prev.coeff, t.shift - prev.shift, exps)
         for m, e in ratio.exps:
             for _ in range(e):
                 term = bracket_mul(term, m)
@@ -503,21 +544,21 @@ def test_sum_terms_mod_matches_list_walk():
                 coeff = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 9]))
                 terms.append(BracketProduct.make(coeff, rng.randint(-3 * n - 2, 3 * n + 2), exps))
             mod = rng.choice(moduli)
-            out = sum_terms_mod(terms, mod, n)
+            out = sum_terms_mod([_as_list(t) for t in terms], mod, n)
             assert out == _sum_terms_mod_by_lists(terms, mod, n)
             # D holds exactly the brackets that some term has in its denominator.
             assert set(out[2]) == {m for t in terms for m, e in t.exps if e < 0}
         # At n = 2 every bracket 1 - q doubles X: coefficients near the slot bound.
         terms = [BracketProduct.make(1, 0, {1: 40, n + 1: 3}), BracketProduct.make(-3, 1, {1: 39})]
         for mod in moduli:
-            assert sum_terms_mod(terms, mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+            assert sum_terms_mod([_as_list(t) for t in terms], mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
 
 
 def _factor_list_walks():
     """Runs of factor lists along k: every SeriesId, both WZ pairs' F and G
     (L2's negative counts n + k < 0, zero terms out of support and the
     index-0 zeros of G at n = 0), runs that mix lists of unequal lengths and
-    BracketProducts, and random runs."""
+    lists of single brackets, and random runs."""
     from qpiverify.qseries import N_DEPENDENT, WzPairId, series_range, summand_factors, wz_term_factors
 
     walks = []
@@ -535,7 +576,7 @@ def _factor_list_walks():
     whipple = [summand_factors(SeriesId.WHIPPLE_LHS, 11, k) for k in range(6)]
     j2 = [wz_term_factors(WzPairId.PAIR_J2, "F", k, 0) for k in range(6)]
     walks.append([t for pair in zip(sun, whipple, j2) for t in pair])
-    walks.append([BracketProduct.make(-1, -3, {5: 1, 1: -1}), *j2, BracketProduct.make(2, 1, {3: 2}), *sun])
+    walks.append([(-1, -3, [(5, 1, 1, 1), (1, 1, 1, -1)]), *j2, (2, 1, [(3, 1, 1, 2)]), *sun])
     # Random lists whose factors move their bases on and off their
     # progressions, with counts of either sign, and now and then change length.
     rng = random.Random(29)
@@ -572,9 +613,7 @@ def test_term_ratios_read_off_factor_lists():
     for walk in _factor_list_walks():
         prev, prev_bp = (1, 0, ()), BracketProduct.one()
         for t in walk:
-            bp = t if isinstance(t, BracketProduct) else BracketProduct.from_pochhammers(*t)
-            if isinstance(t, BracketProduct):
-                t = (t.coeff, t.shift, [(m, 1, 1, e) for m, e in t.exps])
+            bp = BracketProduct.from_pochhammers(*t)
             folded = None
             if t[0] != 0:
                 folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
@@ -596,7 +635,10 @@ def test_term_ratios_read_off_factor_lists():
 
 def test_sum_terms_mod_on_factor_lists_matches_products():
     """`sum_terms_mod` gives the same residues on factor lists as on the
-    products they normalize to."""
+    products they normalize to, each read as its list of single brackets,
+    and so does `sum_terms`.  The two walks agree on the same lists: with
+    the exact sum c * N / Q (c rational, N and Q integer polynomials),
+    A * Q * den(c) == D * N * num(c) (mod M)."""
     from qpiverify.qseries import wz_term_factors
     from qpiverify.wz import WzPairId
 
@@ -604,10 +646,20 @@ def test_sum_terms_mod_on_factor_lists_matches_products():
     # Brackets that fall and rise again, and fall to negative exponents.
     walks.append([wz_term_factors(WzPairId.PAIR_L2, "G", n, n - 3) for n in range(3, 12)][::-1])
     for walk in walks:
-        products = [t if isinstance(t, BracketProduct) else BracketProduct.from_pochhammers(*t) for t in walk]
+        products = [_as_list(BracketProduct.from_pochhammers(*t)) for t in walk]
+        fs = sum_terms(walk)
+        assert sum_terms(products) == fs
+        pf = fs.prefactor
+        num = list_mul(fs.num, expand_bracket_powers({m: e for m, e in pf.exps if e > 0}))
+        den = expand_bracket_powers({m: -e for m, e in pf.exps if e < 0})
+        num, den = [0] * max(pf.shift, 0) + num, [0] * max(-pf.shift, 0) + den
         for n in (3, 7):
             for mod in (expand_bracket_powers({n: 2}), expand_cyclo_powers({n: 2})):
-                assert sum_terms_mod(walk, mod, n) == sum_terms_mod(products, mod, n)
+                acc, d, den_brackets = sum_terms_mod(walk, mod, n)
+                assert (acc, d, den_brackets) == sum_terms_mod(products, mod, n)
+                lhs = list_scale(list_mul(acc, den), pf.coeff.denominator)
+                rhs = list_scale(list_mul(d, num), -pf.coeff.numerator)
+                assert not list_mod_monic(list_add(lhs, rhs), mod)
 
 
 def test_list_mod_and_exact_division():
@@ -635,7 +687,7 @@ def test_list_mod_and_exact_division():
 
 
 def test_sum_terms_mod_rejects_non_monic_modulus():
-    terms = [BracketProduct.make(1, 0, {1: 1})]
+    terms = [(1, 0, [(1, 1, 1, 1)])]
     with pytest.raises(ValueError):
         sum_terms_mod(terms, [1, 2], 1)
     with pytest.raises(ValueError):
@@ -643,7 +695,7 @@ def test_sum_terms_mod_rejects_non_monic_modulus():
 
 
 def test_sum_terms_mod_rejects_modulus_not_dividing_working_modulus():
-    terms = [BracketProduct.make(1, 0, {1: 1})]
+    terms = [(1, 0, [(1, 1, 1, 1)])]
     phi5_squared = expand_cyclo_powers({5: 2})
     with pytest.raises(ValueError):
         sum_terms_mod(terms, phi5_squared, 3)

@@ -18,8 +18,7 @@ from qpiverify.congruences import (
     _check_congruence_modular,
     modulus_build,
 )
-from qpiverify.factored import BracketProduct
-from qpiverify.qseries import series_terms
+from qpiverify.qseries import series_factors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,8 +67,8 @@ def test_golden_report(name, capsys):
 def test_golden_sun_witness_with_wrong_rhs(check):
     """SUN at n = 7 against the right side 1 instead of (-q)^-6."""
     ctx = modulus_build(7, ModulusKind.PHI_SQUARED)
-    terms = series_terms(SeriesId.SUN_LHS, 7, 3)
-    result = check(terms, BracketProduct.one(), ctx, "wrong rhs")
+    terms = series_factors(SeriesId.SUN_LHS, 7, 3)
+    result = check(terms, (1, 0, []), ctx, "wrong rhs")
     assert not result.passed
     assert str(result.witness) == "-q^8 + 2q - 1"
 

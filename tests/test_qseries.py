@@ -15,7 +15,6 @@ from qpiverify.qseries import (
     q_pochhammer,
     series_factors,
     series_range,
-    series_terms,
     summand,
     summand_brackets,
 )
@@ -25,6 +24,11 @@ from qpiverify.ratfunc import RatFunc
 def poch_poly(base, step, count):
     """Independent dense construction of the q-shifted factorial."""
     return q_pochhammer(QPochSpec(base, step, count))
+
+
+def poch_brackets(base, step, count):
+    """The same q-shifted factorial through the factored route."""
+    return BracketProduct.from_pochhammers(1, 0, [(base, step, count, 1)])
 
 
 def test_pochhammer_examples():
@@ -72,11 +76,11 @@ def test_pochhammer_counts_match_factored_route():
         for step in (1, 2, 3):
             for count in range(-3, 4):
                 if count < 0 and 0 in range(base + count * step, base, step):
-                    for route in (poch_poly, BracketProduct.pochhammer):
+                    for route in (poch_poly, poch_brackets):
                         with pytest.raises(ZeroDivisionError):
                             route(base, step, count)
                 else:
-                    expected = BracketProduct.pochhammer(base, step, count).to_ratfunc()
+                    expected = poch_brackets(base, step, count).to_ratfunc()
                     assert poch_poly(base, step, count) == expected
 
 
@@ -275,14 +279,14 @@ def test_series_terms_and_range():
     assert series_range(SeriesId.SUN_LHS, 9) == (0, 4)
     assert series_range(SeriesId.A2_RHS, 6) == (1, 6)
     assert series_range(SeriesId.SECOND2_RHS, 6) == (0, 5)
-    assert len(series_terms(SeriesId.SUN_LHS, 9, 4)) == 5
-    with pytest.raises(ValueError):
-        series_terms(SeriesId.SUN_LHS, 9, 5)
-    with pytest.raises(ValueError):
-        series_range(SeriesId.A2_RHS, None)
-    # The factor lists cover the same range and normalize to the terms.
-    for sid, n, upper in [(SeriesId.SUN_LHS, 9, 4), (SeriesId.A2_RHS, 6, 6), (SeriesId.WHIPPLE_LHS, 11, 5)]:
-        factors = series_factors(sid, n, upper)
-        assert [BracketProduct.from_pochhammers(*f) for f in factors] == series_terms(sid, n, upper)
+    assert len(series_factors(SeriesId.SUN_LHS, 9, 4)) == 5
     with pytest.raises(ValueError):
         series_factors(SeriesId.SUN_LHS, 9, 5)
+    with pytest.raises(ValueError):
+        series_range(SeriesId.A2_RHS, None)
+    # The factor lists cover the range and normalize to the summands.
+    for sid, n, upper in [(SeriesId.SUN_LHS, 9, 4), (SeriesId.A2_RHS, 6, 6), (SeriesId.WHIPPLE_LHS, 11, 5)]:
+        factors = series_factors(sid, n, upper)
+        n_arg = n if sid in N_DEPENDENT else None
+        want = [summand_brackets(sid, n_arg, k) for k in range(series_range(sid, n)[0], upper + 1)]
+        assert [BracketProduct.from_pochhammers(*f) for f in factors] == want

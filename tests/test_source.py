@@ -39,6 +39,22 @@ def test_bracket_products_built_by_make():
     assert not found, f"direct BracketProduct(...) calls outside factored.py: {found}"
 
 
+def test_bracket_products_stay_in_factored_and_qseries():
+    """Checks hand factor lists to the summation walks, so only `factored`,
+    which defines BracketProduct, and `qseries`, whose `summand_brackets` and
+    `wz_term_brackets` normalize one summand, import or name it."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("factored.py", "qseries.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == "BracketProduct" for a in node.names)
+            if imported or isinstance(node, ast.Attribute) and node.attr == "BracketProduct":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"BracketProduct used outside factored.py and qseries.py: {found}"
+
+
 def test_traced_layers_resolve():
     """The benchmark's tracer wraps these names from outside the package; a
     moved or renamed layer would break its traced run.  Names resolve as the

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpiverify.factored import sum_terms
+from qpiverify.factored import BracketProduct, negated, sum_terms
 from qpiverify.polys import Poly
-from qpiverify.qseries import SeriesId, summand, summand_brackets
+from qpiverify.qseries import SeriesId, summand, summand_brackets, summand_factors, wz_term_factors
 from qpiverify.ratfunc import RatFunc
 from qpiverify.wz import (
     CheckResult,
@@ -17,6 +17,11 @@ from qpiverify.wz import (
     wz_term,
     wz_term_brackets,
 )
+
+
+def _value(t):
+    """A factor list's value as a reduced rational function."""
+    return BracketProduct.from_pochhammers(*t).to_ratfunc()
 
 
 def test_wz_term_base_cases():
@@ -87,28 +92,28 @@ def test_check_identity_against_ratfunc_sums():
             lhs_terms, rhs_terms = identity_terms(ident, n)
             lhs = RatFunc.zero()
             for t in lhs_terms:
-                lhs = lhs + t.to_ratfunc()
+                lhs = lhs + _value(t)
             rhs = RatFunc.zero()
             for t in rhs_terms:
-                rhs = rhs + t.to_ratfunc()
+                rhs = rhs + _value(t)
             assert lhs == rhs, (ident, n)
             assert check_identity(ident, n).passed
 
 
 def test_a2_at_n1_reads_one_equals_one():
     lhs_terms, rhs_terms = identity_terms(IdentityId.ID_A2, 1)
-    assert [t.to_ratfunc() for t in lhs_terms] == [RatFunc.one()]
-    assert [t.to_ratfunc() for t in rhs_terms] == [RatFunc.one()]
+    assert [_value(t) for t in lhs_terms] == [RatFunc.one()]
+    assert [_value(t) for t in rhs_terms] == [RatFunc.one()]
 
 
 def test_whipple_n3_both_sides_are_minus_q_inverse():
     lhs_terms, rhs_terms = identity_terms(IdentityId.ID_WHIPPLE, 3)
     lhs = RatFunc.zero()
     for t in lhs_terms:
-        lhs = lhs + t.to_ratfunc()
+        lhs = lhs + _value(t)
     minus_q_inv = RatFunc(Poly([-1]), Poly([0, 1]))
     assert lhs == minus_q_inv
-    assert rhs_terms[0].to_ratfunc() == minus_q_inv
+    assert _value(rhs_terms[0]) == minus_q_inv
     assert check_identity(IdentityId.ID_WHIPPLE, 3).passed
 
 
@@ -120,31 +125,32 @@ def test_whipple_rejects_even_n():
 def test_a2_a3_right_sides_agree():
     """Index reversal k -> n-k is an exact bijection between the right sides."""
     for n in range(1, 16):
-        rhs_a2 = [summand_brackets(SeriesId.A2_RHS, n, k) for k in range(1, n + 1)]
-        rhs_a3 = [summand_brackets(SeriesId.A3_RHS, n, k) for k in range(n)]
-        diff = sum_terms(rhs_a2 + [-t for t in rhs_a3])
+        rhs_a2 = [summand_factors(SeriesId.A2_RHS, n, k) for k in range(1, n + 1)]
+        rhs_a3 = [summand_factors(SeriesId.A3_RHS, n, k) for k in range(n)]
+        diff = sum_terms(rhs_a2 + [negated(t) for t in rhs_a3])
         assert diff.is_zero(), n
 
 
 def test_second_vs_second2_under_q_inversion():
     """The right side of the reversed identity is the q -> 1/q image of the
-    original right side: the same sum after substituting and clearing shifts."""
+    original right side: the same sum after substituting and clearing shifts.
+    At q -> 1/q, c q^s prod (1 - q^m)^e is c q^-s prod (1 - q^-m)^e."""
     for n in range(1, 11):
-        transformed = [
-            summand_brackets(SeriesId.SECOND_RHS, n, k).substitute_q_inverse()
-            for k in range(1, n + 1)
-        ]
-        target = [summand_brackets(SeriesId.SECOND2_RHS, n, k) for k in range(n)]
-        diff = sum_terms(transformed + [-t for t in target])
+        transformed = []
+        for k in range(1, n + 1):
+            bp = summand_brackets(SeriesId.SECOND_RHS, n, k)
+            transformed.append((bp.coeff, -bp.shift, [(-m, 1, 1, e) for m, e in bp.exps]))
+        target = [summand_factors(SeriesId.SECOND2_RHS, n, k) for k in range(n)]
+        diff = sum_terms(transformed + [negated(t) for t in target])
         assert diff.is_zero(), n
 
 
 def test_certificate_sum_reproduces_the_finite_identity():
     """Summing F(n,0) over n < m equals the row sum of G(m, k)."""
     for m in range(1, 16):
-        lhs = [wz_term_brackets(WzPairId.PAIR_J2, "F", n, 0) for n in range(m)]
-        rhs = [wz_term_brackets(WzPairId.PAIR_J2, "G", m, k) for k in range(1, m + 1)]
-        assert sum_terms(lhs + [-t for t in rhs]).is_zero(), m
+        lhs = [wz_term_factors(WzPairId.PAIR_J2, "F", n, 0) for n in range(m)]
+        rhs = [wz_term_factors(WzPairId.PAIR_J2, "G", m, k) for k in range(1, m + 1)]
+        assert sum_terms(lhs + [negated(t) for t in rhs]).is_zero(), m
 
 
 def test_check_result_invariant():
