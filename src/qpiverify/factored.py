@@ -10,9 +10,11 @@ accumulated over a structured common denominator with a few big-integer
 operations per bracket, on polynomials packed into single ints (`Packing`).
 
 Both summation kernels take each summand as a factor list (`FactorList`), a
-product of q-shifted factorials: `sum_terms` normalizes each list with one
-`BracketProduct.from_pochhammers` call, and `sum_terms_mod` reads each term
-ratio off two consecutive lists.
+product of q-shifted factorials, and read every term through one stream
+(`_term_changes`): each term's ratio to the one before, taken off two
+consecutive lists, and the brackets whose exponents it changes.  `sum_terms`
+multiplies the ratios up into each term's normal form, and `sum_terms_mod`
+walks the ratios themselves.
 """
 from __future__ import annotations
 
@@ -91,18 +93,16 @@ class BracketProduct:
 
     @staticmethod
     def from_pochhammers(
-        coeff: Fraction | int, shift: int, factors: Iterable[tuple[int, int, int, int]]
+        coeff: Fraction | int, shift: int, factors: Sequence[tuple[int, int, int, int]]
     ) -> BracketProduct:
         """coeff * q**shift * prod (q**base; q**step)_count**power over the
         (base, step, count, power) factors, by one `make` on their summed
-        exponents.  (q**a; q**p)_r = prod_{j<r} (1 - q**(a + j p)), a negative
-        count is (a; p)_(-r) = 1 / (a p**-r; p)_r, and (m, 1, 1, e) is the
-        single bracket (1 - q**m)**e.
+        exponents (`_list_changes` from the empty list).
+        (q**a; q**p)_r = prod_{j<r} (1 - q**(a + j p)), a negative count is
+        (a; p)_(-r) = 1 / (a p**-r; p)_r, and (m, 1, 1, e) is the single
+        bracket (1 - q**m)**e.
         """
-        exps: dict[int, int] = {}
-        for base, step, count, power in factors:
-            _add_run(exps, base + count * step, base, step, power)
-        return BracketProduct.make(coeff, shift, exps)
+        return BracketProduct.make(coeff, shift, _list_changes((), factors))
 
     @staticmethod
     def one() -> BracketProduct:
@@ -114,9 +114,6 @@ class BracketProduct:
 
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def exps_map(self) -> dict[int, int]:
-        return dict(self.exps)
 
     def cyclo_mults(self) -> dict[int, int]:
         """Multiplicity of each irreducible cyclotomic factor."""
@@ -181,6 +178,98 @@ def _fold_indices(
     if zero_power > 0:
         return None
     return coeff, shift, merged
+
+
+def _add_run(out: dict[int, int], c: int, c2: int, step: int, power: int) -> None:
+    """Add power * (H(c2) - H(c)) to `out`, with H(c) the indicator of the
+    indices >= c in the progression c + step*Z (c2 on it): +power on the
+    indices from c2 up to c, or -power on those from c up to c2.  The factor
+    (a, s, r, P) of `from_pochhammers` is the run (a + r*s, a, s, P)."""
+    if step < 1:
+        raise ValueError("pochhammer step must be >= 1")
+    if c2 < c:
+        for m in range(c2, c, step):
+            out[m] = out.get(m, 0) + power
+    else:
+        for m in range(c, c2, step):
+            out[m] = out.get(m, 0) - power
+
+
+def _list_changes(old: Sequence, new: Sequence) -> dict[int, int]:
+    """The change of the exponents from factor list `old` to `new`, on any
+    integer indices (entries may be 0).
+
+    A factor (a, s, r, P) has exponents P * (H(a) - H(b)) with b = a + r*s,
+    H as in `_add_run`: P at a, a + s, ..., b - s for r >= 0, and -P at
+    b, ..., a - s for r < 0.  Lists of one length pair their factors by
+    position.  A pair with one step and power whose bases lie on one
+    progression changes by P * (H(a') - H(a)) + P * (H(b) - H(b')), only
+    between its two bases and between its two ends; it is read so when that
+    lists no more indices than the two factors do.  Any other pair, and
+    every factor of lists of different lengths, is listed in full.
+    """
+    out: dict[int, int] = {}
+    if len(old) != len(new):
+        for a, s, r, p in old:
+            _add_run(out, a, a + r * s, s, p)
+        for a, s, r, p in new:
+            _add_run(out, a + r * s, a, s, p)
+        return out
+    for f, f2 in zip(old, new):
+        if f == f2:
+            continue
+        (a, s, r, p), (a2, s2, r2, p2) = f, f2
+        b, b2 = a + r * s, a2 + r2 * s2
+        if s == s2 > 0 and p == p2 and (a2 - a) % s == 0 and abs(a2 - a) + abs(b2 - b) <= (abs(r) + abs(r2)) * s:
+            _add_run(out, a, a2, s, p)
+            _add_run(out, b2, b, s, p)
+        else:
+            _add_run(out, a, b, s, p)
+            _add_run(out, b2, a2, s2, p2)
+    return out
+
+
+def _term_changes(terms: Iterable[FactorList]):
+    """Each nonzero term t_i of `terms` as its change from t_(i-1):
+    (coeff, shift, changes, exps), with coeff * q**shift the ratio of t_i's
+    coefficient and q-power to t_(i-1)'s (to 1 for t_0), changes the
+    (m, e, p) of each bracket whose exponent goes from p to e != p, and exps
+    the running map {m: e} of t_i's brackets, updated in place; all as in
+    the normal form (`BracketProduct.make`).
+
+    The zero contract of both walks: a list whose coeff is 0 is zero,
+    whatever its factors, and is skipped unread; in any other list, index 0
+    in the numerator makes it zero and in a denominator raises
+    ZeroDivisionError.
+
+    With E_i the exponents of the i-th nonzero list, on any integer indices,
+    and E_(-1) = 0 for the empty list, 1, `_list_changes` of two consecutive
+    lists is E_i - E_(i-1).  `make` normalizes E_i by `_fold_indices`, whose
+    rules are additive in each exponent, and t_(i-1) != 0 has no exponent at
+    index 0.  So `_fold_indices` of the change, started from the ratio of the
+    lists' coefficients and shifts, is t_i's normal form less t_(i-1)'s, and
+    its index 0 is t_i's own, so t_i is zero or raises exactly as `make` would.
+    """
+    exps: dict[int, int] = {}
+    prev = (1, 0, ())
+    for t in terms:
+        if t[0] == 0:
+            continue
+        folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
+        if folded is None:
+            continue
+        coeff, shift, delta = folded
+        changes = []
+        for m, d in delta.items():
+            if d:
+                p = exps.get(m, 0)
+                if p + d:
+                    exps[m] = p + d
+                else:
+                    del exps[m]
+                changes.append((m, p + d, p))
+        prev = t
+        yield coeff, shift, changes, exps
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +485,10 @@ def _join(pack: Packing, left, right):
 def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
     """Exact sum of factor lists over their least common denominator.
 
-    Each list (coeff, shift, factors) is normalized once, by
-    `BracketProduct.from_pochhammers`, into the term t_i; a list with coeff 0
-    or index 0 in its numerator is zero, and index 0 in its denominator
-    raises ZeroDivisionError.
+    Each nonzero list is read as its change from the one before
+    (`_term_changes`, with the zero contract of both walks): the ratios
+    multiply up to its term t_i's coefficient and q-power, and the changes
+    (m, e, p) sum to t_i's bracket count and degree.
 
     With e_im the exponent of bracket m in t_i (0 if t_i has none) and min_m
     its minimum over all terms, each cofactor t_i / prefactor is
@@ -418,7 +507,8 @@ def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
     bracket above the joint minimum, the side with the larger offset times
     q to the difference, and the two are added.  Nodes pair off level by
     level, left to right, and the root's low is min_m and its offset 0, so
-    its v is the sum.
+    its v is the sum.  min_m is read off the changes too: e_im takes the
+    values e_0m and the e of each later change of m.
 
     Every v is packed (`Packing`) with one slot width w.  Evaluation at
     2**w is a ring homomorphism and every step above is a ring operation,
@@ -429,35 +519,27 @@ def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
     w = bits(sum_i |c_i| * 2**R_i) + 2, rounded up to whole bytes, and the
     root is unpacked once, up to its top nonzero slot.
     """
-    live = [t for t in (BracketProduct.from_pochhammers(*f) for f in terms) if not t.is_zero()]
-    if not live:
+    read = []
+    min_exps: dict[int, int] = {}
+    coeff, shift, size, deg = Fraction(1), 0, 0, 0
+    for ratio, q_shift, changes, exps in _term_changes(terms):
+        coeff *= ratio
+        shift += q_shift
+        for m, e, p in changes:
+            size += e - p
+            deg += m * (e - p)
+            # Absent from t_0, m has e_0m = 0.
+            if not read or e < min_exps.get(m, 0):
+                min_exps[m] = e
+        read.append((coeff, shift, dict(exps), size, deg))
+    if not read:
         return FactoredSum(BracketProduct.one(), [])
-
-    # One pass over the maps: each bracket's least exponent where present,
-    # how many maps hold it, and each term's bracket count and degree.
-    maps = [t.exps_map() for t in live]
-    least: dict[int, int] = {}
-    held: dict[int, int] = {}
-    sizes, degs = [], []
-    for em in maps:
-        size = deg = 0
-        for m, e in em.items():
-            size += e
-            deg += m * e
-            if m in least:
-                held[m] += 1
-                if e < least[m]:
-                    least[m] = e
-            else:
-                least[m], held[m] = e, 1
-        sizes.append(size)
-        degs.append(deg)
-    min_exps = {m: e if held[m] == len(maps) else min(e, 0) for m, e in least.items()}
-    min_shift = min(t.shift for t in live)
-    content, int_coeffs = content_split([t.coeff for t in live])
+    coeffs, shifts, maps, sizes, degs = zip(*read)
+    min_shift = min(shifts)
+    content, int_coeffs = content_split(coeffs)
     prefactor = BracketProduct.make(content, min_shift, min_exps)
 
-    offsets = [t.shift - min_shift for t in live]
+    offsets = [s - min_shift for s in shifts]
     min_size = sum(min_exps.values())
     min_deg = sum(m * e for m, e in min_exps.items())
     bound = sum(abs(c) << (size - min_size) for c, size in zip(int_coeffs, sizes))
@@ -485,61 +567,8 @@ def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
 # Reduction mod M is a ring homomorphism Z[q]/(S) -> Z[q]/(M) and remainders
 # by a monic M are unique, so the residues are those of accumulating in
 # Z[q]/(M) throughout.  The walk needs only each term's ratio to the one
-# before, and reads it off the two terms' factor lists (`FactorList`, the
-# arguments of `BracketProduct.from_pochhammers`): a q-shifted factorial whose
-# base and end move along its own progression changes only at its two ends,
-# so no term is normalized and no whole exponent map is built per term.
+# before (`_term_changes`).
 # ---------------------------------------------------------------------------
-
-
-def _add_run(out: dict[int, int], c: int, c2: int, step: int, power: int) -> None:
-    """Add power * (H(c2) - H(c)) to `out`, with H(c) the indicator of the
-    indices >= c in the progression c + step*Z (c2 on it): +power on the
-    indices from c2 up to c, or -power on those from c up to c2.  The factor
-    (a, s, r, P) of `from_pochhammers` is the run (a + r*s, a, s, P)."""
-    if step < 1:
-        raise ValueError("pochhammer step must be >= 1")
-    if c2 < c:
-        for m in range(c2, c, step):
-            out[m] = out.get(m, 0) + power
-    else:
-        for m in range(c, c2, step):
-            out[m] = out.get(m, 0) - power
-
-
-def _list_changes(old: Sequence, new: Sequence) -> dict[int, int]:
-    """The change of the exponents from factor list `old` to `new`, on any
-    integer indices (entries may be 0), as `from_pochhammers` lists them.
-
-    A factor (a, s, r, P) has exponents P * (H(a) - H(b)) with b = a + r*s,
-    H as in `_add_run`: P at a, a + s, ..., b - s for r >= 0, and -P at
-    b, ..., a - s for r < 0, as `from_pochhammers` sums them.  Lists of one
-    length pair their factors by position.  A pair with one
-    step and power whose bases lie on one progression changes by
-    P * (H(a') - H(a)) + P * (H(b) - H(b')), only between its two bases and
-    between its two ends; it is read so when that lists no more indices
-    than the two factors do.  Any other pair, and every factor of lists of
-    different lengths, is listed in full.
-    """
-    out: dict[int, int] = {}
-    if len(old) != len(new):
-        for a, s, r, p in old:
-            _add_run(out, a, a + r * s, s, p)
-        for a, s, r, p in new:
-            _add_run(out, a + r * s, a, s, p)
-        return out
-    for f, f2 in zip(old, new):
-        if f == f2:
-            continue
-        (a, s, r, p), (a2, s2, r2, p2) = f, f2
-        b, b2 = a + r * s, a2 + r2 * s2
-        if s == s2 > 0 and p == p2 and (a2 - a) % s == 0 and abs(a2 - a) + abs(b2 - b) <= (abs(r) + abs(r2)) * s:
-            _add_run(out, a, a2, s, p)
-            _add_run(out, b2, b, s, p)
-        else:
-            _add_run(out, a, b, s, p)
-            _add_run(out, b2, a2, s2, p2)
-    return out
 
 
 def _ratio_walk(ratios, step, lin):
@@ -577,24 +606,9 @@ def sum_terms_mod(
 
     Each term is a factor list (coeff, shift, factors), the value of
     `BracketProduct.from_pochhammers(coeff, shift, factors)`, which is never
-    built.  A list whose coeff is 0 is zero, whatever its factors; in any
-    other list, index 0 in the numerator makes it zero and in a denominator
-    raises ZeroDivisionError.
-
-    Term ratios.  Let E_i be the exponents that `from_pochhammers` sums for
-    the i-th nonzero term, on any integer indices, and E_(-1) = 0 for the
-    empty list, 1.  `_list_changes` of two consecutive lists is
-    E_i - E_(i-1): summed factor by factor, it is each pair's difference,
-    listed in full or telescoped to the two ends.  `make` normalizes E_i by
-    `_fold_indices`, whose rules are additive in each exponent, and
-    t_(i-1) != 0 has no exponent at index 0.  So `_fold_indices` of the
-    change, started from the ratio of the lists' coefficients and shifts, is
-    t_i's normal form less t_(i-1)'s: its nonzero entries are the brackets
-    m >= 1 whose normalized exponents differ, by e - p (`_bracket_changes` of
-    the two normalized maps), with the coefficient and shift of
-    t_i / t_(i-1); and its index 0 is t_i's own, so t_i is zero or raises
-    exactly as `make` would.  One running map, updated by these changes
-    alone, gives each change as (m, e, p).
+    built: the walk takes each term's ratio to the one before, as the
+    changes (m, e, p) of its brackets with a coefficient and a shift, from
+    `_term_changes`, which states the zero contract of both walks.
 
     Passing.  With e_im the exponent of m in the i-th nonzero term (0 if
     absent), any excess over keep_i(m), the least max(e_jm, 0) over j > i,
@@ -644,25 +658,11 @@ def sum_terms_mod(
     if list_mod_monic(expand_bracket_powers({n: 2}), mod):
         raise ValueError(f"modulus does not divide (1 - q^{n})^2")
 
-    # Each ratio's changes (m, e, p), coefficient and shift, for the nonzero
-    # terms; `exps` is the running map of the current term's exponents.
-    changes, heads, exps, prev = [], [], {}, (1, 0, ())
-    for t in terms:
-        if t[0] == 0:
-            continue
-        folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
-        if folded is None:
-            continue
-        coeff, shift, delta = folded
-        ch = []
-        for m, d in delta.items():
-            if d:
-                p = exps.get(m, 0)
-                exps[m] = p + d
-                ch.append((m, p + d, p))
+    # Each ratio's changes (m, e, p), coefficient and shift, for the nonzero terms.
+    changes, heads = [], []
+    for coeff, shift, ch, _ in _term_changes(terms):
         changes.append(ch)
         heads.append((shift, coeff))
-        prev = t
     if not changes:
         return [], [1], {}
 

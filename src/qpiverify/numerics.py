@@ -71,6 +71,13 @@ def _to_mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x)
 
 
+def _default_prec(eps) -> int:
+    """The working precision for a tolerance eps when the caller gives none,
+    computed at a fixed 53 bits whatever the ambient precision."""
+    with mpmath.workprec(53):
+        return GUARD_BITS + max(64, int(-mpmath.log(_to_mpf(eps), 2)) + 16)
+
+
 def _check_q(qm) -> None:
     if not (0 < qm < 1):
         raise ValueError("q must lie strictly between 0 and 1")
@@ -125,7 +132,7 @@ def eval_series(
     if sid not in _SERIES:
         raise ValueError(f"{sid} is not an evaluable infinite series")
     if prec is None:
-        prec = GUARD_BITS + max(64, int(-mpmath.log(_to_mpf(eps), 2)) + 16)
+        prec = _default_prec(eps)
     with mpmath.workprec(prec):
         qm = _to_mpf(q)
         _check_q(qm)
@@ -176,17 +183,6 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     if sid is SeriesId.L2_LHS:
         return mpmath.mpf(6 * k + 7) / (6 * k + 1) * w**3
     return w
-
-
-def series_partial_value(sid: SeriesId, q, upper: int, prec: int) -> mpmath.mpf:
-    """Numeric sum of the series terms for k = 0..upper (no tail estimate);
-    used to cross-validate against the exact partial sums."""
-    if sid not in _SERIES:
-        raise ValueError(f"{sid} is not an evaluable infinite series")
-    with mpmath.workprec(prec):
-        qm = _to_mpf(q)
-        _check_q(qm)
-        return sum(itertools.islice(_series_terms(sid, qm), upper), mpmath.mpf(1))
 
 
 def _qpoch_inf(
@@ -243,7 +239,7 @@ def eval_qpoch_inf(base_exp: int, step: int, q, eps, prec: int | None = None) ->
     if base_exp < 1 or step < 1:
         raise ValueError("base_exp and step must be >= 1")
     if prec is None:
-        prec = GUARD_BITS + max(64, int(-mpmath.log(_to_mpf(eps), 2)) + 16)
+        prec = _default_prec(eps)
     with mpmath.workprec(prec):
         qm = _to_mpf(q)
         _check_q(qm)

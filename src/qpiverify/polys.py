@@ -315,9 +315,6 @@ class Poly:
                 return i
         return 0
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def monic(self) -> Poly:
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")

@@ -504,6 +504,40 @@ def test_modular_check_normalizes_no_term(case, n, monkeypatch):
     assert not made
 
 
+def test_exact_check_normalizes_no_term(monkeypatch):
+    """The exact route reads each term off the same factor-list changes as
+    the modular walk, so each `sum_terms` call makes one
+    `BracketProduct.make` call, its prefactor's, and no `from_pochhammers`
+    call."""
+    from qpiverify import congruences, factored, wz
+    from qpiverify.wz import IdentityId, check_identity
+
+    made, per_call = [], []
+    make, from_pochhammers = BracketProduct.make, BracketProduct.from_pochhammers
+
+    def counted_make(*args, **kwargs):
+        made.append("make")
+        return make(*args, **kwargs)
+
+    def counted_from_pochhammers(*args):
+        made.append("from_pochhammers")
+        return from_pochhammers(*args)
+
+    def counted_sum_terms(terms):
+        start = len(made)
+        out = factored.sum_terms(terms)
+        per_call.append(made[start:])
+        return out
+
+    monkeypatch.setattr(BracketProduct, "make", staticmethod(counted_make))
+    monkeypatch.setattr(BracketProduct, "from_pochhammers", staticmethod(counted_from_pochhammers))
+    for module in (congruences, wz):
+        monkeypatch.setattr(module, "sum_terms", counted_sum_terms)
+    assert verify_intro(WzPairId.PAIR_J2, 27, path="exact").passed
+    assert check_identity(IdentityId.ID_A2, 20).passed
+    assert len(per_call) == 2 and all(calls == ["make"] for calls in per_call)
+
+
 def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
     """At p = 7 the J2 summand at k = 1 carries [7] = (1 - q^7)/(1 - q),
     which the next summand lacks; the walk passes it into A, so no bracket

@@ -255,10 +255,15 @@ def test_sum_terms_zero_and_empty():
     # (1 - q^2) - (1 - q) - q (1 - q) cancels through the accumulator.
     fs = sum_terms([t, (-1, 0, [(1, 1, 1, 1)]), (-1, 1, [(1, 1, 1, 1)])])
     assert fs.num == [] and fs.is_zero()
-    # Both walks read a list with coeff 0, or with index 0 in its numerator,
-    # as zero, and raise on index 0 in a denominator.
+    # Both walks read a list with coeff 0, whatever its factors, or with
+    # index 0 in its numerator, as zero, and raise on index 0 in a denominator.
     mod, n = expand_cyclo_powers({3: 2}), 3
-    for zero in [(0, 2, [(1, 1, 3, 1)]), (5, 1, [(0, 1, 1, 1), (2, 1, 1, -1)]), (1, 0, [(-2, 1, 4, 1)])]:
+    for zero in [
+        (0, 2, [(1, 1, 3, 1)]),
+        (0, 0, [(0, 1, 1, -1)]),
+        (5, 1, [(0, 1, 1, 1), (2, 1, 1, -1)]),
+        (1, 0, [(-2, 1, 4, 1)]),
+    ]:
         assert sum_terms([zero]).is_zero()
         assert sum_terms_mod([zero], mod, n) == ([], [1], {})
         assert sum_terms([zero, t]) == sum_terms([t])
@@ -489,9 +494,9 @@ def _sum_terms_mod_by_lists(terms, mod, n):
     live = [t for t in terms if not t.is_zero()]
     kept, passing = [], []
     for i, t in enumerate(live):
-        exps, excess = t.exps_map(), {}
+        exps, excess = dict(t.exps), {}
         for m, e in t.exps:
-            later = [max(u.exps_map().get(m, 0), 0) for u in live[i + 1 :]]
+            later = [max(dict(u.exps).get(m, 0), 0) for u in live[i + 1 :]]
             if e > 0 and later and e > min(later):
                 excess[m] = e - min(later)
                 exps[m] = min(later)
@@ -500,7 +505,7 @@ def _sum_terms_mod_by_lists(terms, mod, n):
 
     den_brackets, acc, den, term, prev = {}, [], [1], [1], BracketProduct.one()
     for t, excess in zip(kept, passing):
-        exps = t.exps_map()
+        exps = dict(t.exps)
         for m, e in prev.exps:
             exps[m] = exps.get(m, 0) - e
         ratio = BracketProduct.make(t.coeff / prev.coeff, t.shift - prev.shift, exps)
@@ -603,29 +608,24 @@ def _factor_list_walks():
 
 
 def test_term_ratios_read_off_factor_lists():
-    """The change from one nonzero factor list to the next, read as
-    `sum_terms_mod` reads it, is the difference of the two normalized
-    products: its brackets are `_bracket_changes` of their maps, with the
-    ratio's coefficient and shift, and a zero list reads as zero."""
-    from qpiverify.factored import _bracket_changes, _fold_indices, _list_changes
+    """`_term_changes` reads each nonzero factor list as its change from the
+    one before: the ratios multiply up to the normalized product's
+    coefficient and shift, the changes are `_bracket_changes` of the two
+    normalized maps, the running map is the product's own, and a zero list
+    is skipped."""
+    from qpiverify.factored import _bracket_changes, _term_changes
 
     read = zeros = 0
     for walk in _factor_list_walks():
-        prev, prev_bp = (1, 0, ()), BracketProduct.one()
-        for t in walk:
-            bp = BracketProduct.from_pochhammers(*t)
-            folded = None
-            if t[0] != 0:
-                folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
-            if folded is None:
-                assert bp.is_zero()
-                zeros += t[0] != 0
-                continue
-            coeff, shift, delta = folded
-            want = _bracket_changes(bp.exps_map(), prev_bp.exps_map())
-            assert sorted((m, d) for m, d in delta.items() if d) == sorted((m, e - p) for m, e, p in want)
-            assert (coeff, shift) == (bp.coeff / prev_bp.coeff, bp.shift - prev_bp.shift)
-            prev, prev_bp = t, bp
+        products = [BracketProduct.from_pochhammers(*t) for t in walk]
+        zeros += sum(bp.is_zero() and t[0] != 0 for t, bp in zip(walk, products))
+        live = [bp for bp in products if not bp.is_zero()]
+        coeff, shift, prev = Fraction(1), 0, BracketProduct.one()
+        for (ratio, q_shift, changes, exps), bp in zip(_term_changes(walk), live, strict=True):
+            coeff, shift = coeff * ratio, shift + q_shift
+            assert (coeff, shift, exps) == (bp.coeff, bp.shift, dict(bp.exps))
+            assert sorted(changes) == sorted(_bracket_changes(dict(bp.exps), dict(prev.exps)))
+            prev = bp
             read += 1
     assert read > 700 and zeros > 0
     # Index 0 in a denominator raises, as `from_pochhammers` does.

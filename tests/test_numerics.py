@@ -16,7 +16,6 @@ from qpiverify.numerics import (
     eval_series,
     limit_scan,
     q_gamma,
-    series_partial_value,
     working_prec,
 )
 from qpiverify.qseries import SeriesId, partial_sum, summand_brackets
@@ -76,8 +75,22 @@ def test_series_against_exact_partial_sums():
             v_exact = exact.evaluate(q)
             with mpmath.workprec(prec):
                 expected = mpmath.mpf(v_exact.numerator) / v_exact.denominator
-                got = series_partial_value(sid, q, 10, prec)
+                qm = mpmath.mpf(q.numerator) / q.denominator
+                got = sum(itertools.islice(_series_terms(sid, qm), 10), mpmath.mpf(1))
                 assert abs(got - expected) < mpmath.mpf(2) ** (-prec + 40)
+
+
+def test_default_precision_ignores_the_ambient_precision():
+    """With prec=None the working precision follows from eps alone, so the
+    reports are the same whatever mpmath's ambient precision is."""
+    eps = Fraction(1, 3 * 10**40)
+    reports = []
+    for ambient in (4, 53):
+        with mpmath.workprec(ambient):
+            series = eval_series(SeriesId.J2_LHS, Fraction(1, 2), eps)
+            product = eval_qpoch_inf(1, 2, Fraction(1, 2), eps)
+        reports.append((series, product))
+    assert reports[0] == reports[1]
 
 
 def test_series_validation_and_budget():

@@ -95,6 +95,27 @@ def test_no_unused_imports():
     assert not unused, f"unused imports in the package: {unused}"
 
 
+def test_private_helpers_have_callers():
+    """Every private function or method the package defines (`_name`, not
+    a dunder) is named somewhere in the package, so a helper that its last
+    caller stops using fails here instead of lingering."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    named = set()
+    defined = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append(node.name)
+    assert defined
+    uncalled = sorted(name for name in defined if name not in named)
+    assert not uncalled, f"private helpers that nothing in the package names: {uncalled}"
+
+
 def test_readme_commands_parse():
     """Every `qpiverify ...` line in the README's shell blocks is a valid
     command line: it parses and resolves to a nonempty list of cases."""
