@@ -30,7 +30,6 @@ from fractions import Fraction
 from .factored import (
     FactoredSum,
     FactorList,
-    divide_out_cyclotomic,
     negated,
     sum_terms,
     sum_terms_mod,
@@ -39,6 +38,7 @@ from .factored import (
 from .polys import (
     Poly,
     content_split,
+    cyclo_powers,
     divisors,
     expand_cyclo_powers,
     factorize,
@@ -248,18 +248,16 @@ def _folded_residue(folded: FactoredSum, ctx: ModulusContext) -> Poly:
     factor Phi_d^(m_d) of M the value moves by a multiple of Phi_d^(p_d + K);
     K >= m_d - p_d makes the move a multiple of M, and the residue is the
     same.  No factor of M has a negative total count here, so the folded
-    numerator holds each Phi_d^(-p_d) of M's factors, and they are divided
-    out exactly.  The prefactor's other cyclotomics, coprime to M where they
-    are denominators, go to `_residue` with it.
+    numerator holds each Phi_d^(-p_d) of M's factors: one `cyclo_powers`
+    call divides them out exactly and multiplies the prefactor's numerator
+    cyclotomics in.  The prefactor's other cyclotomics, coprime to M where
+    they are denominators, go to `_residue` with it.
     """
     pf = folded.prefactor
     mults = pf.cyclo_mults()
-    num = folded.num
-    for d, _ in ctx.factor_mults:
-        if mults.get(d, 0) < 0:
-            _, num = divide_out_cyclotomic(num, d, -mults.pop(d))
-    num = list_mul(num, expand_cyclo_powers({d: e for d, e in mults.items() if e > 0}))
-    den = expand_cyclo_powers({d: -e for d, e in mults.items() if e < 0})
+    of_m = {d for d, _ in ctx.factor_mults}
+    num = cyclo_powers(folded.num, {d: e for d, e in mults.items() if e > 0 or d in of_m})
+    den = expand_cyclo_powers({d: -e for d, e in mults.items() if e < 0 and d not in of_m})
     # M divides u^2, so both sides fold to 2n coefficients before `_residue`.
     num, den = u_fold(num, ctx.n, 2), u_fold(den, ctx.n, 2)
     # (1 - q^m) = -(q^m - 1) flips the sign once per bracket.

@@ -25,29 +25,28 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .polys import (
+    InexactDivision,
     Poly,
     content_split,
-    cyclotomic_int,
+    cyclo_powers,
     divisors,
     expand_bracket_powers,
     expand_cyclo_powers,
-    list_div_exact_monic,
     list_is_zero,
     list_mod_monic,
-    list_mul,
 )
 from .ratfunc import RatFunc
 
 
 def divide_out_cyclotomic(c: list[int], d: int, cap: int) -> tuple[int, list[int]]:
-    """Divide c by Phi_d up to cap times; returns (count, reduced c)."""
-    phi = cyclotomic_int(d)
+    """Divide c by Phi_d up to cap times, each a trial `cyclo_powers(c, {d: -1})`
+    that stops at the first InexactDivision; returns (count, reduced c)."""
     count = 0
     while count < cap:
-        quot = list_div_exact_monic(c, phi)
-        if quot is None:
+        try:
+            c = cyclo_powers(c, {d: -1})
+        except InexactDivision:
             break
-        c = quot
         count += 1
     return count, c
 
@@ -317,7 +316,8 @@ class FactoredSum:
     def to_ratfunc(self) -> RatFunc:
         """Lowest terms: the prefactor's brackets cancel at the cyclotomic
         level, each remaining denominator Phi_d is divided out of `num` as
-        often as it goes, and the numerator cyclotomics multiply in last."""
+        often as it goes (`divide_out_cyclotomic`), and the numerator
+        cyclotomics multiply in last; both go through `cyclo_powers`."""
         if self.is_zero():
             return RatFunc.zero()
         low = 0
@@ -329,7 +329,7 @@ class FactoredSum:
         for d in sorted(den_mults, reverse=True):
             count, num = divide_out_cyclotomic(num, d, den_mults[d])
             den_mults[d] -= count
-        num = list_mul(num, expand_cyclo_powers({d: e for d, e in mults.items() if e > 0}))
+        num = cyclo_powers(num, {d: e for d, e in mults.items() if e > 0})
         # (1 - q^m) = -(q^m - 1) flips the sign once per bracket when the
         # product is rewritten in terms of the monic cyclotomics.
         sign = (-1) ** (sum(e for _, e in self.prefactor.exps) % 2)

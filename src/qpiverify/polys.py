@@ -15,6 +15,10 @@ writes them as a content times integers with gcd 1: the `Poly` product (one
 integer convolution times the product of the contents), `poly_gcd`, the
 coefficients of `sum_terms` and the witness residues all use it.
 
+A power of a cyclotomic Phi_d enters or leaves a polynomial only through
+`cyclo_powers`, as its Moebius bracket product, one O(length) step per
+bracket (1 - q**t); nothing divides by a Phi_d densely.
+
 A `Poly` is a tuple of Fraction coefficients with nonzero trailing
 coefficient; the zero polynomial is the empty tuple.  Values with negative
 q-exponents are `RatFunc`s with a q-power in the denominator.
@@ -145,14 +149,6 @@ def list_mod_monic(c: Sequence[int], d: Sequence[int]) -> list[int]:
     return list_divmod_monic(c, d)[1]
 
 
-def list_div_exact_monic(c: Sequence[int], d: Sequence[int]) -> list[int] | None:
-    """Quotient by a monic integer polynomial if the division is exact."""
-    quot, rem = list_divmod_monic(c, d)
-    if rem:
-        return None
-    return quot
-
-
 def list_inv_mod_p(c: Sequence[int], d: Sequence[int], p: int) -> list[int] | None:
     """Inverse of c modulo the monic integer polynomial d and the prime p, by
     the extended Euclid over Z/p; None when gcd(c, d) mod p is not constant."""
@@ -175,9 +171,10 @@ def list_inv_mod_p(c: Sequence[int], d: Sequence[int], p: int) -> list[int] | No
     return [v * inv % p for v in t1]
 
 
-def expand_bracket_powers(exps: Mapping[int, int]) -> list[int]:
-    """Expand prod_m (1 - q**m)**exps[m]; the result must be a polynomial."""
-    out = [1]
+def expand_bracket_powers(exps: Mapping[int, int], c: Sequence[int] = (1,)) -> list[int]:
+    """c * prod_m (1 - q**m)**exps[m], multiplying first and then dividing
+    exactly; a power that does not divide raises InexactDivision."""
+    out = list(c)
     for m, e in sorted(exps.items()):
         for _ in range(e):
             out = list_bracket_mul(out, m)
@@ -218,20 +215,14 @@ def mobius(n: int) -> int:
     return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
 
 
-def expand_cyclo_powers(mults: Mapping[int, int]) -> list[int]:
-    """Expand prod_d Phi_d(q)**mults[d] (all multiplicities >= 0); monic.
-
-    Each Phi_d is the Moebius product prod_{t | d} (q**t - 1)**mu(d/t), so
-    the whole product is one bracket product, expanded with exact bracket
-    divisions.
-    """
+def cyclo_powers(c: Sequence[int], mults: Mapping[int, int]) -> list[int]:
+    """c * prod_d Phi_d(q)**mults[d] for integer multiplicities; a negative
+    power that does not divide c raises InexactDivision.  Each Phi_d is the
+    Moebius product prod_{t | d} (q**t - 1)**mu(d/t), so this is one bracket
+    product, applied to c by `expand_bracket_powers`."""
     brackets: dict[int, int] = {}
     sign = 1
     for d, e in mults.items():
-        if e < 0:
-            raise ValueError("cyclotomic multiplicities must be >= 0")
-        if e == 0:
-            continue
         # q**t - 1 = -(1 - q**t), and sum_{t | d} mu(d/t) is 1 for d = 1 only.
         if d == 1 and e % 2:
             sign = -sign
@@ -239,7 +230,13 @@ def expand_cyclo_powers(mults: Mapping[int, int]) -> list[int]:
             mu = mobius(d // t)
             if mu:
                 brackets[t] = brackets.get(t, 0) + mu * e
-    out = list_scale(expand_bracket_powers(brackets), sign)
+    return list_scale(expand_bracket_powers(brackets, c), sign)
+
+
+def expand_cyclo_powers(mults: Mapping[int, int]) -> list[int]:
+    """Expand prod_d Phi_d(q)**mults[d]; monic.  A negative multiplicity
+    leaves no polynomial and raises InexactDivision."""
+    out = cyclo_powers([1], mults)
     if not out or out[-1] != 1:
         raise ArithmeticError("cyclotomic product must be monic")
     return out

@@ -8,8 +8,10 @@ import pytest
 
 from qpiverify.factored import (
     BracketProduct,
+    FactoredSum,
     Packing,
     SlotOverflow,
+    divide_out_cyclotomic,
     negated,
     sum_terms,
     sum_terms_mod,
@@ -18,6 +20,7 @@ from qpiverify.factored import (
 from qpiverify.polys import (
     InexactDivision,
     Poly,
+    cyclo_powers,
     cyclotomic,
     cyclotomic_int,
     divisors,
@@ -26,7 +29,6 @@ from qpiverify.polys import (
     list_add,
     list_bracket_div,
     list_bracket_mul,
-    list_div_exact_monic,
     list_divmod_monic,
     list_mod_monic,
     list_mul,
@@ -86,6 +88,69 @@ def test_expand_cyclo_powers_spot_checks():
     assert Poly(expand_cyclo_powers({2: 1})) == cyclotomic(2)
     assert Poly(expand_cyclo_powers({6: 1})) == cyclotomic(6)
     assert Poly(expand_cyclo_powers({1: 2, 4: 1})) == cyclotomic(1) ** 2 * cyclotomic(4)
+
+
+def _dense_divide_out(c, d, cap):
+    """Divide c by Phi_d up to cap times, one dense division by the expanded
+    Phi_d at a time; the oracle for the bracket-product kernel."""
+    phi = cyclotomic_int(d)
+    count = 0
+    while count < cap:
+        quot, rem = list_divmod_monic(c, phi)
+        if rem:
+            break
+        c, count = quot, count + 1
+    return count, c
+
+
+def _planted(rng, d, k):
+    """q**j * Phi_d**k * r for a random r with nonzero ends that Phi_d does
+    not divide; returns (the product, r)."""
+    phi = list(cyclotomic_int(d))
+    while True:
+        r = [rng.choice((-1, 1)) * rng.randint(1, 40)]
+        r += [rng.randint(-40, 40) for _ in range(rng.randint(0, 2 * len(phi)))]
+        r[-1] = r[-1] or 1
+        if list_divmod_monic(r, phi)[1]:
+            break
+    c = [0] * rng.randint(0, 2) + r
+    for _ in range(k):
+        c = list_mul(c, phi)
+    return c, r
+
+
+def test_cyclotomic_kernel_matches_dense_division():
+    """divide_out_cyclotomic counts and divides as dense division by Phi_d
+    does, with caps below, at and above the planted power; cyclo_powers
+    takes c to c * prod Phi_d**e and back, and rejects what does not divide."""
+    rng = random.Random(23)
+    ds = (1, 2, 3, 4, 6, 9, 12, 15, 30, 105)
+    for d in ds:
+        for k in range(5):
+            c, r = _planted(rng, d, k)
+            for cap in sorted({max(k - 1, 0), k, k + 1}):
+                count, quot = divide_out_cyclotomic(c, d, cap)
+                assert (count, quot) == _dense_divide_out(c, d, cap), (d, k, cap)
+                assert count == min(k, cap)
+            with pytest.raises(InexactDivision):
+                cyclo_powers(r, {d: -1})
+            mults = {d: rng.randint(1, 3), rng.choice(ds): rng.randint(1, 2)}
+            up = cyclo_powers(c, mults)
+            assert up == list_mul(c, expand_cyclo_powers(mults)), (d, mults)
+            assert cyclo_powers(up, {e: -m for e, m in mults.items()}) == c, (d, mults)
+            # One call divides some powers out and multiplies others in.
+            other = rng.choice([e for e in ds if e != d])
+            want = list_mul(_dense_divide_out(c, d, k)[1], expand_cyclo_powers({other: 2}))
+            assert cyclo_powers(c, {d: -k, other: 2}) == want, (d, k, other)
+    # Phi_1 = q - 1 = -(1 - q): the sign follows the parity of its power.
+    assert cyclo_powers([1], {1: 1}) == [-1, 1]
+    assert cyclo_powers([0, 2], {1: 2}) == [0, 2, -4, 2]
+    assert cyclo_powers([1, -1], {1: -1}) == [-1]
+    assert cyclo_powers([1, 0, -1], {1: -1, 2: -1}) == [-1]
+    with pytest.raises(InexactDivision):
+        cyclo_powers([1], {1: -1})
+    with pytest.raises(InexactDivision):
+        expand_cyclo_powers({6: -2, 3: 1})
 
 
 def _poch(base, step, count):
@@ -223,6 +288,77 @@ def test_to_ratfunc_evaluation_oracle():
         if abs(x) == 1 or x == 0:
             continue
         assert rf.evaluate(x) == bp.evaluate(x)
+
+
+def _dense_to_ratfunc(fs):
+    """`FactoredSum.to_ratfunc` with dense division and a dense product:
+    each denominator Phi_d divided out of the numerator one dense division
+    at a time, then the numerator cyclotomics' expanded product multiplied
+    in; the oracle for the bracket-product kernel."""
+    if fs.is_zero():
+        return RatFunc.zero()
+    low = 0
+    while fs.num[low] == 0:
+        low += 1
+    num = fs.num[low:]
+    mults = fs.prefactor.cyclo_mults()
+    den_mults = {d: -e for d, e in mults.items() if e < 0}
+    for d in sorted(den_mults, reverse=True):
+        count, num = _dense_divide_out(num, d, den_mults[d])
+        den_mults[d] -= count
+    num = list_mul(num, expand_cyclo_powers({d: e for d, e in mults.items() if e > 0}))
+    sign = (-1) ** (sum(e for _, e in fs.prefactor.exps) % 2)
+    num_poly = Poly(num) * (fs.prefactor.coeff * sign)
+    den_poly = Poly(expand_cyclo_powers(den_mults))
+    shift = fs.prefactor.shift + low
+    if shift >= 0:
+        num_poly = num_poly.shifted(shift)
+    else:
+        den_poly = den_poly.shifted(-shift)
+    return RatFunc._from_reduced(num_poly, den_poly)
+
+
+def _rand_factored_sum(rng):
+    """A prefactor with bracket exponents of both signs and a shift of either
+    sign, over a numerator with low zeros and planted powers of cyclotomics
+    that the prefactor's denominator holds, some of them above its need."""
+    exps = {rng.randint(1, 12): rng.choice((-3, -2, -1, 1, 2)) for _ in range(rng.randint(0, 4))}
+    pf = BracketProduct.make(Fraction(rng.choice((-5, -1, 1, 3)), rng.choice((1, 2, 7))), rng.randint(-6, 6), exps)
+    num = [rng.randint(-30, 30) for _ in range(rng.randint(1, 15))]
+    num[-1] = num[-1] or 1
+    held = sorted(d for m, e in exps.items() if e < 0 for d in divisors(m))
+    for d in rng.sample(held, min(len(held), rng.randint(0, 4))):
+        num = list_mul(num, expand_cyclo_powers({d: rng.randint(1, 4)}))
+    return FactoredSum(pf, [0] * rng.randint(0, 3) + num)
+
+
+def test_to_ratfunc_matches_dense_division():
+    rng = random.Random(29)
+    for _ in range(300):
+        fs = _rand_factored_sum(rng)
+        got, want = fs.to_ratfunc(), _dense_to_ratfunc(fs)
+        assert (got.num, got.den) == (want.num, want.den), fs
+    assert FactoredSum(BracketProduct.one(), []).to_ratfunc() == RatFunc.zero()
+
+
+def test_to_ratfunc_divides_by_no_dense_cyclotomic(monkeypatch):
+    """Every Phi_d leaves the numerator as its bracket product; no dense
+    monic division runs, on a failing identity's witness or a partial sum."""
+    from qpiverify import polys
+    from qpiverify.qseries import series_factors
+    from qpiverify.wz import IdentityId, identity_terms
+
+    def forbidden(c, d):
+        raise AssertionError("dense division by a cyclotomic")
+
+    lhs, rhs = identity_terms(IdentityId.ID_A2, 10)
+    values = [
+        sum_terms(series_factors(SeriesId.J2_LHS, None, 12)),
+        sum_terms(lhs + [negated((c, s + 1, f)) for c, s, f in rhs]),
+    ]
+    monkeypatch.setattr(polys, "list_divmod_monic", forbidden)
+    for fs in values:
+        assert not fs.to_ratfunc().den.is_zero()
 
 
 def test_substitute_q_inverse():
@@ -667,9 +803,8 @@ def test_list_mod_and_exact_division():
     # q^5 - 1 = (q - 1) Phi_5, so q^5 reduces to 1.
     assert list_trim(list_mod_monic([0, 0, 0, 0, 0, 1], phi5)) == [1]
     prod = list_bracket_mul(phi5, 2)
-    quot = list_div_exact_monic(prod, phi5)
-    assert quot == [1, 0, -1]
-    assert list_div_exact_monic([1, 1], phi5) is None
+    assert list_divmod_monic(prod, phi5) == ([1, 0, -1], [])
+    assert list_divmod_monic([1, 1], phi5)[1] != []
     # The monic division agrees with Poly's on sparse and dense divisors.
     rng = random.Random(11)
     sparse_and_dense = [

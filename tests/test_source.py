@@ -55,6 +55,23 @@ def test_bracket_products_stay_in_factored_and_qseries():
     assert not found, f"BracketProduct used outside factored.py and qseries.py: {found}"
 
 
+def test_cyclotomics_expanded_only_in_polys():
+    """A power of Phi_d enters or leaves a polynomial only through
+    `polys.cyclo_powers`, so no other module names the dense
+    `cyclotomic_int` to divide or multiply by it."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "polys.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == "cyclotomic_int" for a in node.names)
+            named = isinstance(node, ast.Name) and node.id == "cyclotomic_int"
+            if imported or named or isinstance(node, ast.Attribute) and node.attr == "cyclotomic_int":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"cyclotomic_int named outside polys.py: {found}"
+
+
 def test_traced_layers_resolve():
     """The benchmark's tracer wraps these names from outside the package; a
     moved or renamed layer would break its traced run.  Names resolve as the
