@@ -356,7 +356,9 @@ class Packing:
     w is `bound`'s bit length plus 2, rounded up to whole bytes, so every
     |c_j| <= bound lies in [-2**(w - 2), 2**(w - 2)); a value whose slots all
     do is *in range*.  The packing is one-to-one on polynomials whose
-    coefficients are below 2**(w - 1) in absolute value.
+    coefficients are below 2**(w - 1) in absolute value.  `fits` checks a
+    narrower range, the headroom a walk needs before its next steps, and
+    `reslot` moves a value into wider slots.
     """
 
     def __init__(self, bound: int, slots: int):
@@ -364,12 +366,37 @@ class Packing:
         self.slots = slots
         # 2**(w - 1) in every slot; half of it is 2**(w - 2) in every slot.
         self._top = int.from_bytes((bytes(self.w // 8 - 1) + b"\x80") * slots, "little")
+        self._checks: dict[int, tuple[int, int]] = {}
+
+    def fits(self, v: int, h: int) -> bool:
+        """Whether v is a value of at most `slots` slots, each in
+        [-2**h, 2**h), for 0 <= h <= w - 2: biased by 2**h per slot, it must
+        fit them with bits h + 1 to w - 1 of every slot clear.  Slots in that
+        range carry nothing into their neighbours when biased, and biased
+        fields f_j below 2**(h + 1) make v the sum of (f_j - 2**h) * 2**(j*w),
+        so the check is exact."""
+        check = self._checks.get(h)
+        if check is None:
+            bias = self._top >> (self.w - 1 - h)
+            check = self._checks[h] = bias, (self._top - bias) << 1
+        u = v + check[0]
+        return not (u >> (self.slots * self.w) or u & check[1])
 
     def in_range(self, v: int) -> bool:
-        """Whether v is an in-range value of at most `slots` slots: biased by
-        2**(w - 2) per slot, it must fit them with every top bit clear."""
-        u = v + (self._top >> 1)
-        return not (u >> (self.slots * self.w) or u & self._top)
+        """Whether v is an in-range value of at most `slots` slots."""
+        return self.fits(v, self.w - 2)
+
+    def reslot(self, v: int, wider: Packing) -> int:
+        """The value with v's slots in `wider`'s, of the same count and at
+        least as wide.  v's slots must be below 2**(w - 1) in absolute
+        value: biased by 2**(w - 1), each is one w-bit field, and the fields
+        move to their new places a byte column at a time."""
+        size, wide = self.w // 8, wider.w // 8
+        data = (v + self._top).to_bytes(self.slots * size, "little")
+        out = bytearray(self.slots * wide)
+        for i in range(size):
+            out[i::wide] = data[i::size]
+        return int.from_bytes(out, "little") - (wider._top >> (wider.w - self.w))
 
     def bracket_mul(self, v: int, m: int) -> int:
         """v * (1 - q**m)."""
@@ -570,16 +597,23 @@ def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
 # before (`_term_changes`).
 # ---------------------------------------------------------------------------
 
+#: The slot width, in bits, at which `sum_terms_mod` starts checking its
+#: values when the proven width is more than twice as wide.  Below that, the
+#: checks cost more than the narrower slots save: J2 at p = 19 to 31 (proven
+#: widths 72 to 104 bits) ran 10-20% slower checked from 64 bits.
+_START_WIDTH = 64
 
-def _ratio_walk(ratios, step, lin):
-    """(A, D) after the term-ratio recurrence over `ratios`: term / D is the
-    current summand and A / D the partial sum, each ratio multiplies term by
-    its numerator and A, D by its denominator, and the first ratio is t_0
-    itself.  A ratio is (brackets, shift, coeff, passing): pairs (m, e) for
+
+def _ratio_walk(state, ratios, step, lin):
+    """The state (term, A, D) after the term-ratio recurrence over `ratios`:
+    term / D is the current summand and A / D the partial sum, each ratio
+    multiplies term by its numerator and A, D by its denominator, and the
+    first ratio of a whole walk is t_0 itself, applied to (1, 0, 1).  A
+    ratio is (brackets, shift, coeff, passing): pairs (m, e) for
     (1 - q**m)**e, and each m whose 1 - q**m multiplies only the copy of
     term added into A.  Values are (X, Y) pairs; step(v, m, bracket) is
     v * (1 - q**m) if bracket else v * q**m, lin(c, v, v2) is c*v + v2."""
-    zero, term, acc, den = (0, 0), (1, 0), (0, 0), (1, 0)
+    zero, (term, acc, den) = (0, 0), state
     for brackets, shift, coeff, passing in ratios:
         for m, e in brackets:
             for _ in range(e):
@@ -590,12 +624,16 @@ def _ratio_walk(ratios, step, lin):
             term = step(term, shift, False)
         elif shift < 0:
             acc, den = step(acc, -shift, False), step(den, -shift, False)
-        d = coeff.denominator
-        term = out = lin(coeff.numerator, term, zero)
+        c, d = coeff.numerator, coeff.denominator
+        if c != 1:
+            term = lin(c, term, zero)
+        out = term
         for m in passing:
             out = step(out, m, True)
-        acc, den = lin(d, acc, out), lin(d, den, zero)
-    return acc, den
+        acc = lin(d, acc, out)
+        if d != 1:
+            den = lin(d, den, zero)
+    return term, acc, den
 
 
 def sum_terms_mod(
@@ -634,21 +672,44 @@ def sum_terms_mod(
 
         q**m (X + u*Y) = rot_r(X) + u*(rot_r(Z) + wrap_r(X)),  Z = Y + a*X,
 
-    and a bracket subtracts this from the pair.  The slot width is fixed up
-    front from bounds (bx, by) on the coefficients of X and Y, carried
-    through the same walk:
+    and a bracket subtracts this from the pair.  Bounds (bx, by) on the
+    coefficients of X and Y go through the same steps:
 
     - times q**m: (bx, by + (a + 1)*bx), which also bounds Z;
     - times 1 - q**m: the pair plus its q**m image, (2*bx, 2*by + (a + 1)*bx);
     - c*v + v2: |c| times v's bounds plus v2's.
 
-    No step lowers a bound, |c| >= 1, and A receives each term's last value
-    times its passing brackets, so A's and D's final bx + by bound every
-    coefficient the walk splits or unpacks, up to the residue X - Y + q**n * Y
-    itself.  That residue is rebuilt once, through `Packing.unpack`, whose
-    SlotOverflow would report a wrong bound, and reduced by `mod` once.  The
-    steps' bounds are linear maps that commute and the steps are exact, so
-    neither depends on the order of a ratio's or a term's passing brackets.
+    No map lowers a bound, |c| >= 1, and A receives each term's last value
+    times its passing brackets, so the bounds at the end of a ratio bound
+    every coefficient the ratio splits or computes.  Walked over all ratios
+    from the start values, A's and D's final bx + by bound every coefficient
+    of the walk; a `Packing` for that bound has the *proven* width.  As the
+    bounds double with every bracket, it grows linearly with the bracket
+    count, much faster than the values, so it is only a cap.
+
+    The walk runs at a width w that follows the values.  The maps are linear
+    with nonnegative coefficients, so over ratio i alone, from unit bounds on
+    all six ints, they give G_i: if every slot is at most B in absolute value
+    when ratio i starts, every value inside it is at most G_i * B.  With
+    g = bits(G_i), ratio i runs at w only once every slot lies in
+    [-2**h, 2**h), h = w - 2 - g (`Packing.fits`): its values then stay below
+    G_i * 2**h < 2**(w - 2), so every split is exact and the state is in
+    range when the ratio ends.  On a miss, the state is re-slotted
+    (`Packing.reslot`) to max(1.5*w, w + g) bits in whole bytes, at most the
+    proven width; an in-range state passes the check at w + g.  By induction
+    from the exact start state, every ratio runs in range, nothing is re-run,
+    and the residues are those of any wider packing: they rest on the checks,
+    not on the global bound.  The walk starts at `_START_WIDTH` when the
+    proven width is more than twice that, else at the proven width, and
+    stops checking once it reaches the proven width, where the global bound
+    covers the rest of a walk whose earlier steps were exact.
+
+    The residue X - Y + q**n * Y is rebuilt once from X and Y unpacked
+    apart, as X - Y need not be in range at a fitted width, through
+    `Packing.unpack`, whose SlotOverflow would report a flaw in the argument
+    above, and reduced by `mod` once.  The steps' bounds are linear maps
+    that commute and the steps are exact, so neither depends on the order of
+    a ratio's or a term's passing brackets.
     """
     if len(mod) < 2 or mod[-1] != 1:
         raise ValueError("modulus must be monic, degree >= 1")
@@ -711,8 +772,19 @@ def sum_terms_mod(
         by = b[1] + (m // n + 1) * b[0]
         return (2 * b[0], b[1] + by) if bracket else (b[0], by)
 
-    acc, den = _ratio_walk(ratios, step_bound, lambda c, b, b2: lin(abs(c), b, b2))
+    def lin_bound(c, b, b2):
+        return lin(abs(c), b, b2)
+
+    def packing(w):
+        """n slots of w bits, rounded up to whole bytes."""
+        return Packing((1 << (w - 2)) - 1, n)
+
+    start = ((1, 0), (0, 0), (1, 0))
+    _, acc, den = _ratio_walk(start, ratios, step_bound, lin_bound)
     pack = Packing(max(sum(acc), sum(den)), n)
+    cap = pack.w
+    if cap > 2 * _START_WIDTH:
+        pack = packing(_START_WIDTH)
     w = pack.w
 
     def step(v, m, bracket):
@@ -726,8 +798,23 @@ def sum_terms_mod(
             x2, y2 = x, z
         return (x - x2, y - y2) if bracket else (x2, y2)
 
-    def residue(v):
-        return list_mod_monic(pack.unpack(v[0] - v[1]) + pack.unpack(v[1]), mod)
+    state, i = start, 0
+    while w < cap and i < len(ratios):
+        one = ratios[i : i + 1]
+        # From unit bounds, A's end bounds are the largest: D takes the same
+        # steps, and A adds the term's last value to them.
+        g = max(_ratio_walk(((1, 1),) * 3, one, step_bound, lin_bound)[1]).bit_length()
+        h = w - 2 - g
+        if h < 0 or not all(map(pack.fits, [*state[0], *state[1], *state[2]], [h] * 6)):
+            wider = packing(min(cap, max(w * 3 // 2, w + g)))
+            state = tuple(tuple(pack.reslot(x, wider) for x in v) for v in state)
+            pack, w = wider, wider.w
+        state, i = _ratio_walk(state, one, step, lin), i + 1
+    state = _ratio_walk(state, ratios[i:], step, lin)
 
-    acc, den = _ratio_walk(ratios, step, lin)
+    def residue(v):
+        x, y = pack.unpack(v[0]), pack.unpack(v[1])
+        return list_mod_monic([a - b for a, b in zip(x, y)] + y, mod)
+
+    _, acc, den = state
     return residue(acc), residue(den), den_brackets

@@ -578,6 +578,7 @@ _RESIDUE_DIGESTS = {
     ("J2", 97): "c37b363da0ba36d13283453f0338909bece226b81041cd2206c1392b9e51e826",
     ("J2", 199): "16104a18648521fef0722c8119140c869292c83ebcebc4a16dde139a71449638",
     ("modsun", 499): "9ca2d083d0f61c256dd4974aa8e76572c2fa653add0afa93ca7a52e7c5403308",
+    ("L2", 197): "b1a2bd33132802a58c8a4eeaad3cc544b6fd2443cd2509c82a0c7d71091bef70",
 }
 
 
@@ -600,11 +601,51 @@ def test_sum_terms_mod_residues_pinned(case, n):
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _RESIDUE_DIGESTS[case, n]
 
 
+@pytest.mark.parametrize("case, n", list(_RESIDUE_DIGESTS))
+def test_sum_terms_mod_residues_pinned_from_a_narrow_start(case, n, monkeypatch):
+    """Started at 8-bit slots, the modular walk widens where its checks ask,
+    never overflows a slot, and gives the pinned residues."""
+    import qpiverify.factored as factored
+
+    widths = []
+    reslot = factored.Packing.reslot
+
+    def recorded(self, v, wider):
+        widths.append(wider.w)
+        return reslot(self, v, wider)
+
+    monkeypatch.setattr(factored, "_START_WIDTH", 8)
+    monkeypatch.setattr(factored.Packing, "reslot", recorded)
+    test_sum_terms_mod_residues_pinned(case, n)
+    assert widths
+
+
+#: sha256 of repr(sum_terms_mod(...)) for the unsplit intro terms F(k, 0),
+#: k < p, modulo Phi_p^2, where the walk widens its slots several times.
+_PHI_SQUARED_DIGESTS = {
+    ("J2", 199): "674efe40f816a95c6ee8a2a9499d033a27ef36ff930b3a05b7dbdd881f16d486",
+    ("L2", 197): "d2b1f5c496c98c42ab968aeac5d8df1b680ef2b430502af51060edc017897be7",
+}
+
+
+@pytest.mark.parametrize("case, n", list(_PHI_SQUARED_DIGESTS))
+def test_sum_terms_mod_residues_pinned_modulo_phi_squared(case, n):
+    import hashlib
+
+    from qpiverify.factored import sum_terms_mod
+
+    pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
+    terms = [wz_term_factors(pair, "F", k, 0) for k in range(n)]
+    out = sum_terms_mod(terms, modulus_build(n, ModulusKind.PHI_SQUARED).coeffs, n)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == _PHI_SQUARED_DIGESTS[case, n]
+
+
 #: sha256 of repr(sum_terms_mod(...)) on the modular route's own walk,
 #: [-rhs, *terms], pinned from the terms as normalized products.
 _WALK_DIGESTS = {
     ("J2", 199): "3d6a8b597d1196dfcc71157203b7534e8f76e2c05c40348fdd98f137793e3571",
     ("modsun", 499): "8f2f0c79ee0dc08ecb7b45941e61facb7f1b57b13c86e33c9eee0170f8dce557",
+    ("L2", 197): "b40061e0fad360337880a76ea76c2a912eadaaa8d28051b6d735935d28d3aa13",
 }
 
 
@@ -624,8 +665,9 @@ def test_modular_walk_on_factor_lists_pinned(case, n, monkeypatch):
         return outs[-1]
 
     monkeypatch.setattr(congruences, "sum_terms_mod", recorded)
-    if case == "J2":
-        result = verify_intro(WzPairId.PAIR_J2, n, path="modular")
+    if case in ("J2", "L2"):
+        pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
+        result = verify_intro(pair, n, path="modular")
     else:
         result = verify_modsun(n, path="modular")
     assert result.passed

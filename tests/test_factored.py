@@ -567,6 +567,46 @@ def test_unpack_trim_reads_the_top_slot_off_the_bit_length():
         assert p.unpack(_pack(p, coeffs), trim=True) == list_trim(list(coeffs))
 
 
+def test_fits_checks_every_slot_against_its_headroom():
+    p = Packing(2**20, 3)  # 24-bit slots
+    assert p.w == 24
+    for h in (0, 1, 7, 21, 22):
+        edge = 1 << h
+        for slot in range(3):
+            for c, ok in ((-edge, True), (edge - 1, True), (edge, False), (-edge - 1, False)):
+                coeffs = [0, 0, 0]
+                coeffs[slot] = c
+                assert p.fits(_pack(p, coeffs), h) is ok, (h, coeffs)
+        assert p.fits(_pack(p, [-edge, edge - 1, -edge]), h)
+        # A negative top slot borrows from the bits above every slot.
+        assert p.fits(_pack(p, [edge - 1, 0, -1]), h)
+        assert not p.fits(_pack(p, [0, 0, -edge - 1]), h)
+        # A top slot that carries out when biased sets no slot's bits.
+        assert not p.fits(_pack(p, [0, 0, (1 << 24) - edge]), h)
+        assert not p.fits(1 << 72, h) and not p.fits(-(1 << 72), h)
+    # in_range is the case h = w - 2.
+    rng = random.Random(31)
+    for _ in range(300):
+        coeffs = [rng.randint(-(1 << 23), (1 << 23) - 1) for _ in range(3)]
+        assert p.in_range(_pack(p, coeffs)) is p.fits(_pack(p, coeffs), 22)
+        h = rng.randint(0, 22)
+        assert p.fits(_pack(p, coeffs), h) is all(-(1 << h) <= c < 1 << h for c in coeffs)
+
+
+def test_reslot_matches_a_plain_pack_at_the_wider_width():
+    rng = random.Random(37)
+    for _ in range(300):
+        slots = rng.randint(1, 12)
+        p = Packing(rng.choice([1, 60, 2**20, 2**70]), slots)
+        # A bound of at least 2**(p.w - 3) gives a width of at least p.w.
+        wider = Packing(rng.choice([0, 1 << (p.w - 2), 2**30, 2**100]) | (1 << (p.w - 3)), slots)
+        half = 1 << (p.w - 1)
+        coeffs = [rng.choice([-half, half - 1, 0, rng.randint(-half, half - 1)]) for _ in range(slots)]
+        assert p.reslot(_pack(p, coeffs), wider) == wider.pack(coeffs) == _pack(wider, coeffs)
+        if wider.w > p.w and all(abs(c) < 1 << (p.w - 2) for c in coeffs):
+            assert wider.unpack(p.reslot(p.pack(coeffs), wider)) == coeffs
+
+
 def test_cyclo_multiplicity_counts():
     # (1-q)^2 (1-q^6) / (1-q^3) has Phi_1 multiplicity 2, Phi_2 1, Phi_3 0, Phi_6 1.
     fs = sum_terms([(1, 0, [(1, 1, 1, 2), (6, 1, 1, 1), (3, 1, 1, -1)])])
@@ -693,6 +733,24 @@ def test_sum_terms_mod_matches_list_walk():
         terms = [BracketProduct.make(1, 0, {1: 40, n + 1: 3}), BracketProduct.make(-3, 1, {1: 39})]
         for mod in moduli:
             assert sum_terms_mod([_as_list(t) for t in terms], mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+
+
+def test_sum_terms_mod_widens_from_a_narrow_start(monkeypatch):
+    """Started at 8-bit slots, the walk widens where its checks ask and
+    still matches the list walk."""
+    import qpiverify.factored as factored
+
+    widths = []
+    reslot = Packing.reslot
+
+    def recorded(self, v, wider):
+        widths.append(wider.w)
+        return reslot(self, v, wider)
+
+    monkeypatch.setattr(factored, "_START_WIDTH", 8)
+    monkeypatch.setattr(Packing, "reslot", recorded)
+    test_sum_terms_mod_matches_list_walk()
+    assert widths
 
 
 def _factor_list_walks():
