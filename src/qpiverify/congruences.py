@@ -18,7 +18,12 @@ checked along two independent routes:
   same residue.
 
 A failure's witness is its residue in Q[q]/(M), certified in integer arithmetic
-by `_residue`; every modulus M is monic with integer coefficients.
+by `_residue`, which takes integer lists and the monic integer M.  The modular
+route passes its pair A / D as it stands.  The exact route takes its value as
+`FactoredSum.as_quotient` writes it, a rational scale times integer lists with
+the prefactor's sign, content, cyclotomics and q-shift applied, so this module
+never reads a prefactor's brackets.  `congruent_zero`, the one caller that
+holds a `RatFunc` and a `Poly` modulus, splits off their contents itself.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from .factored import (
     FactoredSum,
@@ -38,7 +44,6 @@ from .factored import (
 from .polys import (
     Poly,
     content_split,
-    cyclo_powers,
     divisors,
     expand_cyclo_powers,
     factorize,
@@ -109,19 +114,17 @@ def modulus_build(n: int, kind: ModulusKind) -> ModulusContext:
     return ModulusContext(n, kind, tuple(expand_cyclo_powers(mults)), tuple(sorted(mults.items())))
 
 
-def _residue(num: Poly, den: Poly, modulus: Poly) -> Poly:
-    """num / den in Q[q]/(modulus), for a modulus with an integral monic form M.
+def _residue(N: Sequence[int], D: Sequence[int], mod: Sequence[int]) -> list[Fraction]:
+    """The coefficients of N / D in Q[q]/(M), for integer lists N and D and a
+    monic integer modulus M.
 
-    With num = a N and den = b D (`content_split`), N and D integer lists
-    reduced by M, the inverse of D mod (M, p) is lifted by Newton's
-    u <- u(2 - D u) mod p^(2^k); N u is rationally reconstructed into w = c W
-    and returned once D W c == N (mod M) holds exactly.  D sharing a factor
-    with M raises instead.
+    With N and D reduced by M, the inverse of D mod (M, p) is lifted by
+    Newton's u <- u(2 - D u) mod p^(2^k); N u is rationally reconstructed
+    into w = c W and returned once D W c == N (mod M) holds exactly.  D
+    sharing a factor with M raises instead.
     """
-    mod = _monic_int(modulus)
     if len(mod) == 1:  # Q[q]/(1) is the zero ring
-        return Poly()
-    (a, N), (b, D) = content_split(num.coeffs), content_split(den.coeffs)
+        return []
     N, D = list_mod_monic(N, mod), list_mod_monic(D, mod)
     # The primes skipped are the divisors of the nonzero resultant Res(D, M).
     for P in filter(is_prime, range(2**31 - 1, 2, -2)):
@@ -137,7 +140,7 @@ def _residue(num: Poly, den: Poly, modulus: Poly) -> Poly:
             c, W = content_split(w)
             check = list_add(list_scale(list_mul(D, W), c.numerator), list_scale(N, -c.denominator))
             if not list_mod_monic(check, mod):
-                return Poly(w) * (a / b)
+                return w
         P *= P
         u = _mul_mod(u, list_add([2], list_scale(_mul_mod(D, u, mod, P), -1)), mod, P)
 
@@ -173,18 +176,20 @@ def _rational_lift(x: list[int], P: int) -> list[Fraction] | None:
 def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckResult:
     """Reduced-form congruence r == 0 (mod m): m | num(r) and gcd(den(r), m) = 1,
     for m integral and monic up to a scalar.  Both halves are read off
-    `_residue`: it exists iff den(r) is invertible modulo m, and it is zero iff
-    m | num(r); a nonzero residue is the failure's witness."""
+    `_residue` of num(r) and den(r) as contents times integer lists: it
+    exists iff den(r) is invertible modulo m, and it is zero iff m | num(r);
+    a nonzero residue, times the contents' ratio, is the failure's witness."""
     if m.is_zero():
         raise ValueError("zero modulus")
+    (a, N), (b, D) = content_split(r.num.coeffs), content_split(r.den.coeffs)
     try:
-        residue = _residue(r.num, r.den, m)
+        w = _residue(N, D, _monic_int(m))
     except NonInvertibleDenominator:
         g = poly_gcd(r.den, m)
         raise GcdNotCoprime(f"{label}: denominator shares {g!r} with the modulus") from None
-    if residue.is_zero():
+    if not any(w):
         return CheckResult(True, label)
-    return CheckResult(False, label, witness=RatFunc.from_poly(residue))
+    return CheckResult(False, label, witness=RatFunc.from_poly(Poly(w) * (a / b)))
 
 
 def _check_congruence_modular(
@@ -203,8 +208,7 @@ def _check_congruence_modular(
             )
     if not acc:
         return CheckResult(True, label)
-    residue = _residue(Poly(acc), Poly(den), ctx.modulus)
-    return CheckResult(False, label, witness=RatFunc.from_poly(residue))
+    return CheckResult(False, label, witness=RatFunc.from_poly(Poly(_residue(acc, den, ctx.coeffs))))
 
 
 def _check_congruence_exact(
@@ -219,55 +223,27 @@ def _check_congruence_exact(
     # Every factor Phi_d of M divides u = q^n - 1, so Phi_d^k divides u^K for
     # k <= K: with K the largest count any factor needs past the prefactor,
     # the numerator mod u^K counts each of them as the numerator does.
+    mults = dict(ctx.factor_mults)
     pref = fs.prefactor.cyclo_mults()
-    fold = max(mult - pref.get(d, 0) for d, mult in ctx.factor_mults)
+    fold = max(mult - pref.get(d, 0) for d, mult in mults.items())
     folded = FactoredSum(fs.prefactor, u_fold(fs.num, ctx.n, fold))
-    ill = False
-    failed = False
-    for d, mult in ctx.factor_mults:
-        total = folded.cyclo_multiplicity(d, mult)
-        if total >= mult:
-            continue
-        if total < 0:
-            ill = True
-        else:
-            failed = True
-    if ill:
+    counts = {d: folded.cyclo_multiplicity(d, mult) for d, mult in mults.items()}
+    if min(counts.values()) < 0:
         raise GcdNotCoprime(f"{label}: reduced denominator shares a factor with the modulus")
-    if not failed:
+    if counts == mults:
         return CheckResult(True, label)
-    return CheckResult(False, label, witness=RatFunc.from_poly(_folded_residue(folded, ctx)))
-
-
-def _folded_residue(folded: FactoredSum, ctx: ModulusContext) -> Poly:
-    """The residue mod M of a failing exact check's value, from its numerator
-    folded mod u^K.
-
-    Up to sign the prefactor is c q^s prod_d Phi_d^(p_d), and the folded
-    numerator differs from the whole one by a multiple of u^K, so for each
-    factor Phi_d^(m_d) of M the value moves by a multiple of Phi_d^(p_d + K);
-    K >= m_d - p_d makes the move a multiple of M, and the residue is the
-    same.  No factor of M has a negative total count here, so the folded
-    numerator holds each Phi_d^(-p_d) of M's factors: one `cyclo_powers`
-    call divides them out exactly and multiplies the prefactor's numerator
-    cyclotomics in.  The prefactor's other cyclotomics, coprime to M where
-    they are denominators, go to `_residue` with it.
-    """
-    pf = folded.prefactor
-    mults = pf.cyclo_mults()
-    of_m = {d for d, _ in ctx.factor_mults}
-    num = cyclo_powers(folded.num, {d: e for d, e in mults.items() if e > 0 or d in of_m})
-    den = expand_cyclo_powers({d: -e for d, e in mults.items() if e < 0 and d not in of_m})
-    # M divides u^2, so both sides fold to 2n coefficients before `_residue`.
-    num, den = u_fold(num, ctx.n, 2), u_fold(den, ctx.n, 2)
-    # (1 - q^m) = -(q^m - 1) flips the sign once per bracket.
-    sign = (-1) ** (sum(e for _, e in pf.exps) % 2)
-    num_poly, den_poly = Poly(num) * (pf.coeff * sign), Poly(den)
-    if pf.shift >= 0:
-        num_poly = num_poly.shifted(pf.shift)
-    else:
-        den_poly = den_poly.shifted(-pf.shift)
-    return _residue(num_poly, den_poly, ctx.modulus)
+    # The witness is the residue mod M of the folded value.  The folded
+    # numerator differs from the whole one by a multiple of u^K, so for each
+    # factor Phi_d^(m_d) of M, with Phi_d^(p_d) in the prefactor, the value
+    # moves by a multiple of Phi_d^(p_d + K); K >= m_d - p_d makes the move a
+    # multiple of M.  No factor of M has a negative count, so the folded
+    # numerator holds each of their Phi_d^(-p_d), which `as_quotient`
+    # divides out by their known counts; the prefactor's other denominator
+    # cyclotomics are coprime to M.  M divides u^2, so both sides fold to 2n
+    # coefficients before `_residue`.
+    scale, num, den = folded.as_quotient(mults)
+    w = _residue(u_fold(num, ctx.n, 2), u_fold(den, ctx.n, 2), ctx.coeffs)
+    return CheckResult(False, label, witness=RatFunc.from_poly(Poly(w) * scale))
 
 
 def verify_modsun(n: int, path: str = "auto") -> CheckResult:
@@ -297,7 +273,6 @@ def verify_intro(
     pair: WzPairId,
     n: int,
     path: str = "auto",
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
     exploratory: bool = False,
 ) -> CheckResult:
     """Check the truncated sums against [n](-q)^e modulo [n]*Phi_n(q).
@@ -306,7 +281,7 @@ def verify_intro(
     (pass exploratory=True to evaluate other odd n anyway).  Both routes sum
     the same factor lists, the right side's included: prime n runs on the
     modular fast path, composite n needs the exact path, whose size is
-    capped by `exact_limit`.
+    capped by `DEFAULT_EXACT_LIMIT`.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
@@ -332,9 +307,9 @@ def verify_intro(
         raise NonInvertibleDenominator(
             f"intro {pair.value} n={n}: modular path requires prime n"
         )
-    if resolved == "exact" and n > exact_limit:
+    if resolved == "exact" and n > DEFAULT_EXACT_LIMIT:
         raise ExactPathLimit(
-            f"intro {pair.value} n={n}: exact path capped at n <= {exact_limit}"
+            f"intro {pair.value} n={n}: exact path capped at n <= {DEFAULT_EXACT_LIMIT}"
         )
     label = f"intro {pair.value} n={n} ({resolved})"
     check = _check_congruence_modular if resolved == "modular" else _check_congruence_exact

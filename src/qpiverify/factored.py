@@ -15,6 +15,11 @@ product of q-shifted factorials, and read every term through one stream
 consecutive lists, and the brackets whose exponents it changes.  `sum_terms`
 multiplies the ratios up into each term's normal form, and `sum_terms_mod`
 walks the ratios themselves.
+
+An exact sum is a `FactoredSum`, a prefactor times an integer polynomial.
+Only this module reads a prefactor's layout: `FactoredSum.as_quotient` is the
+one step that turns it into a sign, a content, cyclotomic powers and a
+q-shift, for lowest terms (`to_ratfunc`) and for a congruence's witness alike.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .polys import (
     InexactDivision,
@@ -313,34 +318,51 @@ class FactoredSum:
             return need
         return pref + count
 
-    def to_ratfunc(self) -> RatFunc:
-        """Lowest terms: the prefactor's brackets cancel at the cyclotomic
-        level, each remaining denominator Phi_d is divided out of `num` as
-        often as it goes (`divide_out_cyclotomic`), and the numerator
-        cyclotomics multiply in last; both go through `cyclo_powers`."""
+    def as_quotient(self, known: Collection[int] | None = None) -> tuple[Fraction, list[int], list[int]]:
+        """The value as scale * num / den, with num and den integer lists, den
+        monic, and the q-shift applied to one of them.
+
+        Up to the sign (-1)**(sum of the bracket exponents), the prefactor is
+        coeff * q**shift * prod_d Phi_d**(p_d).  Its numerator cyclotomics
+        multiply into `num` through one `cyclo_powers` call.  Its denominator
+        Phi_d leave `num` in one of two ways.  With `known` None, each is
+        divided out as often as it goes (`divide_out_cyclotomic`, largest d
+        first) before that call, which leaves lowest terms.  Otherwise the
+        Phi_d with d in `known` leave by their whole counts in the same call,
+        so `num` must hold them, and every other one stays in `den`.
+        """
         if self.is_zero():
-            return RatFunc.zero()
+            return Fraction(0), [], [1]
         low = 0
         while self.num[low] == 0:
             low += 1
         num = self.num[low:]
         mults = self.prefactor.cyclo_mults()
         den_mults = {d: -e for d, e in mults.items() if e < 0}
-        for d in sorted(den_mults, reverse=True):
-            count, num = divide_out_cyclotomic(num, d, den_mults[d])
-            den_mults[d] -= count
-        num = cyclo_powers(num, {d: e for d, e in mults.items() if e > 0})
+        out = {d: e for d, e in mults.items() if e > 0}
+        if known is None:
+            for d in sorted(den_mults, reverse=True):
+                count, num = divide_out_cyclotomic(num, d, den_mults[d])
+                den_mults[d] -= count
+        else:
+            out.update((d, -den_mults.pop(d)) for d in known if d in den_mults)
+        num = cyclo_powers(num, out)
+        den = expand_cyclo_powers(den_mults)
         # (1 - q^m) = -(q^m - 1) flips the sign once per bracket when the
         # product is rewritten in terms of the monic cyclotomics.
-        sign = (-1) ** (sum(e for _, e in self.prefactor.exps) % 2)
-        num_poly = Poly(num) * (self.prefactor.coeff * sign)
-        den_poly = Poly(expand_cyclo_powers(den_mults))
+        scale = self.prefactor.coeff * (-1) ** (sum(e for _, e in self.prefactor.exps) % 2)
         shift = self.prefactor.shift + low
         if shift >= 0:
-            num_poly = num_poly.shifted(shift)
+            num = [0] * shift + num
         else:
-            den_poly = den_poly.shifted(-shift)
-        return RatFunc._from_reduced(num_poly, den_poly)
+            den = [0] * -shift + den
+        return scale, num, den
+
+    def to_ratfunc(self) -> RatFunc:
+        """Lowest terms: the prefactor's brackets cancel at the cyclotomic
+        level (`as_quotient`, dividing out all it can)."""
+        scale, num, den = self.as_quotient()
+        return RatFunc._from_reduced(Poly([scale * c for c in num]), Poly(den))
 
 
 class SlotOverflow(ArithmeticError):

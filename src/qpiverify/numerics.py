@@ -122,12 +122,11 @@ def eval_series(
     q,
     eps,
     prec: int | None = None,
-    max_terms: int = MAX_TERMS,
 ) -> EvalReport:
     """Evaluate one of the three infinite series at real q in (0, 1).
 
     Stops once the geometric tail bound drops below eps; raises
-    ConvergenceBudgetExceeded if max_terms is hit first.
+    ConvergenceBudgetExceeded if MAX_TERMS is hit first.
     """
     if sid not in _SERIES:
         raise ValueError(f"{sid} is not an evaluable infinite series")
@@ -140,7 +139,7 @@ def eval_series(
         if epsm <= 0:
             raise ValueError("eps must be positive")
         total = mpmath.mpf(1)  # k = 0 term of all three series
-        for k, term in enumerate(itertools.islice(_series_terms(sid, qm), max_terms), 1):
+        for k, term in enumerate(itertools.islice(_series_terms(sid, qm), MAX_TERMS), 1):
             total += term
             ratio_bound = _ratio_bound(sid, qm, k)
             if ratio_bound < 1:
@@ -148,7 +147,7 @@ def eval_series(
                 if tail <= epsm:
                     return EvalReport(total, tail, k + 1)
         raise ConvergenceBudgetExceeded(
-            f"{sid.value} at q={mpmath.nstr(qm, 8)}: no tail bound within {max_terms} terms"
+            f"{sid.value} at q={mpmath.nstr(qm, 8)}: no tail bound within {MAX_TERMS} terms"
         )
 
 
@@ -185,9 +184,7 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     return w
 
 
-def _qpoch_inf(
-    first_exp, step: int, qm, epsm, relative: bool = False, max_terms: int = MAX_TERMS
-) -> EvalReport:
+def _qpoch_inf(first_exp, step: int, qm, epsm, relative: bool = False) -> EvalReport:
     """(x; Q)_inf = prod_(m>=0) (1 - x Q^m) with x = q^first_exp, Q = q^step,
     and a rigorous truncation bound.
 
@@ -204,7 +201,7 @@ def _qpoch_inf(
     (the relative error, which ratios of vanishingly small products need
     near q -> 1) and on |prod| rem >= |value| rem otherwise; the reported
     tail_bound is absolute either way.  terms_used counts factors and log
-    terms, and max_terms caps their total.
+    terms, and MAX_TERMS caps their total.
     """
     one = mpmath.mpf(1)
     q_step = qm**step
@@ -213,7 +210,7 @@ def _qpoch_inf(
     used = 0
     while x > q_step or 2 * x > 1:
         used += 1
-        if used > max_terms:
+        if used > MAX_TERMS:
             raise ConvergenceBudgetExceeded("infinite product tail bound not met")
         prod *= one - x
         x *= q_step
@@ -227,7 +224,7 @@ def _qpoch_inf(
         if (rem if relative else prod * rem) <= epsm:
             break
         used += 1
-        if used > max_terms:
+        if used > MAX_TERMS:
             raise ConvergenceBudgetExceeded("infinite product tail bound not met")
         log_sum += term
     value = prod * mpmath.exp(-log_sum)

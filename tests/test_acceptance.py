@@ -138,7 +138,7 @@ def test_criterion_12_cross_path_consistency():
     for n in [p for p in PRIMES_TO_97 if p <= 31]:
         for pair in WzPairId:
             modular = verify_intro(pair, n, path="modular")
-            exact = verify_intro(pair, n, path="exact", exact_limit=31)
+            exact = verify_intro(pair, n, path="exact")
             ok = ok and modular.passed == exact.passed
             ok = ok and modular.witness is None and exact.witness is None
     ok = ok and all(

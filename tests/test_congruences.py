@@ -7,6 +7,7 @@ from qpiverify.congruences import (
     GcdNotCoprime,
     ModulusKind,
     NonInvertibleDenominator,
+    _monic_int,
     _residue,
     check_square_completion,
     congruent_zero,
@@ -20,7 +21,7 @@ from qpiverify.congruences import (
     verify_sun,
 )
 from qpiverify.factored import BracketProduct, negated
-from qpiverify.polys import Poly, cyclotomic
+from qpiverify.polys import Poly, content_split, cyclotomic
 from qpiverify.qseries import SeriesId, partial_sum, series_factors, sun_closed_form, wz_term_factors
 from qpiverify.ratfunc import RatFunc
 from qpiverify.wz import WzPairId
@@ -45,9 +46,16 @@ def test_modulus_build_rejects_even():
         modulus_build(4, ModulusKind.PHI_SQUARED)
 
 
+def _residue_of(num, den, m):
+    """num / den in Q[q]/(m) for rational polynomials: `_residue` of their
+    integer parts modulo m's monic integer form, times their contents' ratio."""
+    (a, N), (b, D) = content_split(num.coeffs), content_split(den.coeffs)
+    return Poly(_residue(N, D, _monic_int(m))) * (a / b)
+
+
 def _reduced(r, ctx):
     """The residue of a rational function in Q[q]/(modulus)."""
-    return _residue(r.num, r.den, ctx.modulus)
+    return _residue_of(r.num, r.den, ctx.modulus)
 
 
 def test_mod_reduce_constant():
@@ -185,8 +193,10 @@ def test_exact_path_limit(monkeypatch):
     import qpiverify.congruences as congruences
     from qpiverify.congruences import ExactPathLimit
 
-    with pytest.raises(ExactPathLimit):
-        verify_intro(WzPairId.PAIR_J2, 33, exact_limit=27)
+    with monkeypatch.context() as patched:
+        patched.setattr(congruences, "DEFAULT_EXACT_LIMIT", 27)
+        with pytest.raises(ExactPathLimit):
+            verify_intro(WzPairId.PAIR_J2, 33)
     assert verify_intro(WzPairId.PAIR_J2, 33).passed  # the default limit is 99
     with pytest.raises(ExactPathLimit):
         verify_intro(WzPairId.PAIR_J2, 101, path="exact")
@@ -272,14 +282,21 @@ def test_square_completion_small():
 
 
 def test_failing_congruence_witnesses_agree_across_paths():
-    """A deliberately wrong right side must fail on both routes with the same
-    congruence residue as witness."""
+    """A deliberately wrong right side must fail on every route with the same
+    congruence residue as witness: the modular and exact checks, and
+    `congruent_zero` of the difference in lowest terms (`to_ratfunc`).  J2
+    and L2 with the right side times q run at composite n, where the
+    modular route does not."""
     from qpiverify.congruences import (
         ModulusKind,
         _check_congruence_exact,
         _check_congruence_modular,
         modulus_build,
     )
+    from qpiverify.factored import sum_terms
+
+    def lowest_terms(terms, rhs, ctx):
+        return congruent_zero(sum_terms([negated(rhs), *terms]).to_ratfunc(), ctx.modulus)
 
     wrong_rhs = (1, 0, [])  # the true right side is (-q)^((1-n^2)/8)
     for n in (7, 15, 21, 29, 45):
@@ -287,9 +304,18 @@ def test_failing_congruence_witnesses_agree_across_paths():
         terms = series_factors(SeriesId.SUN_LHS, n, (n - 1) // 2)
         modular = _check_congruence_modular(terms, wrong_rhs, ctx, "wrong modular")
         exact = _check_congruence_exact(terms, wrong_rhs, ctx, "wrong exact")
-        assert not modular.passed and not exact.passed
-        assert modular.witness == exact.witness
+        reduced = lowest_terms(terms, wrong_rhs, ctx)
+        assert not modular.passed and not exact.passed and not reduced.passed
+        assert modular.witness == exact.witness == reduced.witness
         assert modular.witness is not None and not modular.witness.is_zero()
+    for case in ("J2", "L2"):
+        for n in (9, 15):
+            terms, rhs, ctx = _exact_case(case, n, rhs_shift=1)
+            exact = _check_congruence_exact(terms, rhs, ctx, "shifted exact")
+            reduced = lowest_terms(terms, rhs, ctx)
+            assert not exact.passed and not reduced.passed
+            assert exact.witness == reduced.witness
+            assert exact.witness is not None and not exact.witness.is_zero()
 
 
 def test_exact_path_ill_posed_raises():
@@ -789,7 +815,6 @@ def test_slow_witnesses_pinned(shape, n, witness):
 
 def test_residue_matches_extended_gcd_oracle():
     """_residue agrees with (num * s) % M for the Bezout cofactor s of den."""
-    from qpiverify.congruences import _residue
     from qpiverify.polys import poly_gcd, poly_gcd_ext
 
     rng = random.Random(17)
@@ -812,7 +837,7 @@ def test_residue_matches_extended_gcd_oracle():
                 continue
             _, s, _ = poly_gcd_ext(den, m)
             scaled = m * rng.choice((1, -2, Fraction(3, 7)))
-            assert _residue(num, den, scaled) == (num * s) % m
+            assert _residue_of(num, den, scaled) == (num * s) % m
             checked += 1
     assert checked >= 20
 
@@ -820,7 +845,6 @@ def test_residue_matches_extended_gcd_oracle():
 def test_residue_planted_cases():
     import re
 
-    from qpiverify.congruences import _residue
     from qpiverify.polys import list_inv_mod_p, poly_gcd_ext
 
     # D = q + p - 2 reduces to the constant p modulo q - 2, so the first prime
@@ -828,7 +852,7 @@ def test_residue_planted_cases():
     p = 2**31 - 1
     m, den = Poly([-2, 1]), Poly([p - 2, 1])
     assert list_inv_mod_p([p], [-2, 1], p) is None
-    assert _residue(Poly([3, 1]), den, m) == Poly([Fraction(5, p)])
+    assert _residue_of(Poly([3, 1]), den, m) == Poly([Fraction(5, p)])
     # A shared factor is reported as the monic gcd.
     m15 = modulus_build(15, ModulusKind.N_PHI).modulus
     den = cyclotomic(5) * Poly([2, 1]) * Fraction(1, 3)
@@ -837,13 +861,13 @@ def test_residue_planted_cases():
         NonInvertibleDenominator,
         match=re.escape(f"denominator shares the factor {g!r} with the modulus"),
     ):
-        _residue(Poly([1]), den, m15)
+        _residue_of(Poly([1]), den, m15)
     # Q[q]/(2q + 1) has no monic integer modulus.
     with pytest.raises(ValueError):
-        _residue(Poly([1]), Poly([1, 1]), Poly([1, 2]))
-    assert _residue(Poly(), Poly([2, 1]), m15) == Poly()
+        _residue_of(Poly([1]), Poly([1, 1]), Poly([1, 2]))
+    assert _residue_of(Poly(), Poly([2, 1]), m15) == Poly()
     # A constant modulus leaves the zero ring, where every residue is 0.
-    assert _residue(Poly([1]), Poly([1, 1]), Poly([3])) == Poly()
+    assert _residue_of(Poly([1]), Poly([1, 1]), Poly([3])) == Poly()
 
 
 def test_negated_rhs_fails_on_modular_route_at_n97():

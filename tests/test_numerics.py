@@ -93,13 +93,16 @@ def test_default_precision_ignores_the_ambient_precision():
     assert reports[0] == reports[1]
 
 
-def test_series_validation_and_budget():
+def test_series_validation_and_budget(monkeypatch):
+    import qpiverify.numerics as numerics
+
     with pytest.raises(ValueError):
         eval_series(SeriesId.A2_RHS, Fraction(1, 2), Fraction(1, 10))
     with pytest.raises(ValueError):
         eval_series(SeriesId.J2_LHS, Fraction(3, 2), Fraction(1, 10))
+    monkeypatch.setattr(numerics, "MAX_TERMS", 3)
     with pytest.raises(ConvergenceBudgetExceeded):
-        eval_series(SeriesId.J2_LHS, Fraction(9, 10), Fraction(1, 10**30), max_terms=3)
+        eval_series(SeriesId.J2_LHS, Fraction(9, 10), Fraction(1, 10**30))
 
 
 def test_identity_numeric_quick():

@@ -55,6 +55,23 @@ def test_bracket_products_stay_in_factored_and_qseries():
     assert not found, f"BracketProduct used outside factored.py and qseries.py: {found}"
 
 
+def test_prefactor_layout_read_only_in_factored():
+    """Only `factored` reads a BracketProduct's brackets (`.exps`): every
+    other module gets a factored value's sign, content, cyclotomics and
+    q-shift through `FactoredSum.as_quotient` or `to_ratfunc`."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "factored.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "exps"
+        ]
+    assert not found, f".exps read outside factored.py: {found}"
+
+
 def test_cyclotomics_expanded_only_in_polys():
     """A power of Phi_d enters or leaves a polynomial only through
     `polys.cyclo_powers`, so no other module names the dense
