@@ -1,6 +1,7 @@
 """Exact and arbitrary-precision verification of q-hypergeometric identities,
 WZ telescoping certificates, cyclotomic supercongruences, and their classical
-limits."""
+limits.  The exact checks need no mpmath, so the package loads `numerics`, and
+mpmath with it, only when a numeric name is first read (PEP 562)."""
 
 __version__ = "0.1.0"
 
@@ -18,21 +19,12 @@ from .congruences import (
     verify_modsun,
     verify_sun,
 )
-from .numerics import (
-    ConvergenceBudgetExceeded,
-    EvalReport,
-    check_identity_numeric,
-    eval_classical,
-    eval_qpoch_inf,
-    eval_series,
-    limit_scan,
-    q_gamma,
-)
 from .polys import Poly, cyclotomic, poly_gcd, poly_gcd_ext
 from .qseries import QPochSpec, SeriesId, partial_sum, q_integer, q_pochhammer, summand
 from .ratfunc import RatFunc, ZeroDenominator
 from .wz import (
     CheckResult,
+    ConvergenceBudgetExceeded,
     IdentityId,
     WzPairId,
     check_identity,
@@ -80,3 +72,19 @@ __all__ = [
     "verify_sun",
     "wz_term",
 ]
+
+_NUMERIC = frozenset(
+    ("EvalReport", "check_identity_numeric", "eval_classical", "eval_qpoch_inf", "eval_series", "limit_scan", "q_gamma")
+)
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import numerics
+
+    return getattr(numerics, name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _NUMERIC)

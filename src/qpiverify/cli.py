@@ -4,6 +4,8 @@ Maps each family of checks to a subcommand, sweeps the requested ranges with
 a bounded worker pool, and emits a deterministic report (text or JSON).  Exit
 code 0 means every case passed; 1 means some case failed, was ill-posed, or
 was skipped; 2 is a usage or configuration error.
+Only `eval` and `limit` import `numerics` and mpmath, and only `--jobs` > 1
+imports the process pool, so the exact sweeps load neither.
 """
 from __future__ import annotations
 
@@ -11,10 +13,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-
-import mpmath
 
 from . import __version__
 from .congruences import (
@@ -27,16 +26,14 @@ from .congruences import (
     verify_modsun,
     verify_sun,
 )
-from .numerics import (
-    LIMIT_JS,
+from .wz import (
+    CheckResult,
     ConvergenceBudgetExceeded,
-    check_identity_numeric,
-    classical_target,
-    eval_classical,
-    limit_scan,
-    working_prec,
+    IdentityId,
+    WzPairId,
+    check_identity,
+    check_telescoping,
 )
-from .wz import CheckResult, IdentityId, WzPairId, check_identity, check_telescoping
 
 L2_DEFAULT_CASES = (3, 5, 7, 9, 11, 13, 25, 27)
 
@@ -52,6 +49,8 @@ L2_DEFAULT_CASES = (3, 5, 7, 9, 11, 13, 25, 27)
 def _fmt_bound(value) -> str | None:
     if value is None:
         return None
+    import mpmath  # only numeric checks carry a bound
+
     return mpmath.nstr(mpmath.mpf(value), 10)
 
 
@@ -87,6 +86,8 @@ def _case_sun(p: int, min_valuation: int) -> dict:
 
 
 def _case_eval_identity(which: str, q: str, digits: int) -> CheckResult:
+    from .numerics import check_identity_numeric
+
     result = check_identity_numeric(which, Fraction(q), digits)
     # Echo the exact rational so reports carry no decimal ambiguity.
     result.case_label = f"{which} q={q} digits={digits}"
@@ -94,6 +95,10 @@ def _case_eval_identity(which: str, q: str, digits: int) -> CheckResult:
 
 
 def _case_eval_classical(which: str, digits: int) -> CheckResult:
+    import mpmath
+
+    from .numerics import classical_target, eval_classical, working_prec
+
     report = eval_classical(which, digits)
     prec = working_prec(digits)
     with mpmath.workprec(prec):
@@ -105,6 +110,8 @@ def _case_eval_classical(which: str, digits: int) -> CheckResult:
 
 
 def _case_limit(which: str, j: int, digits: int) -> CheckResult:
+    from .numerics import limit_scan
+
     point = limit_scan(which, [j], digits=digits)[0]
     label = f"limit {which.lower()} j={j}"
     return CheckResult(True, label, bound=point.distance, terms=point.terms_used)
@@ -325,6 +332,8 @@ def _build_cases(args) -> tuple[dict, list[tuple]]:
                 for q in qs
             ]
     elif cmd == "limit":
+        from .numerics import LIMIT_JS
+
         lo, hi = _parse_range(args.j_range)
         if lo not in LIMIT_JS or hi not in LIMIT_JS:
             raise ValueError(f"j must lie in {LIMIT_JS[0]}..{LIMIT_JS[-1]}")
@@ -347,6 +356,8 @@ def _execute(specs: list[tuple], jobs: int) -> list[dict]:
     # workers than there are cases.
     workers = min(jobs, len(specs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_case, specs))
     return [_run_case(spec) for spec in specs]

@@ -93,10 +93,6 @@ class ModulusContext:
     coeffs: tuple[int, ...]  # the monic modulus, as integer coefficients
     factor_mults: tuple[tuple[int, int], ...]  # (cyclotomic index, multiplicity)
 
-    @property
-    def modulus(self) -> Poly:
-        return Poly(self.coeffs)
-
 
 def modulus_build(n: int, kind: ModulusKind) -> ModulusContext:
     """Phi_n(q)**2 or [n]*Phi_n(q) for odd n, with factor bookkeeping."""

@@ -127,14 +127,6 @@ class BracketProduct:
                 mults[d] = mults.get(d, 0) + e
         return {d: e for d, e in mults.items() if e}
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        acc = self.coeff * Fraction(x) ** self.shift
-        for m, e in self.exps:
-            acc *= (1 - Fraction(x) ** m) ** e
-        return acc
-
     def to_ratfunc(self) -> RatFunc:
         """Fully reduced fraction; cancellation happens at the cyclotomic level."""
         return FactoredSum(self, [1]).to_ratfunc()

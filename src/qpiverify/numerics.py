@@ -27,17 +27,12 @@ from fractions import Fraction
 import mpmath
 
 from .qseries import SeriesId
-from .wz import CheckResult
+from .wz import CheckResult, ConvergenceBudgetExceeded
 
 GUARD_BITS = 64
 
 #: Hard cap on series terms, protecting the q -> 1 scans from runaway loops.
 MAX_TERMS = 10**6
-
-
-class ConvergenceBudgetExceeded(ArithmeticError):
-    """The tail bound was not met within the term budget; raised rather than
-    silently returning a degraded value."""
 
 
 @dataclass

@@ -305,13 +305,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return 0
-
     def monic(self) -> Poly:
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
@@ -319,14 +312,6 @@ class Poly:
         if lead == 1:
             return self
         return Poly([c / lead for c in self.coeffs])
-
-    def shifted(self, m: int) -> Poly:
-        """Multiply by q**m (m >= 0)."""
-        if m < 0:
-            raise ValueError("negative shift on Poly")
-        if self.is_zero() or m == 0:
-            return self
-        return Poly((_ZERO,) * m + self.coeffs)
 
     def evaluate(self, x):
         acc = 0

@@ -72,10 +72,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def shift(self) -> int:
-        """Minimum q-exponent of the value (0 for the zero function)."""
-        return self.num.valuation() - self.den.valuation()
-
     def __neg__(self) -> RatFunc:
         return RatFunc._from_reduced(-self.num, self.den)
 

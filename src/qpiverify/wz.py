@@ -54,6 +54,12 @@ class CheckResult:
             raise ValueError(f"{self.case_label}: a passing check carries a nonzero witness")
 
 
+class ConvergenceBudgetExceeded(ArithmeticError):
+    """A numeric check met no tail bound within its term budget; raised rather
+    than silently returning a degraded value.  Defined here, beside
+    CheckResult, so that catching it loads no mpmath; `numerics` raises it."""
+
+
 def wz_term(pair: WzPairId, which: str, n: int, k: int) -> RatFunc:
     """F(n, k) or G(n, k) as a reduced rational function."""
     return wz_term_brackets(pair, which, n, k).to_ratfunc()

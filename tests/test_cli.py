@@ -55,7 +55,7 @@ def test_overlapping_ranges_run_each_case_once():
 
 def test_jobs_capped_at_case_count(capsys, monkeypatch):
     """The pool forks every worker when it starts, so it gets at most one per case."""
-    import qpiverify.cli as cli
+    import concurrent.futures
 
     pools = []
 
@@ -72,7 +72,8 @@ def test_jobs_capped_at_case_count(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # `_execute` imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     argv = ["verify-identity", "--which", "a2", "--n-range", "1..3", "--format", "json"]
     code, out = run_capture(capsys, argv + ["--jobs", "64"])
     assert code == 0 and pools == [3]

@@ -2,8 +2,12 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import qpiverify
@@ -148,6 +152,117 @@ def test_private_helpers_have_callers():
     assert defined
     uncalled = sorted(name for name in defined if name not in named)
     assert not uncalled, f"private helpers that nothing in the package names: {uncalled}"
+
+
+def _module_level_imports(tree):
+    """The modules a module imports when it is imported, relative ones with
+    their leading dots: every import statement outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                yield dots + node.module
+            else:  # from . import name
+                yield from (dots + alias.name for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_mpmath_and_the_pool_imported_only_where_used():
+    """Only `numerics` imports mpmath when it is imported, and no module
+    imports `numerics` or `concurrent.futures` then: the exact checks load
+    neither mpmath nor the process pool."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in _module_level_imports(tree):
+            top = name.split(".")[0]
+            mpmath = top == "mpmath" or name == ".numerics"
+            if mpmath and path.name != "numerics.py" or top == "concurrent":
+                found.append(f"{path.name}: {name}")
+    assert not found, f"module-level imports of mpmath, numerics or the pool: {found}"
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+HEAVY = ("mpmath", "concurrent.futures.process")
+
+
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+
+
+import qpiverify
+
+out = {"import qpiverify": loaded()}
+from qpiverify import cli
+
+out["import qpiverify.cli"] = loaded()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    out[" ".join(argv)] = [code, *loaded()]
+from qpiverify import numerics
+
+names = {}
+exec("from qpiverify import *", names)
+print(json.dumps({
+    "loaded": out,
+    "same": {name: getattr(qpiverify, name) is getattr(numerics, name) for name in sys.argv[2].split()},
+    "star": sorted(set(qpiverify.__all__) - set(names)),
+    "dir": sorted(set(sys.argv[2].split()) - set(dir(qpiverify))),
+    "unknown": not hasattr(qpiverify, "no_such_name"),
+}))
+"""
+
+
+def test_exact_commands_load_no_mpmath_or_pool():
+    """In a fresh interpreter, importing the package and running the exact
+    sweeps leaves mpmath and the process pool unloaded, and a numeric run
+    loads mpmath.  The numeric names of the package still resolve, to the
+    objects in `numerics`, through `getattr`, `import *` and `dir`."""
+    exact = [
+        ["verify-wz", "--pair", "J2", "--max-n", "2"],
+        ["verify-identity", "--which", "a2", "--n-range", "1..3"],
+        ["verify-congruence", "--which", "J2", "--odd-n", "1..9"],
+        ["verify-congruence", "--which", "modsun", "--odd-n", "1..9", "--path", "exact"],
+        ["verify-sun", "--primes", "5..13"],
+    ]
+    numeric = ["eval", "--identity", "pi1", "--digits", "10"]
+    names = [
+        "ConvergenceBudgetExceeded",
+        "EvalReport",
+        "check_identity_numeric",
+        "eval_classical",
+        "eval_qpoch_inf",
+        "eval_series",
+        "limit_scan",
+        "q_gamma",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([*exact, numeric]), " ".join(names)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    report = json.loads(probe.stdout)
+    loaded = report["loaded"]
+    assert loaded.pop(" ".join(numeric)) == [0, "mpmath"]
+    assert loaded == {
+        "import qpiverify": [],
+        "import qpiverify.cli": [],
+        **{" ".join(argv): [0] for argv in exact},
+    }
+    assert report["same"] == dict.fromkeys(names, True)
+    assert report["star"] == [] and report["dir"] == [] and report["unknown"]
 
 
 def test_readme_commands_parse():
