@@ -14,7 +14,8 @@ product of q-shifted factorials, and read every term through one stream
 (`_term_changes`): each term's ratio to the one before, taken off two
 consecutive lists, and the brackets whose exponents it changes.  `sum_terms`
 multiplies the ratios up into each term's normal form, and `sum_terms_mod`
-walks the ratios themselves.
+walks the ratios themselves.  The numeric series (`numerics._series_terms`)
+read the same stream and evaluate each ratio in floating point.
 
 An exact sum is a `FactoredSum`, a prefactor times an integer polynomial.
 Only this module reads a prefactor's layout: `FactoredSum.as_quotient` is the

@@ -3,14 +3,17 @@
 Every evaluation returns an EvalReport carrying a rigorous truncation bound
 that tracks the true terms, including as q -> 1:
 
-* A series stops after term t_k once |t_k| U/(1 - U) <= eps, where U(k) is
-  a closed-form bound on every term ratio |t_(j+1)/t_j| with j >= k that
+* A series term is the one before times its ratio, read off the exact
+  summands by the exact walks' stream and memoized, as it does not depend on
+  q.  The series stops after term t_k once |t_k| U/(1 - U) <= eps, where U(k)
+  is a closed-form bound on every term ratio |t_(j+1)/t_j| with j >= k that
   keeps the numerator factors of the ratio (`_ratio_bound` proves each).
 * An infinite product (x; Q)_inf multiplies its leading factors (1 - x)
   while x > 1/2 or x > Q and then sums the q-exponential expansion
   log (x; Q)_inf = -sum_(r>=1) x^r / (r (1 - Q^r)) with an explicit bound
   on its remainder (`_qpoch_inf`; Gasper and Rahman, Basic Hypergeometric
-  Series, 2nd ed., 2004, ch. 1).
+  Series, 2nd ed., 2004, ch. 1).  It stops on its relative error, so
+  quotients of products that vanish as q -> 1 keep their digits.
 
 Only truncation is bounded, so a PASS certifies truncation only: floating
 round-off is kept small by the guard bits of the working precision but is
@@ -26,7 +29,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .qseries import SeriesId
+from .factored import _term_changes
+from .qseries import SeriesId, summand_factors
 from .wz import CheckResult, ConvergenceBudgetExceeded
 
 GUARD_BITS = 64
@@ -80,35 +84,46 @@ def _check_q(qm) -> None:
 
 _SERIES = (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS)
 
+#: Each series' term ratios t_k/t_(k-1), k >= 1, as (coeff, shift, ups,
+#: downs): coeff q**shift times the powers (1 - q**m)**d, d >= 1, of ups over
+#: those of downs.  They do not depend on q and cost more to read than to use,
+#: so the first RATIO_MEMO_CAP are kept (how many a walk needs grows with eps).
+RATIO_MEMO_CAP = 4096
+_RATIOS: dict[SeriesId, list] = {}
+
+
+def _series_ratios(sid: SeriesId):
+    """The term ratios of one series, read off `summand_factors` by the
+    stream both exact walks read (`factored._term_changes`)."""
+    memo = _RATIOS.setdefault(sid, [])
+    yield from memo
+    k = len(memo)
+    stream = _term_changes(summand_factors(sid, None, j) for j in itertools.count(k))
+    next(stream)  # t_k against 1
+    for k, (coeff, shift, changes, _) in enumerate(stream, k + 1):
+        ups = tuple((m, e - p) for m, e, p in changes if e > p)
+        downs = tuple((m, p - e) for m, e, p in changes if e < p)
+        ratio = int(coeff) if coeff.denominator == 1 else coeff, shift, ups, downs
+        if k == len(memo) + 1 <= RATIO_MEMO_CAP:
+            memo.append(ratio)
+        yield ratio
+
+
+def _bracket_product(qm, out, powers):
+    """out times the (1 - qm**m)**d over the (m, d) of powers."""
+    for m, d in powers:
+        b = 1 - qm**m
+        out *= b if d == 1 else b**d
+    return out
+
 
 def _series_terms(sid: SeriesId, qm):
     """The terms t_1, t_2, ... of one of the three series at qm (t_0 = 1),
-    by their product recurrences; the caller fixes the working precision."""
-    one = mpmath.mpf(1)
-    one_minus_q = one - qm
-    p_odd = one  # (q; q^2)_k
-    p_even2 = one  # (q^2; q^4)_k
-    p_four = one  # (q^4; q^4)_k
-    q_sq = one  # q^(k^2)
-    q_3sq = one  # q^(3k^2)
-    k = 0
-    while True:
-        k += 1
-        p_odd *= one - qm ** (2 * k - 1)
-        p_four *= one - qm ** (4 * k)
-        q_sq *= qm ** (2 * k - 1)
-        if sid is SeriesId.J2_LHS:
-            p_even2 *= one - qm ** (4 * k - 2)
-            bracket = (one - qm ** (6 * k + 1)) / one_minus_q
-            term = q_sq * bracket * p_odd * p_odd * p_even2 / (p_four**3)
-        elif sid is SeriesId.L2_LHS:
-            q_3sq *= qm ** (6 * k - 3)
-            bracket = (one - qm ** (6 * k + 1)) / one_minus_q
-            term = q_3sq * bracket * p_odd**3 / (p_four**3)
-            if k % 2:
-                term = -term
-        else:
-            term = q_sq * p_odd / p_four
+    each the one before times its ratio, at the caller's precision."""
+    term = mpmath.mpf(1)
+    for coeff, shift, ups, downs in _series_ratios(sid):
+        up = _bracket_product(qm, qm**shift if coeff == 1 else qm**shift * coeff, ups)
+        term = term * up / _bracket_product(qm, 1, downs)
         yield term
 
 
@@ -179,7 +194,7 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     return w
 
 
-def _qpoch_inf(first_exp, step: int, qm, epsm, relative: bool = False) -> EvalReport:
+def _qpoch_inf(first_exp, step: int, qm, epsm) -> EvalReport:
     """(x; Q)_inf = prod_(m>=0) (1 - x Q^m) with x = q^first_exp, Q = q^step,
     and a rigorous truncation bound.
 
@@ -192,11 +207,11 @@ def _qpoch_inf(first_exp, step: int, qm, epsm, relative: bool = False) -> EvalRe
     the remainder after R terms lies in [0, rem] with
     rem = x^(R+1) / ((R+1) (1 - Q^(R+1)) (1 - x)).  The value prod exp(-L_R)
     is therefore at most |value| rem above the true product
-    (1 - exp(-rem) <= rem).  The stop is on rem itself with relative=True
-    (the relative error, which ratios of vanishingly small products need
-    near q -> 1) and on |prod| rem >= |value| rem otherwise; the reported
-    tail_bound is absolute either way.  terms_used counts factors and log
-    terms, and MAX_TERMS caps their total.
+    (1 - exp(-rem) <= rem).  The stop is on rem, the relative error, which
+    quotients of vanishingly small products need near q -> 1; as the value
+    lies in (0, 1), the reported absolute tail_bound |value| rem is at most
+    eps too.  terms_used counts factors and log terms, and MAX_TERMS caps
+    their total.
     """
     one = mpmath.mpf(1)
     q_step = qm**step
@@ -216,7 +231,7 @@ def _qpoch_inf(first_exp, step: int, qm, epsm, relative: bool = False) -> EvalRe
         q_r *= q_step
         term = x_r / (r * (1 - q_r))
         rem = term / (1 - x)  # remainder after the first r - 1 terms
-        if (rem if relative else prod * rem) <= epsm:
+        if rem <= epsm:
             break
         used += 1
         if used > MAX_TERMS:
@@ -367,8 +382,8 @@ def q_gamma(x, q, digits: int) -> EvalReport:
         if xm <= 0:
             raise ValueError("x must be positive")
         epsm = mpmath.mpf(10) ** (-digits - 5)
-        num = _qpoch_inf(1, 1, qm, epsm / 4, relative=True)
-        den = _qpoch_inf(xm, 1, qm, epsm / 4, relative=True)
+        num = _qpoch_inf(1, 1, qm, epsm / 4)
+        den = _qpoch_inf(xm, 1, qm, epsm / 4)
         rep = _rep_div(num, den)
         return _rep_scale(rep, (1 - qm) ** (1 - xm))
 

@@ -16,10 +16,10 @@ Every summand has one definition: a factor list (coeff, shift, factors),
 coeff * q**shift * prod (q**base; q**step)_count**power over the
 (base, step, count, power) factors, which are the arguments of
 `BracketProduct.from_pochhammers` (`wz_term_factors`, `summand_factors`,
-`series_factors`), and both summation engines take the lists: each reads
-every term's ratio to the one before off two consecutive lists
-(`factored._term_changes`), so neither builds a normalized product per
-term.  `summand_brackets` and `wz_term_brackets` give one summand in normal
+`series_factors`), and both summation engines take the lists, as does the
+numeric evaluation of the infinite series (`numerics._series_terms`): each
+reads every term's ratio to the one before off two consecutive lists
+(`factored._term_changes`), so none builds a normalized product per term.  `summand_brackets` and `wz_term_brackets` give one summand in normal
 form.  Summands are addressed by a SeriesId tag, and each one is also
 available as a fully reduced rational function (`summand`).  The two
 construction routes are independent: `q_pochhammer` and `q_integer`

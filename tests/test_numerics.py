@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from qpiverify import numerics
 from qpiverify.numerics import (
     ConvergenceBudgetExceeded,
     _ratio_bound,
@@ -19,6 +20,9 @@ from qpiverify.numerics import (
     working_prec,
 )
 from qpiverify.qseries import SeriesId, partial_sum, summand_brackets
+
+
+SERIES = (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS)
 
 
 def _mpf(x: Fraction):
@@ -218,11 +222,12 @@ def test_identity_residuals_at_standard_points():
 
 
 def test_numeric_recurrences_match_the_exact_summands():
-    """`_series_terms` and `_ratio_bound` restate the J2, L2 and SUN summands as
-    mpmath term ratios; both are checked here against the one exact definition,
-    `summand_brackets`, at moderate q and near q = 1: the first 40 terms agree,
-    the bound from k on exceeds |t_(j+1) / t_j| for every k <= j < 40, and the
-    bound does not increase in k."""
+    """The generic ratio walk `_series_terms`, which reads the J2, L2 and SUN
+    term ratios off `summand_factors`, and the per-series proofs of
+    `_ratio_bound` are checked here against `summand_brackets`, at moderate q
+    and near q = 1: the first 40 terms agree, the bound from k on exceeds
+    |t_(j+1) / t_j| for every k <= j < 40, and the bound does not increase in
+    k."""
     prec = 256
     qs = (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(63, 64), Fraction(1023, 1024))
     for sid in (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS):
@@ -240,6 +245,47 @@ def test_numeric_recurrences_match_the_exact_summands():
                 for k in range(40):
                     assert bounds[k + 1] <= bounds[k], (sid, q, k)
                     assert all(ratio < bounds[k] for ratio in ratios[k:]), (sid, q, k)
+
+
+def _series_reports(qs):
+    return [eval_series(sid, q, Fraction(1, 10**40)) for q in qs for sid in SERIES]
+
+
+def test_ratio_memo_cold_or_warm_gives_the_same_reports(monkeypatch):
+    """The memoized term ratios do not depend on q: a walk that fills the
+    memo and one that reads it, in either order, report the same."""
+    monkeypatch.setattr(numerics, "_RATIOS", {})
+    high_first = _series_reports((Fraction(7, 8), Fraction(1, 4)))
+    monkeypatch.setattr(numerics, "_RATIOS", {})
+    low_first = _series_reports((Fraction(1, 4), Fraction(7, 8)))
+    assert high_first == low_first[3:] + low_first[:3]
+
+
+def test_ratio_memo_cap(monkeypatch):
+    """Past RATIO_MEMO_CAP the ratios are read off the stream again: with a
+    cap of 3, a 40-term walk, cold or warm, equals the uncapped walk, and the
+    memo keeps 3 ratios."""
+    with mpmath.workprec(200):
+        qm = mpmath.mpf(9) / 10
+        for sid in SERIES:
+            monkeypatch.setattr(numerics, "_RATIOS", {})
+            want = list(itertools.islice(_series_terms(sid, qm), 40))
+            with monkeypatch.context() as capped:
+                capped.setattr(numerics, "_RATIOS", {})
+                capped.setattr(numerics, "RATIO_MEMO_CAP", 3)
+                for _ in range(2):
+                    assert list(itertools.islice(_series_terms(sid, qm), 40)) == want
+                    assert len(numerics._RATIOS[sid]) == 3
+
+
+def test_identity_numeric_near_one_keeps_the_quotients_digits():
+    """Every product stops on its relative error, so the right sides, which
+    are quotients of products that vanish as q -> 1, keep their digits: each
+    identity holds to 10^-20, and none raises."""
+    for which in ("A1", "A11", "SLATER"):
+        for q in (Fraction(99, 100), Fraction(999, 1000)):
+            result = check_identity_numeric(which, q, 20)
+            assert result.passed and result.bound <= mpmath.mpf(10) ** -20, (which, q, result.bound)
 
 
 def test_qpoch_matches_mpmath_qp():

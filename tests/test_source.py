@@ -59,6 +59,28 @@ def test_bracket_products_stay_in_factored_and_qseries():
     assert not found, f"BracketProduct used outside factored.py and qseries.py: {found}"
 
 
+def test_numeric_series_terms_name_no_series():
+    """The numeric terms are the one before times the ratio read off the one
+    summand definition in `qseries`, so `numerics._series_terms`, and every
+    function of the module that it reaches, names no SeriesId member: no
+    series is written out a fourth time."""
+    tree = ast.parse((PACKAGE_DIR / "numerics.py").read_text())
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = {}, ["_series_terms"]
+    while todo:
+        name = todo.pop()
+        if name in defined and name not in reached:
+            reached[name] = defined[name]
+            todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
+    found = [
+        f"numerics.py:{node.lineno}"
+        for fn in reached.values()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in qpiverify.SeriesId.__members__
+    ]
+    assert "_series_terms" in reached and not found, f"SeriesId members named by _series_terms: {found}"
+
+
 def test_prefactor_layout_read_only_in_factored():
     """Only `factored` reads a BracketProduct's brackets (`.exps`): every
     other module gets a factored value's sign, content, cyclotomics and
