@@ -15,10 +15,25 @@ that tracks the true terms, including as q -> 1:
   Series, 2nd ed., 2004, ch. 1).  It stops on its relative error, so
   quotients of products that vanish as q -> 1 keep their digits.
 
-Only truncation is bounded, so a PASS certifies truncation only: floating
-round-off is kept small by the guard bits of the working precision but is
-not bounded (ROADMAP item 1).  Callers fix the working precision explicitly
-per call; nothing reads ambient precision state.
+The two inner loops, the series terms and the product's factors and log
+terms, run on Python integers scaled by 2^P, as mpmath's own series kernels
+do (Brent and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4), and
+become mpf only at the ends: the terms handed to `eval_series`, the final
+exp, and the reports.  A value that can get arbitrarily small, a series
+term, a power q^m or the leading product, is a P-bit mantissa with a binary
+exponent.  Every integer step floors: it errs by less than one unit in its
+last place, always toward minus infinity.  A bracket 1 - q^m then errs by
+less than 2^(l + 2) units of 2^-P relative, with l = log2(1/(1 - q)), and
+the at most 1 + 1/(1 - q) leading factors of a product by less than
+2^(2 l + 4) units together.  So P is the working precision plus
+LOOP_GUARD_BITS = 16 plus 2 l (`_loop_bits`), and near q = 1 the loops keep
+the working precision.
+
+Only truncation is bounded, so a PASS certifies truncation only: the
+round-off of the integer steps is one-sided and counted above, and that of
+the mpf steps is kept small by the guard bits of the working precision, but
+neither is bounded (ROADMAP item 1).  Callers fix the working precision
+explicitly per call; nothing reads ambient precision state.
 """
 from __future__ import annotations
 
@@ -84,10 +99,65 @@ def _check_q(qm) -> None:
 
 _SERIES = (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS)
 
-#: Each series' term ratios t_k/t_(k-1), k >= 1, as (coeff, shift, ups,
-#: downs): coeff q**shift times the powers (1 - q**m)**d, d >= 1, of ups over
-#: those of downs.  They do not depend on q and cost more to read than to use,
-#: so the first RATIO_MEMO_CAP are kept (how many a walk needs grows with eps).
+#: Guard bits of the integer loops above the working precision, on top of
+#: twice the bits that the brackets 1 - q^m lose as q -> 1 (`_loop_bits`).
+LOOP_GUARD_BITS = 16
+
+
+def _loop_bits(qm) -> int:
+    """P, the bits of the integer loops at q = qm: the working precision,
+    LOOP_GUARD_BITS, and 2 log2(1/(1 - q)) for the round-off that grows as
+    q -> 1 (module docstring)."""
+    return mpmath.mp.prec + LOOP_GUARD_BITS + 2 * max(0, -mpmath.mag(1 - qm))
+
+
+def _fixed(x, bits: int) -> int:
+    """floor(x 2^bits) for an mpf x."""
+    return mpmath.libmp.to_fixed(x._mpf_, bits)
+
+
+def _mpf(man: int, exp: int) -> mpmath.mpf:
+    """man 2^exp, rounded to the working precision."""
+    return mpmath.mpf((man, exp))
+
+
+class _Powers:
+    """The powers q^m, m >= 0, of one q at P = `_loop_bits(q)` bits, grown on
+    demand by `upto`.  q^m is man[m] 2^exp[m] with a P-bit mantissa, so tiny
+    powers keep their relative precision, and brackets[m] is 1 - q^m scaled
+    by 2^P.  Each power is the one before times q, floored."""
+
+    def __init__(self, qm):
+        self.bits = bits = _loop_bits(qm)
+        self.one = 1 << bits
+        _, man, exp, bc = qm._mpf_
+        self.q, self.q_exp = man << (bits - bc), exp + bc - bits
+        self.man, self.exp, self.brackets = [1 << (bits - 1)], [1 - bits], [0]
+
+    @classmethod
+    def of(cls, qm) -> "_Powers":
+        """The table of qm, which may be an mpf q or a table already."""
+        return qm if isinstance(qm, cls) else cls(qm)
+
+    def upto(self, top: int) -> None:
+        """Grow the table to q^top."""
+        man, exp, brackets = self.man, self.exp, self.brackets
+        bits, one, q, q_exp = self.bits, self.one, self.q, self.q_exp
+        while len(man) <= top:
+            p = man[-1] * q
+            shift = p.bit_length() - bits
+            e = exp[-1] + q_exp + shift
+            man.append(p >> shift)
+            exp.append(e)
+            brackets.append(one - (p >> shift - e - bits))
+
+
+#: Each series' term ratios t_k/t_(k-1), k >= 1, as (num, den, shift, ups,
+#: downs, top): num/den q**shift times the brackets (1 - q**m) of the m in
+#: ups over those in downs, each m listed once per power, and top the
+#: largest power of q the ratio reads.  They do not depend on q and cost
+#: more to read than to use, so the first RATIO_MEMO_CAP are kept (how many
+#: a walk needs grows with eps).
 RATIO_MEMO_CAP = 4096
 _RATIOS: dict[SeriesId, list] = {}
 
@@ -101,30 +171,42 @@ def _series_ratios(sid: SeriesId):
     stream = _term_changes(summand_factors(sid, None, j) for j in itertools.count(k))
     next(stream)  # t_k against 1
     for k, (coeff, shift, changes, _) in enumerate(stream, k + 1):
-        ups = tuple((m, e - p) for m, e, p in changes if e > p)
-        downs = tuple((m, p - e) for m, e, p in changes if e < p)
-        ratio = int(coeff) if coeff.denominator == 1 else coeff, shift, ups, downs
+        ups = tuple(m for m, e, p in changes for _ in range(e - p))
+        downs = tuple(m for m, e, p in changes for _ in range(p - e))
+        ratio = coeff.numerator, coeff.denominator, shift, ups, downs, max(shift, *ups, *downs)
         if k == len(memo) + 1 <= RATIO_MEMO_CAP:
             memo.append(ratio)
         yield ratio
 
 
-def _bracket_product(qm, out, powers):
-    """out times the (1 - qm**m)**d over the (m, d) of powers."""
-    for m, d in powers:
-        b = 1 - qm**m
-        out *= b if d == 1 else b**d
-    return out
-
-
 def _series_terms(sid: SeriesId, qm):
     """The terms t_1, t_2, ... of one of the three series at qm (t_0 = 1),
-    each the one before times its ratio, at the caller's precision."""
-    term = mpmath.mpf(1)
-    for coeff, shift, ups, downs in _series_ratios(sid):
-        up = _bracket_product(qm, qm**shift if coeff == 1 else qm**shift * coeff, ups)
-        term = term * up / _bracket_product(qm, 1, downs)
-        yield term
+    each the one before times its ratio, as mpf at the working precision.
+
+    qm is q as an mpf or its `_Powers` table, which `eval_series` shares
+    with `_ratio_bound`.  A term is carried as an integer mantissa of P
+    bits and a binary exponent, so it keeps its relative precision however
+    small it gets; each step multiplies by the ratio's q-power and brackets,
+    divides by its lower brackets once, and floors to P bits."""
+    powers = _Powers.of(qm)
+    bits, man, exp, brackets = powers.bits, powers.man, powers.exp, powers.brackets
+    term, term_exp = man[0], exp[0]  # t_0 = 1
+    for num, den, shift, ups, downs, top in _series_ratios(sid):
+        powers.upto(top)
+        t = num * term * man[shift]
+        e = term_exp + exp[shift] + bits * (len(downs) - len(ups))
+        for m in ups:
+            t *= brackets[m]
+        for m in downs:
+            den *= brackets[m]
+        grow = bits + den.bit_length() - t.bit_length()
+        if grow > 0:
+            t <<= grow
+            e -= grow
+        t //= den
+        drop = t.bit_length() - bits
+        term, term_exp = t >> drop, e + drop
+        yield _mpf(term, term_exp)
 
 
 def eval_series(
@@ -148,10 +230,11 @@ def eval_series(
         epsm = _to_mpf(eps)
         if epsm <= 0:
             raise ValueError("eps must be positive")
+        powers = _Powers(qm)
         total = mpmath.mpf(1)  # k = 0 term of all three series
-        for k, term in enumerate(itertools.islice(_series_terms(sid, qm), MAX_TERMS), 1):
+        for k, term in enumerate(itertools.islice(_series_terms(sid, powers), MAX_TERMS), 1):
             total += term
-            ratio_bound = _ratio_bound(sid, qm, k)
+            ratio_bound = _ratio_bound(sid, powers, k)
             if ratio_bound < 1:
                 tail = abs(term) * ratio_bound / (1 - ratio_bound)
                 if tail <= epsm:
@@ -163,7 +246,7 @@ def eval_series(
 
 def _ratio_bound(sid: SeriesId, qm, k: int):
     """An upper bound U(k) on |t_(j+1)/t_j| for every j >= k, strict and
-    non-increasing in k.
+    non-increasing in k; qm is q as an mpf or its `_Powers` table.
 
     With y = q^(2k+1) and z = qy = q^(2k+2), the true ratios at j = k are
 
@@ -183,15 +266,20 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     each strictly above the ratio at j = k.  U falls as k grows: (6k+7)/(6k+1)
     falls, y falls, y/(1 + qy) rises with y, and the y-derivative of
     y (1 + y)/(1 + qy)^3 has the sign of 1 + 2y(1 - q) - qy^2 > 0.  So U(k)
-    is above the ratio at every j >= k as well.
+    is above the ratio at every j >= k as well.  y and z come from the
+    table of powers, and U is one integer quotient, floored.
     """
-    y = qm ** (2 * k + 1)
-    w = y / (1 + qm * y)
+    powers = _Powers.of(qm)
+    powers.upto(2 * k + 2)
+    bits, one = powers.bits, powers.one
+    y, y_exp = powers.man[2 * k + 1], powers.exp[2 * k + 1]
+    z1 = 2 * one - powers.brackets[2 * k + 2]  # 1 + z
     if sid is SeriesId.J2_LHS:
-        return mpmath.mpf(6 * k + 7) / (6 * k + 1) * w * (1 + y) / (1 + qm * y) ** 2
+        y1 = 2 * one - powers.brackets[2 * k + 1]  # 1 + y
+        return _mpf(((6 * k + 7) * y * y1 << 2 * bits) // ((6 * k + 1) * z1 * z1 * z1), y_exp)
     if sid is SeriesId.L2_LHS:
-        return mpmath.mpf(6 * k + 7) / (6 * k + 1) * w**3
-    return w
+        return _mpf(((6 * k + 7) * y * y * y << 3 * bits) // ((6 * k + 1) * z1 * z1 * z1), 3 * y_exp)
+    return _mpf((y << bits) // z1, y_exp)
 
 
 def _qpoch_inf(first_exp, step: int, qm, epsm) -> EvalReport:
@@ -212,33 +300,48 @@ def _qpoch_inf(first_exp, step: int, qm, epsm) -> EvalReport:
     lies in (0, 1), the reported absolute tail_bound |value| rem is at most
     eps too.  terms_used counts factors and log terms, and MAX_TERMS caps
     their total.
+
+    Both loops run on integers scaled by 2^P (`_loop_bits`): x Q^n, Q^r and
+    the log sum, with one division per log term, and the stop tests the
+    term against eps (1 - x).  The leading product, which can underflow any
+    fixed scale ((q; q)_inf is about e^-1684 at q = 1023/1024), is a P-bit
+    mantissa with a binary exponent, floored to P bits after every factor.
+    As 1 - x >= 1 - q at the stop, P keeps at least 64 bits of eps (1 - x)
+    however small eps is against the working precision.
     """
-    one = mpmath.mpf(1)
-    q_step = qm**step
-    x = qm**first_exp
-    prod = one
+    bits = max(_loop_bits(qm), 64 - mpmath.mag(epsm * (1 - qm)))
+    one = 1 << bits
+    with mpmath.workprec(bits):
+        q_step = _fixed(qm**step, bits)
+        x = _fixed(qm**first_exp, bits)
+    prod, prod_exp = one, -bits
     used = 0
-    while x > q_step or 2 * x > 1:
+    while x > q_step or 2 * x > one:
         used += 1
         if used > MAX_TERMS:
             raise ConvergenceBudgetExceeded("infinite product tail bound not met")
         prod *= one - x
-        x *= q_step
-    log_sum = mpmath.mpf(0)
+        drop = prod.bit_length() - bits
+        prod >>= drop
+        prod_exp += drop - bits
+        x = x * q_step >> bits
+    stop = _fixed(epsm, bits) * (one - x) >> bits  # eps (1 - x)
+    log_sum = 0
     x_r = q_r = one
     for r in itertools.count(1):
-        x_r *= x
-        q_r *= q_step
-        term = x_r / (r * (1 - q_r))
-        rem = term / (1 - x)  # remainder after the first r - 1 terms
-        if rem <= epsm:
+        x_r = x_r * x >> bits
+        q_r = q_r * q_step >> bits
+        term = (x_r << bits) // (r * (one - q_r))
+        if term <= stop:  # rem = term / (1 - x), the remainder after r - 1 terms, is <= eps
             break
         used += 1
         if used > MAX_TERMS:
             raise ConvergenceBudgetExceeded("infinite product tail bound not met")
         log_sum += term
-    value = prod * mpmath.exp(-log_sum)
-    return EvalReport(value, value * rem, used)
+    with mpmath.workprec(bits):
+        value = _mpf(prod, prod_exp) * mpmath.exp(-_mpf(log_sum, -bits))
+    value = mpmath.mpf(value)  # rounded to the working precision
+    return EvalReport(value, value * (_mpf(term, -bits) / _mpf(one - x, -bits)), used)
 
 
 def eval_qpoch_inf(base_exp: int, step: int, q, eps, prec: int | None = None) -> EvalReport:
@@ -286,7 +389,10 @@ NUMERIC_IDENTITIES = ("A1", "A11", "SLATER", "PRODFACT")
 def check_identity_numeric(which: str, q, digits: int) -> CheckResult:
     """Evaluate both sides of an infinite identity and compare.
 
-    Passes iff |LHS - RHS| <= 10^-digits plus both tail bounds.
+    Passes iff |LHS - RHS| <= 10^-digits plus both tail bounds.  The error
+    is absolute, so where both sides vanish a PASS says little: PRODFACT's
+    sides both tend to 0 as q -> 1 (each is 4.07e-34 at q = 99/100), and
+    near 1 its PASS certifies nothing beyond |LHS - RHS| <= 10^-digits.
     """
     which = which.upper()
     if which not in NUMERIC_IDENTITIES:
@@ -300,14 +406,17 @@ def check_identity_numeric(which: str, q, digits: int) -> CheckResult:
         qp = lambda b, s: _qpoch_inf(b, s, qm, eps_part)  # noqa: E731
         if which == "A1":
             lhs = eval_series(SeriesId.J2_LHS, qm, eps_side, prec=prec)
-            rhs = _rep_div(_rep_div(_rep_mul(qp(2, 4), qp(6, 4)), qp(4, 4)), qp(4, 4))
+            den = qp(4, 4)
+            rhs = _rep_div(_rep_div(_rep_mul(qp(2, 4), qp(6, 4)), den), den)
             rhs = _rep_scale(rhs, 1 + qm)
         elif which == "A11":
             lhs = eval_series(SeriesId.L2_LHS, qm, eps_side, prec=prec)
-            rhs = _rep_div(_rep_div(_rep_mul(qp(3, 4), qp(5, 4)), qp(4, 4)), qp(4, 4))
+            den = qp(4, 4)
+            rhs = _rep_div(_rep_div(_rep_mul(qp(3, 4), qp(5, 4)), den), den)
         elif which == "SLATER":
             lhs = eval_series(SeriesId.SUN_LHS, qm, eps_side, prec=prec)
-            rhs = _rep_div(_rep_mul(qp(2, 4), qp(2, 4)), qp(1, 2))
+            num = qp(2, 4)
+            rhs = _rep_div(_rep_mul(num, num), qp(1, 2))
         else:  # PRODFACT
             lhs = _rep_scale(qp(1, 2), 1 / (1 - qm))
             rhs = _rep_mul(qp(3, 4), qp(5, 4))

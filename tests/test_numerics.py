@@ -321,3 +321,165 @@ def test_q_gamma_near_one_matches_the_multiplied_out_product():
     with mpmath.workprec(128):
         pinned = mpmath.mpf("1.77212921132309668358586223024")
         assert abs(rep.value - pinned) <= rep.tail_bound + mpmath.mpf("8.86e-21")
+
+
+#: terms_used and the 10-digit tail_bound of each series and product at
+#: eps = 10^-digits and the working precision of digits, as the mpf loops
+#: computed them: (series or (base, step), q, digits) -> (terms, bound).
+_NUMERIC_CONTRACT = {
+    ("J2_LHS", "1/4", 10): (5, "7.575115425e-16"),
+    ("J2_LHS", "1/4", 30): (8, "2.30329482e-39"),
+    ("J2_LHS", "1/4", 50): (10, "4.747110737e-61"),
+    ("J2_LHS", "1/2", 10): (6, "5.547538248e-12"),
+    ("J2_LHS", "1/2", 30): (10, "2.789958316e-31"),
+    ("J2_LHS", "1/2", 50): (13, "4.611714656e-52"),
+    ("J2_LHS", "7/8", 10): (12, "7.611917811e-12"),
+    ("J2_LHS", "7/8", 30): (22, "9.959156866e-32"),
+    ("J2_LHS", "7/8", 50): (29, "1.909091382e-52"),
+    ("J2_LHS", "63/64", 10): (16, "6.836508917e-11"),
+    ("J2_LHS", "63/64", 30): (44, "9.343175941e-31"),
+    ("J2_LHS", "63/64", 50): (67, "1.517512422e-51"),
+    ("J2_LHS", "1023/1024", 10): (16, "9.289331105e-11"),
+    ("J2_LHS", "1023/1024", 30): (49, "6.464896447e-31"),
+    ("J2_LHS", "1023/1024", 50): (82, "5.824465767e-51"),
+    ("L2_LHS", "1/4", 10): (3, "4.401451466e-17"),
+    ("L2_LHS", "1/4", 30): (5, "4.702103307e-46"),
+    ("L2_LHS", "1/4", 50): (6, "6.133763015e-66"),
+    ("L2_LHS", "1/2", 10): (4, "8.645090582e-16"),
+    ("L2_LHS", "1/2", 30): (6, "6.677910747e-34"),
+    ("L2_LHS", "1/2", 50): (8, "3.292391236e-59"),
+    ("L2_LHS", "7/8", 10): (7, "1.024319796e-12"),
+    ("L2_LHS", "7/8", 30): (13, "3.082948835e-34"),
+    ("L2_LHS", "7/8", 50): (17, "3.169734517e-55"),
+    ("L2_LHS", "63/64", 10): (10, "3.407498429e-11"),
+    ("L2_LHS", "63/64", 30): (25, "3.873169389e-31"),
+    ("L2_LHS", "63/64", 50): (37, "1.711628431e-51"),
+    ("L2_LHS", "1023/1024", 10): (11, "4.126441658e-11"),
+    ("L2_LHS", "1023/1024", 30): (32, "6.241272547e-31"),
+    ("L2_LHS", "1023/1024", 50): (53, "3.545562361e-51"),
+    ("SUN_LHS", "1/4", 10): (5, "6.576258936e-16"),
+    ("SUN_LHS", "1/4", 30): (8, "2.175886483e-39"),
+    ("SUN_LHS", "1/4", 50): (10, "4.607618843e-61"),
+    ("SUN_LHS", "1/2", 10): (6, "6.543381664e-12"),
+    ("SUN_LHS", "1/2", 30): (10, "3.544012423e-31"),
+    ("SUN_LHS", "1/2", 50): (13, "6.003769909e-52"),
+    ("SUN_LHS", "7/8", 10): (13, "3.407283669e-12"),
+    ("SUN_LHS", "7/8", 30): (23, "3.914016119e-33"),
+    ("SUN_LHS", "7/8", 50): (29, "3.128922532e-51"),
+    ("SUN_LHS", "63/64", 10): (24, "8.709510135e-11"),
+    ("SUN_LHS", "63/64", 30): (55, "3.456220409e-31"),
+    ("SUN_LHS", "63/64", 50): (76, "3.772155184e-51"),
+    ("SUN_LHS", "1023/1024", 10): (31, "5.949276548e-11"),
+    ("SUN_LHS", "1023/1024", 30): (91, "7.460703837e-31"),
+    ("SUN_LHS", "1023/1024", 50): (147, "8.250096737e-51"),
+    ((1, 1), "1/4", 10): (14, "5.700004911e-11"),
+    ((1, 1), "1/4", 30): (47, "2.414045977e-31"),
+    ((1, 1), "1/4", 50): (80, "1.938751032e-51"),
+    ((1, 1), "1/2", 10): (29, "1.793032483e-11"),
+    ((1, 1), "1/2", 30): (94, "1.534744509e-31"),
+    ((1, 1), "1/2", 50): (159, "2.469960414e-51"),
+    ((1, 1), "7/8", 10): (30, "1.992698567e-15"),
+    ((1, 1), "7/8", 30): (86, "2.002678239e-35"),
+    ((1, 1), "7/8", 50): (143, "1.734429852e-55"),
+    ((1, 1), "63/64", 10): (74, "4.105226774e-55"),
+    ((1, 1), "63/64", 30): (136, "5.692223689e-75"),
+    ((1, 1), "63/64", 50): (200, "5.681125126e-95"),
+    ((1, 1), "1023/1024", 10): (743, "2.6066195e-740"),
+    ((1, 1), "1023/1024", 30): (806, "3.589371975e-760"),
+    ((1, 1), "1023/1024", 50): (871, "3.500175512e-780"),
+    ((1, 2), "1/4", 10): (6, "1.817094847e-12"),
+    ((1, 2), "1/4", 30): (16, "5.910294191e-31"),
+    ((1, 2), "1/4", 50): (27, "4.746632446e-51"),
+    ((1, 2), "1/2", 10): (11, "5.072956902e-12"),
+    ((1, 2), "1/2", 30): (32, "1.890662669e-31"),
+    ((1, 2), "1/2", 50): (54, "1.51841524e-51"),
+    ((1, 2), "7/8", 10): (24, "2.616723612e-13"),
+    ((1, 2), "7/8", 30): (72, "2.682669792e-33"),
+    ((1, 2), "7/8", 50): (121, "2.027124772e-53"),
+    ((1, 2), "63/64", 10): (51, "1.848217028e-33"),
+    ((1, 2), "63/64", 30): (114, "1.569337314e-53"),
+    ((1, 2), "63/64", 50): (178, "1.778311664e-73"),
+    ((1, 2), "1023/1024", 10): (388, "1.848550258e-376"),
+    ((1, 2), "1023/1024", 30): (451, "2.37525921e-396"),
+    ((1, 2), "1023/1024", 50): (516, "2.221055511e-416"),
+    ((2, 4), "1/4", 10): (3, "4.547469426e-12"),
+    ((2, 4), "1/4", 30): (9, "3.209880167e-34"),
+    ((2, 4), "1/4", 50): (14, "1.789796083e-52"),
+    ((2, 4), "1/2", 10): (6, "1.817094847e-12"),
+    ((2, 4), "1/2", 30): (16, "5.910294191e-31"),
+    ((2, 4), "1/2", 50): (27, "4.746632446e-51"),
+    ((2, 4), "7/8", 10): (26, "4.028711564e-12"),
+    ((2, 4), "7/8", 30): (82, "4.178602714e-32"),
+    ((2, 4), "7/8", 50): (139, "3.61896404e-52"),
+    ((2, 4), "63/64", 10): (39, "3.865209346e-22"),
+    ((2, 4), "63/64", 30): (101, "3.233702892e-42"),
+    ((2, 4), "63/64", 50): (163, "5.97902744e-62"),
+    ((2, 4), "1023/1024", 10): (209, "1.302085646e-193"),
+    ((2, 4), "1023/1024", 30): (272, "1.812933372e-213"),
+    ((2, 4), "1023/1024", 50): (337, "1.8938034e-233"),
+    ((4, 4), "1/4", 10): (3, "5.820676927e-11"),
+    ((4, 4), "1/4", 30): (12, "3.792542408e-33"),
+    ((4, 4), "1/4", 50): (20, "1.272725603e-52"),
+    ((4, 4), "1/2", 10): (7, "2.898259423e-11"),
+    ((4, 4), "1/2", 30): (23, "5.237165269e-31"),
+    ((4, 4), "1/2", 50): (40, "1.038685237e-51"),
+    ((4, 4), "7/8", 10): (20, "6.464765284e-12"),
+    ((4, 4), "7/8", 30): (62, "6.821610513e-32"),
+    ((4, 4), "7/8", 50): (104, "1.330304576e-51"),
+    ((4, 4), "63/64", 10): (38, "2.38575363e-21"),
+    ((4, 4), "63/64", 30): (97, "2.730097821e-41"),
+    ((4, 4), "63/64", 50): (157, "3.228977964e-61"),
+    ((4, 4), "1023/1024", 10): (209, "3.455278888e-192"),
+    ((4, 4), "1023/1024", 30): (272, "4.253639789e-212"),
+    ((4, 4), "1023/1024", 50): (337, "3.913377806e-232"),
+}
+
+
+def test_numeric_contract_pinned():
+    """No stop decision moves and every tail bound keeps its 10 digits."""
+    for (what, q, digits), (terms, bound) in _NUMERIC_CONTRACT.items():
+        eps, prec = Fraction(1, 10**digits), working_prec(digits)
+        if isinstance(what, str):
+            rep = eval_series(SeriesId[what], Fraction(q), eps, prec=prec)
+        else:
+            rep = eval_qpoch_inf(*what, Fraction(q), eps, prec=prec)
+        assert rep.terms_used == terms, (what, q, digits)
+        with mpmath.workprec(64):
+            pinned = mpmath.mpf(bound)
+            assert abs(rep.tail_bound - pinned) <= pinned * mpmath.mpf(10) ** -9, (what, q, digits)
+
+
+def test_product_stop_with_eps_below_the_working_precision():
+    """eps = 10^-100 at 100 bits lies far below the working precision; the
+    products still stop where the mpf loops did, with their tail bounds."""
+    pinned = {
+        (1, 1, "1/2"): (324, "2.600023839e-101"),
+        (2, 4, "7/8"): (282, "3.120753404e-102"),
+        (1, 2, "63/64"): (339, "2.44774561e-123"),
+    }
+    for (base, step, q), (terms, bound) in pinned.items():
+        rep = eval_qpoch_inf(base, step, Fraction(q), Fraction(1, 10**100), prec=100)
+        assert rep.terms_used == terms and mpmath.nstr(rep.tail_bound, 10) == bound, (base, step, q)
+
+
+def test_integer_loops_keep_the_working_precision_near_one(monkeypatch):
+    """Near q = 1 the brackets 1 - q^m lose up to log2(1/(1 - q)) bits each,
+    and the integer loops' guard bits make up for it: each value is within
+    2^(32 - prec) of the same call at 128 more bits, relative, with the same
+    terms, where prec is the call's working precision."""
+    eps, prec = Fraction(1, 10**25), working_prec(20)
+    calls = [
+        (prec, lambda extra, step=step, q=q: eval_qpoch_inf(1, step, q, eps, prec=prec + extra))
+        for step in (1, 2, 4)
+        for q in (Fraction(999, 1000), Fraction(1023, 1024), Fraction(4095, 4096))
+    ]
+    calls.append((working_prec(15), lambda extra: q_gamma(Fraction(1, 2), Fraction(1023, 1024), 15)))
+    calls += [(working_prec(12) + 32, lambda extra, j=j: limit_scan("PI1", [j])[0]) for j in range(12, 17)]
+    low = [call(0) for _, call in calls]
+    # q_gamma and limit_scan take their working precision from GUARD_BITS.
+    monkeypatch.setattr(numerics, "GUARD_BITS", numerics.GUARD_BITS + 128)
+    high = [call(128) for _, call in calls]
+    for (p, _), a, b in zip(calls, low, high):
+        assert a.terms_used == b.terms_used
+        with mpmath.workprec(p + 256):
+            assert abs(a.value - b.value) <= abs(b.value) * mpmath.mpf(2) ** (32 - p), (p, a, b)

@@ -59,26 +59,59 @@ def test_bracket_products_stay_in_factored_and_qseries():
     assert not found, f"BracketProduct used outside factored.py and qseries.py: {found}"
 
 
+def _numerics_reached(*roots):
+    """The functions of `numerics` that roots reach by name, the roots among
+    them: module-level functions, and every method of a class they name."""
+    tree = ast.parse((PACKAGE_DIR / "numerics.py").read_text())
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defined[node.name] = [node]
+        elif isinstance(node, ast.ClassDef):
+            defined[node.name] = [fn for fn in node.body if isinstance(fn, ast.FunctionDef)]
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in defined and name not in reached:
+            reached[name] = defined[name]
+            todo += [node.id for fn in defined[name] for node in ast.walk(fn) if isinstance(node, ast.Name)]
+    return [fn for fns in reached.values() for fn in fns]
+
+
 def test_numeric_series_terms_name_no_series():
     """The numeric terms are the one before times the ratio read off the one
     summand definition in `qseries`, so `numerics._series_terms`, and every
     function of the module that it reaches, names no SeriesId member: no
     series is written out a fourth time."""
-    tree = ast.parse((PACKAGE_DIR / "numerics.py").read_text())
-    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = {}, ["_series_terms"]
-    while todo:
-        name = todo.pop()
-        if name in defined and name not in reached:
-            reached[name] = defined[name]
-            todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
+    reached = _numerics_reached("_series_terms")
     found = [
         f"numerics.py:{node.lineno}"
-        for fn in reached.values()
+        for fn in reached
         for node in ast.walk(fn)
         if isinstance(node, ast.Attribute) and node.attr in qpiverify.SeriesId.__members__
     ]
-    assert "_series_terms" in reached and not found, f"SeriesId members named by _series_terms: {found}"
+    assert "_series_terms" in {fn.name for fn in reached}
+    assert not found, f"SeriesId members named by _series_terms: {found}"
+
+
+def test_numeric_hot_loops_run_on_integers():
+    """The loops of the infinite products and of the series terms run on
+    integers: no `for` or `while` body in `numerics._qpoch_inf` or
+    `_series_terms`, or in any function of the module that they reach,
+    names mpmath or raises to a power with `**`."""
+    reached = _numerics_reached("_qpoch_inf", "_series_terms")
+    found = [
+        f"numerics.py:{node.lineno}"
+        for fn in reached
+        for loop in ast.walk(fn)
+        if isinstance(loop, (ast.For, ast.While))
+        for stmt in loop.body + loop.orelse
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "mpmath"
+        or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    assert {"_qpoch_inf", "_series_terms"} <= {fn.name for fn in reached}, reached
+    assert not found, f"mpmath or ** in the numeric loops: {found}"
 
 
 def test_prefactor_layout_read_only_in_factored():
