@@ -15,19 +15,21 @@ that tracks the true terms, including as q -> 1:
   Series, 2nd ed., 2004, ch. 1).  It stops on its relative error, so
   quotients of products that vanish as q -> 1 keep their digits.
 
-The two inner loops, the series terms and the product's factors and log
-terms, run on Python integers scaled by 2^P, as mpmath's own series kernels
-do (Brent and Zimmermann, Modern Computer Arithmetic, 2010, ch. 4), and
-become mpf only at the ends: the terms handed to `eval_series`, the final
-exp, and the reports.  A value that can get arbitrarily small, a series
-term, a power q^m or the leading product, is a P-bit mantissa with a binary
-exponent.  Every integer step floors: it errs by less than one unit in its
-last place, always toward minus infinity.  A bracket 1 - q^m then errs by
-less than 2^(l + 2) units of 2^-P relative, with l = log2(1/(1 - q)), and
-the at most 1 + 1/(1 - q) leading factors of a product by less than
-2^(2 l + 4) units together.  So P is the working precision plus
-LOOP_GUARD_BITS = 16 plus 2 l (`_loop_bits`), and near q = 1 the loops keep
-the working precision.
+The inner loops, the series terms with their sum and stop test and the
+product's factors and log terms, run on Python integers scaled by 2^P, as
+mpmath's own series kernels do (Brent and Zimmermann, Modern Computer
+Arithmetic, 2010, ch. 4), and become mpf only at the ends: the final exp
+and the reports.  A value that can get arbitrarily small, a series term, a
+power q^m or the leading product, is a P-bit mantissa with a binary
+exponent; a series sum is an integer at scale 2^-P.  Every integer step
+floors: it errs by less than one unit in its last place, always toward
+minus infinity.  A bracket 1 - q^m then errs by less than 2^(l + 2) units
+of 2^-P relative, with l = log2(1/(1 - q)), the at most 1 + 1/(1 - q)
+leading factors of a product by less than 2^(2 l + 4) units together, and
+the K floored additions of a series sum by less than K units of 2^-P, all
+in one direction.  So P is the working precision plus LOOP_GUARD_BITS = 16
+plus 2 l (`_loop_bits`), and near q = 1 the loops keep the working
+precision.
 
 Only truncation is bounded, so a PASS certifies truncation only: the
 round-off of the integer steps is one-sided and counted above, and that of
@@ -181,7 +183,7 @@ def _series_ratios(sid: SeriesId):
 
 def _series_terms(sid: SeriesId, qm):
     """The terms t_1, t_2, ... of one of the three series at qm (t_0 = 1),
-    each the one before times its ratio, as mpf at the working precision.
+    each the one before times its ratio, as pairs (man, exp) for man 2^exp.
 
     qm is q as an mpf or its `_Powers` table, which `eval_series` shares
     with `_ratio_bound`.  A term is carried as an integer mantissa of P
@@ -206,7 +208,7 @@ def _series_terms(sid: SeriesId, qm):
         t //= den
         drop = t.bit_length() - bits
         term, term_exp = t >> drop, e + drop
-        yield _mpf(term, term_exp)
+        yield term, term_exp
 
 
 def eval_series(
@@ -218,7 +220,9 @@ def eval_series(
     """Evaluate one of the three infinite series at real q in (0, 1).
 
     Stops once the geometric tail bound drops below eps; raises
-    ConvergenceBudgetExceeded if MAX_TERMS is hit first.
+    ConvergenceBudgetExceeded if MAX_TERMS is hit first.  The sum is an
+    integer scaled by 2^P, each term added floored, and the stop test
+    |t_k| U/(1 - U) <= eps compares integers exactly.
     """
     if sid not in _SERIES:
         raise ValueError(f"{sid} is not an evaluable infinite series")
@@ -230,15 +234,25 @@ def eval_series(
         epsm = _to_mpf(eps)
         if epsm <= 0:
             raise ValueError("eps must be positive")
+        _, eps_man, eps_exp, _ = epsm._mpf_
         powers = _Powers(qm)
-        total = mpmath.mpf(1)  # k = 0 term of all three series
-        for k, term in enumerate(itertools.islice(_series_terms(sid, powers), MAX_TERMS), 1):
-            total += term
-            ratio_bound = _ratio_bound(sid, powers, k)
-            if ratio_bound < 1:
-                tail = abs(term) * ratio_bound / (1 - ratio_bound)
-                if tail <= epsm:
-                    return EvalReport(total, tail, k + 1)
+        bits = powers.bits
+        total = powers.one  # k = 0 term of all three series
+        for k, (term, term_exp) in enumerate(itertools.islice(_series_terms(sid, powers), MAX_TERMS), 1):
+            shift = term_exp + bits
+            total += term << shift if shift >= 0 else term >> -shift
+            bound, bound_exp = _ratio_bound(sid, powers, k)
+            gap = (1 << -bound_exp) - bound  # (1 - U) 2^-bound_exp
+            if gap > 0:
+                # |t| U <= eps (1 - U), both sides times 2^-bound_exp
+                lhs, rhs = abs(term) * bound, eps_man * gap
+                if term_exp >= eps_exp:
+                    lhs <<= term_exp - eps_exp
+                else:
+                    rhs <<= eps_exp - term_exp
+                if lhs <= rhs:
+                    term, bound = _mpf(term, term_exp), _mpf(bound, bound_exp)
+                    return EvalReport(_mpf(total, -bits), abs(term) * bound / (1 - bound), k + 1)
         raise ConvergenceBudgetExceeded(
             f"{sid.value} at q={mpmath.nstr(qm, 8)}: no tail bound within {MAX_TERMS} terms"
         )
@@ -267,7 +281,8 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     falls, y falls, y/(1 + qy) rises with y, and the y-derivative of
     y (1 + y)/(1 + qy)^3 has the sign of 1 + 2y(1 - q) - qy^2 > 0.  So U(k)
     is above the ratio at every j >= k as well.  y and z come from the
-    table of powers, and U is one integer quotient, floored.
+    table of powers, and U is one integer quotient, floored, returned as
+    (man, exp) for man 2^exp with exp < 0.
     """
     powers = _Powers.of(qm)
     powers.upto(2 * k + 2)
@@ -276,10 +291,10 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     z1 = 2 * one - powers.brackets[2 * k + 2]  # 1 + z
     if sid is SeriesId.J2_LHS:
         y1 = 2 * one - powers.brackets[2 * k + 1]  # 1 + y
-        return _mpf(((6 * k + 7) * y * y1 << 2 * bits) // ((6 * k + 1) * z1 * z1 * z1), y_exp)
+        return ((6 * k + 7) * y * y1 << 2 * bits) // ((6 * k + 1) * z1 * z1 * z1), y_exp
     if sid is SeriesId.L2_LHS:
-        return _mpf(((6 * k + 7) * y * y * y << 3 * bits) // ((6 * k + 1) * z1 * z1 * z1), 3 * y_exp)
-    return _mpf((y << bits) // z1, y_exp)
+        return ((6 * k + 7) * y * y * y << 3 * bits) // ((6 * k + 1) * z1 * z1 * z1), 3 * y_exp
+    return (y << bits) // z1, y_exp
 
 
 def _qpoch_inf(first_exp, step: int, qm, epsm) -> EvalReport:
@@ -435,34 +450,41 @@ CLASSICAL_SERIES = ("PI1", "PI2")
 
 
 def eval_classical(which: str, digits: int) -> EvalReport:
-    """The two classical central-binomial series, summed in exact rational
-    arithmetic by the term recurrence and rounded once at the end."""
+    """The two classical central-binomial series, summed exactly by the term
+    recurrence and rounded once at the end.
+
+    With E = 10^(digits + 5), so that the tail must be at most 1/E, the
+    term is p/(E Q) and the sum S/(E Q) over one running integer
+    denominator Q: a step by the ratio num/den makes S <- S den + p num,
+    p <- p num and Q <- Q den.  The stop test cross-multiplies, and each
+    fraction is reduced once, at the end, so the report is that of the same
+    sum in lowest terms."""
+    prec = working_prec(digits)
     which = which.upper()
     if which not in CLASSICAL_SERIES:
         raise ValueError(f"unknown classical series {which!r}")
-    eps = Fraction(1, 10 ** (digits + 5))
-    denom_base = 4 if which == "PI1" else 8
-    term = Fraction(1)
-    total = Fraction(1)
+    scale = 10 ** (digits + 5)
+    base = 4 if which == "PI1" else 8
+    sign = 1 if which == "PI1" else -1
+    p = total = scale
+    denom = 1
     k = 0
     while True:
-        # sup over j >= k of |t_{j+1}/t_j| (the cubed fraction is < 1 and the
-        # leading ratio decreases in k).
-        ratio_cap = Fraction(6 * k + 7, denom_base * (6 * k + 1))
-        if ratio_cap < 1:
-            tail = abs(term) * ratio_cap / (1 - ratio_cap)
-            if tail <= eps:
-                break
-        step = Fraction(
-            (6 * k + 7) * (2 * k + 1) ** 3,
-            (6 * k + 1) * (2 * k + 2) ** 3 * denom_base,
-        )
-        if which == "PI2":
-            step = -step
-        term *= step
+        # sup over j >= k of |t_{j+1}/t_j| is at most c = (6k+7)/(base (6k+1))
+        # (the cubed fraction is < 1 and the leading ratio decreases in k),
+        # and the tail is at most |t_k| c/(1 - c).
+        cap, gap = 6 * k + 7, base * (6 * k + 1) - (6 * k + 7)
+        if gap > 0 and abs(p) * cap <= denom * gap:
+            break
+        a, b = 2 * k + 1, 2 * k + 2
+        num = sign * cap * a * a * a
+        den = (6 * k + 1) * b * b * b * base
+        total = total * den + p * num
+        p *= num
+        denom *= den
         k += 1
-        total += term
-    prec = working_prec(digits)
+    denom *= scale
+    total, tail = Fraction(total, denom), Fraction(abs(p) * cap, denom * gap)
     with mpmath.workprec(prec):
         value = mpmath.mpf(total.numerator) / total.denominator
         tail_val = mpmath.mpf(tail.numerator) / tail.denominator

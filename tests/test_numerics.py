@@ -88,7 +88,7 @@ def test_series_against_exact_partial_sums():
             with mpmath.workprec(prec):
                 expected = mpmath.mpf(v_exact.numerator) / v_exact.denominator
                 qm = mpmath.mpf(q.numerator) / q.denominator
-                got = sum(itertools.islice(_series_terms(sid, qm), 10), mpmath.mpf(1))
+                got = sum(map(mpmath.mpf, itertools.islice(_series_terms(sid, qm), 10)), mpmath.mpf(1))
                 assert abs(got - expected) < mpmath.mpf(2) ** (-prec + 40)
 
 
@@ -184,6 +184,100 @@ def test_classical_truncation_at_zero_terms():
     assert abs(rep.value - classical_target("PI1", 64)) < 0.1
 
 
+def test_classical_digits_checked_first():
+    """digits < 1 raises ValueError before the sum starts, as the other
+    numeric entry points do."""
+    for digits in (0, -6):
+        with pytest.raises(ValueError):
+            eval_classical("PI1", digits)
+
+
+# repr of value and tail_bound at the working precision, and terms_used.
+_CLASSICAL_PINNED = {
+    ("PI1", 10): (
+        "mpf('1.2732395447351624346484643769041')",
+        "mpf('2.7265962508231054971635191569365e-16')",
+        25,
+    ),
+    ("PI1", 40): (
+        "mpf('1.273239544735162686151070106980114896275677165457927750684533')",
+        "mpf('4.785225694210948783772124805198931098556894124455219751852475e-46')",
+        74,
+    ),
+    ("PI1", 100): (
+        (
+            "mpf('1.27323954473516268615107010698011489627567716592365158998133875247117438107381228072"
+            "09104221300246876485819814425739045698')"
+        ),
+        (
+            "mpf('7.69224484851154054520589466974747975507601429422941506356412051852715061712258563076"
+            "2322110796997822149997797143687020154e-106')"
+        ),
+        173,
+    ),
+    ("PI1", 300): (
+        (
+            "mpf('1.27323954473516268615107010698011489627567716592365158998133875247117438107381228072"
+            "091042213002468764858274181406366429514329476891662922302373928585359871383391973549927262"
+            "058462197117540246150973914316973918129354689912193378903209465904091378159804572752369512"
+            "069522139164896391528749550275268422978479374915044318652')"
+        ),
+        (
+            "mpf('5.84551170846284961361374065810191769671894568153170470757904897257091170842396797734"
+            "049413850472917548585176269013843811848852075169094907880518086684309175291483666211349168"
+            "419767331109208525018654981991136097337222414206333164180072527585384690918477099050184555"
+            "012969907685128469291465952956532563800267883361028778252e-306')"
+        ),
+        505,
+    ),
+    ("PI2", 10): (
+        "mpf('0.90031631615710617177031678705466')",
+        "mpf('1.4456800825688595526302564505693e-16')",
+        17,
+    ),
+    ("PI2", 40): (
+        "mpf('0.900316316157106069555199191006740582664574149860607709838554')",
+        "mpf('1.255972841878756770274644919596580553082017888232456896388465e-46')",
+        50,
+    ),
+    ("PI2", 100): (
+        (
+            "mpf('0.90031631615710606955519919100674058266457414995522062557143747123145873071904634499"
+            "808277775408234099755154084699440698416')"
+        ),
+        (
+            "mpf('2.01900568191830181010405998545557940368407856151273362458089419614353641440007286032"
+            "8960545113035972415954302851642428693e-106')"
+        ),
+        116,
+    ),
+    ("PI2", 300): (
+        (
+            "mpf('0.90031631615710606955519919100674058266457414995522062557143747123145873071904634499"
+            "808277775408234099755169574012975047285886515812112126005843071392679156509420993158495130"
+            "550222714152119571915792816988397156699909618352761083022650871366332634781534093907882118"
+            "473171589565258516223010769458666856726358625735658463384')"
+        ),
+        (
+            "mpf('3.06992935436084204397838618383842706045248400638117274842966204315549627959721995159"
+            "536221561399810699825728141767184801503987494698383475058139848470711902342367107244602735"
+            "220080213733678054908329544257734888165114196704419733027205763700373115110829854283056045"
+            "351428971416297091172410375524276846600834734096093757189e-306')"
+        ),
+        337,
+    ),
+}
+
+
+def test_classical_series_pinned():
+    """The classical sums keep every bit of their values and tail bounds."""
+    for (which, digits), (value, tail_bound, terms) in _CLASSICAL_PINNED.items():
+        rep = eval_classical(which, digits)
+        with mpmath.workprec(working_prec(digits)):
+            got = repr(rep.value), repr(rep.tail_bound), rep.terms_used
+        assert got == (value, tail_bound, terms), (which, digits)
+
+
 def test_q_gamma_normalization():
     for q in (Fraction(1, 2), Fraction(9, 10)):
         for x in (1, 2):
@@ -236,12 +330,12 @@ def test_numeric_recurrences_match_the_exact_summands():
             assert t[0] == 1
             with mpmath.workprec(prec):
                 qm = mpmath.mpf(q.numerator) / q.denominator
-                got = list(itertools.islice(_series_terms(sid, qm), 40))
+                got = list(map(mpmath.mpf, itertools.islice(_series_terms(sid, qm), 40)))
                 for j, term in enumerate(got, 1):
                     want = mpmath.mpf(t[j].numerator) / t[j].denominator
                     assert abs(term - want) <= abs(want) * mpmath.mpf(2) ** (-prec + 32)
                 ratios = [_mpf(abs(t[j + 1] / t[j])) for j in range(40)]
-                bounds = [_ratio_bound(sid, qm, k) for k in range(41)]
+                bounds = [mpmath.mpf(_ratio_bound(sid, qm, k)) for k in range(41)]
                 for k in range(40):
                     assert bounds[k + 1] <= bounds[k], (sid, q, k)
                     assert all(ratio < bounds[k] for ratio in ratios[k:]), (sid, q, k)
@@ -433,6 +527,21 @@ _NUMERIC_CONTRACT = {
     ((4, 4), "1023/1024", 30): (272, "4.253639789e-212"),
     ((4, 4), "1023/1024", 50): (337, "3.913377806e-232"),
 }
+
+
+def test_series_values_within_one_ulp():
+    """Each series value is within 1 ulp of the working precision, relative,
+    of the same call at 128 more bits, with the same terms: the sum's
+    round-off stays below the last bit."""
+    for sid in SERIES:
+        for q in ("1/4", "1/2", "7/8", "63/64", "1023/1024"):
+            for digits in (10, 30, 50):
+                eps, prec = Fraction(1, 10**digits), working_prec(digits)
+                a = eval_series(sid, Fraction(q), eps, prec=prec)
+                b = eval_series(sid, Fraction(q), eps, prec=prec + 128)
+                assert a.terms_used == b.terms_used, (sid, q, digits)
+                with mpmath.workprec(prec + 256):
+                    assert abs(a.value - b.value) <= abs(b.value) * mpmath.mpf(2) ** -prec, (sid, q, digits)
 
 
 def test_numeric_contract_pinned():

@@ -95,11 +95,13 @@ def test_numeric_series_terms_name_no_series():
 
 
 def test_numeric_hot_loops_run_on_integers():
-    """The loops of the infinite products and of the series terms run on
-    integers: no `for` or `while` body in `numerics._qpoch_inf` or
-    `_series_terms`, or in any function of the module that they reach,
-    names mpmath or raises to a power with `**`."""
-    reached = _numerics_reached("_qpoch_inf", "_series_terms")
+    """The loops of the infinite products, of the series terms and their sum,
+    and of the classical series run on integers: no `for` or `while` body in
+    `numerics._qpoch_inf`, `_series_terms`, `eval_series` or
+    `eval_classical`, or in any function of the module that they reach,
+    names mpmath or Fraction or raises to a power with `**`."""
+    roots = ("_qpoch_inf", "_series_terms", "eval_series", "eval_classical")
+    reached = _numerics_reached(*roots)
     found = [
         f"numerics.py:{node.lineno}"
         for fn in reached
@@ -107,11 +109,11 @@ def test_numeric_hot_loops_run_on_integers():
         if isinstance(loop, (ast.For, ast.While))
         for stmt in loop.body + loop.orelse
         for node in ast.walk(stmt)
-        if isinstance(node, ast.Name) and node.id == "mpmath"
+        if isinstance(node, ast.Name) and node.id in ("mpmath", "Fraction")
         or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
     ]
-    assert {"_qpoch_inf", "_series_terms"} <= {fn.name for fn in reached}, reached
-    assert not found, f"mpmath or ** in the numeric loops: {found}"
+    assert set(roots) <= {fn.name for fn in reached}, reached
+    assert not found, f"mpmath, Fraction or ** in the numeric loops: {found}"
 
 
 def test_prefactor_layout_read_only_in_factored():
