@@ -86,12 +86,10 @@ class BracketProduct:
         exponent vectors over the cyclotomics, so no product of them equals
         another, and every normalization yields the same (coeff, shift, exps).
         """
-        coeff, exps = Fraction(coeff), exps or {}
-        if min(exps, default=1) < 1:
-            folded = _fold_indices(coeff, shift, exps)
-            if folded is None:
-                return _ZERO_BP
-            coeff, shift, exps = folded
+        folded = _fold_indices(Fraction(coeff), shift, exps or {})
+        if folded is None:
+            return _ZERO_BP
+        coeff, shift, exps = folded
         if coeff == 0:
             return _ZERO_BP
         return BracketProduct(coeff, shift, tuple(sorted((m, e) for m, e in exps.items() if e)))
@@ -151,12 +149,13 @@ def negated(t: FactorList) -> FactorList:
 
 
 def _fold_indices(
-    coeff: Fraction, shift: int, exps: Mapping[int, int]
-) -> tuple[Fraction, int, dict[int, int]] | None:
+    coeff: Fraction | int, shift: int, exps: Mapping[int, int]
+) -> tuple[Fraction | int, int, Mapping[int, int]] | None:
     """`make`'s rules for indices below 1, on the exponents of a product or
     on the change of them from one product to another: (coeff, shift, map)
     with every index of the map >= 1 (its exponents may be 0), or None when
-    index 0 has a positive exponent, which makes the product zero.
+    index 0 has a positive exponent, which makes the product zero.  A map
+    with no index below 1 is returned as it is.
 
     A negative index m with exponent e becomes (-1)**e q**(m e)
     (1 - q**-m)**e and merges with the entry for -m.  As 1 - q**0 = 0, index
@@ -164,6 +163,8 @@ def _fold_indices(
     it maps the change of a product's exponents to the change of its
     normal form.
     """
+    if min(exps, default=1) > 0:
+        return coeff, shift, exps
     merged: dict[int, int] = {}
     for m, e in exps.items():
         if m < 0:
@@ -198,38 +199,44 @@ def _list_changes(old: Sequence, new: Sequence) -> dict[int, int]:
 
     A factor (a, s, r, P) has exponents P * (H(a) - H(b)) with b = a + r*s,
     H as in `_add_run`: P at a, a + s, ..., b - s for r >= 0, and -P at
-    b, ..., a - s for r < 0.  Lists of one length pair their factors by
-    position.  A pair with one step and power whose bases lie on one
+    b, ..., a - s for r < 0.  The lists pair their factors by position, up
+    to the shorter one's length, and the longer one's surplus factors are
+    listed in full.  A pair with one step and power whose bases lie on one
     progression changes by P * (H(a') - H(a)) + P * (H(b) - H(b')), only
     between its two bases and between its two ends; it is read so when that
-    lists no more indices than the two factors do.  Any other pair, and
-    every factor of lists of different lengths, is listed in full.
+    lists no more indices than the two factors do, and any other pair is
+    listed in full; a run between equal bases or equal ends is empty and
+    skipped.  Any pairing gives the same change, and pairing by
+    position keeps it short where one list appends factors to the other, as
+    G(n + 1, k) does to F(n, k) and a right side's summand to a left side's.
     """
     out: dict[int, int] = {}
-    if len(old) != len(new):
-        for a, s, r, p in old:
-            _add_run(out, a, a + r * s, s, p)
-        for a, s, r, p in new:
-            _add_run(out, a + r * s, a, s, p)
-        return out
     for f, f2 in zip(old, new):
         if f == f2:
             continue
         (a, s, r, p), (a2, s2, r2, p2) = f, f2
         b, b2 = a + r * s, a2 + r2 * s2
         if s == s2 > 0 and p == p2 and (a2 - a) % s == 0 and abs(a2 - a) + abs(b2 - b) <= (abs(r) + abs(r2)) * s:
-            _add_run(out, a, a2, s, p)
-            _add_run(out, b2, b, s, p)
+            if a != a2:
+                _add_run(out, a, a2, s, p)
+            if b != b2:
+                _add_run(out, b2, b, s, p)
         else:
             _add_run(out, a, b, s, p)
             _add_run(out, b2, a2, s2, p2)
+    for a, s, r, p in old[len(new) :]:
+        _add_run(out, a, a + r * s, s, p)
+    for a, s, r, p in new[len(old) :]:
+        _add_run(out, a + r * s, a, s, p)
     return out
 
 
 def _term_changes(terms: Iterable[FactorList]):
     """Each nonzero term t_i of `terms` as its change from t_(i-1):
     (coeff, shift, changes, exps), with coeff * q**shift the ratio of t_i's
-    coefficient and q-power to t_(i-1)'s (to 1 for t_0), changes the
+    coefficient and q-power to t_(i-1)'s (to 1 for t_0), coeff an int when
+    both lists' coefficients are ints and the ratio is whole, and a Fraction
+    otherwise (readers take its numerator and denominator), changes the
     (m, e, p) of each bracket whose exponent goes from p to e != p, and exps
     the running map {m: e} of t_i's brackets, updated in place; all as in
     the normal form (`BracketProduct.make`).
@@ -252,7 +259,9 @@ def _term_changes(terms: Iterable[FactorList]):
     for t in terms:
         if t[0] == 0:
             continue
-        folded = _fold_indices(Fraction(t[0]) / prev[0], t[1] - prev[1], _list_changes(prev[2], t[2]))
+        c, c0 = t[0], prev[0]
+        ratio = c // c0 if type(c) is int and type(c0) is int and c % c0 == 0 else Fraction(c) / c0
+        folded = _fold_indices(ratio, t[1] - prev[1], _list_changes(prev[2], t[2]))
         if folded is None:
             continue
         coeff, shift, delta = folded
@@ -563,7 +572,7 @@ def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
     """
     read = []
     min_exps: dict[int, int] = {}
-    coeff, shift, size, deg = Fraction(1), 0, 0, 0
+    coeff, shift, size, deg = 1, 0, 0, 0
     for ratio, q_shift, changes, exps in _term_changes(terms):
         coeff *= ratio
         shift += q_shift

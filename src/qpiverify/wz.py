@@ -112,11 +112,28 @@ def identity_terms(ident: IdentityId, n: int) -> tuple[list[FactorList], list[Fa
     return lhs, rhs
 
 
+#: The identities whose right side sums G(n, n - k) over k: their terms, in
+#: ascending WZ index, are the right side's reversed.
+_DESCENDING_RHS = (IdentityId.ID_A3, IdentityId.ID_SECOND2)
+
+
 def check_identity(ident: IdentityId, n: int) -> CheckResult:
-    """Exact check that LHS(n) - RHS(n) is the zero rational function."""
+    """Exact check that LHS(n) - RHS(n) is the zero rational function.
+
+    The sum does not depend on the order of its terms, but its cost does:
+    binary splitting multiplies each side of a join by its copies of each
+    bracket above the other side's least exponent, so neighbours that share
+    brackets join cheaply.  So the right side's terms go in ascending
+    WZ index, as the left side's do, and a one-term right side (whipple's
+    closed form), which like the k = 0 summand lacks the series' brackets,
+    goes first, where it joins that summand's run.
+    """
     label = f"{ident.value} n={n}"
     lhs, rhs = identity_terms(ident, n)
-    diff = sum_terms(lhs + [negated(t) for t in rhs])
+    rhs = [negated(t) for t in rhs]
+    if ident in _DESCENDING_RHS:
+        rhs.reverse()
+    diff = sum_terms(rhs + lhs if len(rhs) == 1 else lhs + rhs)
     if diff.is_zero():
         return CheckResult(True, label)
     return CheckResult(False, label, witness=diff.to_ratfunc())

@@ -835,6 +835,104 @@ def test_term_ratios_read_off_factor_lists():
         sum_terms_mod([(1, 0, [(1, 1, 1, 1)]), (1, 0, [(0, 2, 2, -1)])], [1, -2, 1], 1)
 
 
+def test_term_ratios_are_ints_where_the_lists_allow():
+    """A ratio is an int when both lists' coefficients are ints and the
+    ratio is whole, as it always is on the WZ and series lists (coefficients
+    +-1), and otherwise the Fraction of the two coefficients."""
+    from qpiverify.factored import _term_changes
+    from qpiverify.qseries import N_DEPENDENT, WzPairId, series_range, summand_factors, wz_term_factors
+
+    int_walks = []
+    for sid in SeriesId:
+        n = 9 if sid in N_DEPENDENT else None
+        start, end = series_range(sid, n)
+        int_walks.append([summand_factors(sid, n, k) for k in range(start, (start + 12 if end is None else end) + 1)])
+    for pair in WzPairId:
+        for n in range(8):
+            for k in range(1, n + 3):
+                cell = [wz_term_factors(pair, w, m, j) for w, m, j in (("F", n, k - 1), ("F", n, k), ("G", n + 1, k), ("G", n, k))]
+                int_walks.append([cell[0], negated(cell[1]), negated(cell[2]), cell[3]])
+    ratios = [t[0] for walk in int_walks for t in _term_changes(walk)]
+    assert len(ratios) > 300 and all(type(r) is int for r in ratios)
+
+    fractions = 0
+    for walk in _factor_list_walks():
+        live = [t for t in walk if t[0] != 0 and not BracketProduct.from_pochhammers(*t).is_zero()]
+        prev = 1
+        for (ratio, *_), t in zip(_term_changes(walk), live, strict=True):
+            whole = type(t[0]) is int and type(prev) is int and t[0] % prev == 0
+            # Up to the sign that indices below 1 fold in.
+            assert abs(ratio) == abs(Fraction(t[0]) / prev) and (type(ratio) is int) == whole
+            fractions += not whole
+            prev = t[0]
+    assert fractions > 100
+
+
+def test_list_changes_is_the_difference_of_the_full_lists():
+    """`_list_changes(old, new)` is new's exponents less old's, each listed
+    in full from the empty list, however the two lists pair up."""
+    from qpiverify.factored import _list_changes
+
+    rng = random.Random(31)
+
+    def factor():
+        return rng.randint(-8, 8), rng.randint(1, 4), rng.randint(-4, 5), rng.choice([-2, -1, 1, 2, 3])
+
+    def moved(f):
+        a, s, r, p = f
+        return a + rng.randint(-2, 2) * rng.choice([1, s]), s, r + rng.randint(-3, 3), p
+
+    for _ in range(1500):
+        old = [factor() for _ in range(rng.randint(0, 5))]
+        new = [rng.choice([moved(f), f, factor()]) for f in old]
+        if rng.random() < 0.3 and new:
+            new[rng.randrange(len(new))] = rng.choice(new)  # a repeated factor
+        if rng.random() < 0.3:
+            del new[rng.randint(0, len(new)) :]
+        new += [factor() for _ in range(rng.choice([0, 0, 1, 3]))]
+        if rng.random() < 0.5:
+            old, new = new, old
+        full = _list_changes((), new)
+        for m, e in _list_changes((), old).items():
+            full[m] = full.get(m, 0) - e
+        changes = {m: e for m, e in _list_changes(old, new).items() if e}
+        assert changes == {m: e for m, e in full.items() if e}
+        assert _list_changes(new, new) == {}
+
+
+def test_sum_terms_does_not_depend_on_term_order():
+    """A permutation of the terms gives the same `FactoredSum`: its prefactor,
+    content, width and numerator are all order-free.  Over the WZ cells, both
+    sides of the five identities, and series prefixes mixed with zero lists
+    and lists of other lengths."""
+    from qpiverify.qseries import WzPairId, series_factors, wz_term_factors
+    from qpiverify.wz import IdentityId, identity_terms
+
+    rng = random.Random(37)
+    sums = []
+    for pair in WzPairId:
+        for n in range(9):
+            for k in range(1, n + 3):
+                cell = [wz_term_factors(pair, w, m, j) for w, m, j in (("F", n, k - 1), ("F", n, k), ("G", n + 1, k), ("G", n, k))]
+                sums.append([cell[0], negated(cell[1]), negated(cell[2]), cell[3]])
+    for ident in IdentityId:
+        for n in range(1, 14, 2) if ident is IdentityId.ID_WHIPPLE else range(1, 14):
+            lhs, rhs = identity_terms(ident, n)
+            sums += [lhs, rhs, lhs + [negated(t) for t in rhs]]
+    zeros = [(0, 3, [(1, 1, 2, 1)]), (0, 0, [])]
+    j2, l2, sun = (series_factors(s, None, 6) for s in (SeriesId.J2_LHS, SeriesId.L2_LHS, SeriesId.SUN_LHS))
+    whipple = series_factors(SeriesId.WHIPPLE_LHS, 13, 6)
+    for prefix in (j2, l2, sun, whipple):
+        for other in (sun, whipple, j2):
+            sums.append(prefix[: rng.randint(1, 7)] + other[: rng.randint(0, 4)] + zeros)
+    for terms in sums:
+        fs = sum_terms(terms)
+        for _ in range(3):
+            shuffled = rng.sample(terms, len(terms))
+            out = sum_terms(shuffled)
+            assert (repr(out.prefactor), out.num) == (repr(fs.prefactor), fs.num)
+
+
 def test_sum_terms_mod_on_factor_lists_matches_products():
     """`sum_terms_mod` gives the same residues on factor lists as on the
     products they normalize to, each read as its list of single brackets,
@@ -952,12 +1050,16 @@ def test_sum_terms_outputs_pinned(monkeypatch):
 
 
 def test_sum_terms_multiplication_count_over_the_pinned_sweep(monkeypatch):
-    """The sweep of `_sum_terms_digest` makes 13,939 `Packing.bracket_mul`
+    """The sweep of `_sum_terms_digest` makes 13,018 `Packing.bracket_mul`
     calls, one for each copy of a bracket above the joint minimum of two
     joined runs, and no division.  The exact J2 congruence at n = 27 makes
-    418 with its right side summed first, and would make 612 with it last."""
+    418 with its right side summed first, and would make 612 with it last.
+    whipple at n = 99 makes 483 with its right side summed first, and 567
+    with it last; a3 at n = 25 makes 632 with its right side in ascending
+    WZ index, and 782 in its own order."""
     from qpiverify.congruences import verify_intro
     from qpiverify.qseries import WzPairId
+    from qpiverify.wz import IdentityId, check_identity
 
     calls = []
     multiply = Packing.bracket_mul
@@ -968,7 +1070,13 @@ def test_sum_terms_multiplication_count_over_the_pinned_sweep(monkeypatch):
 
     monkeypatch.setattr(Packing, "bracket_mul", counting)
     _sum_terms_digest(monkeypatch)
-    assert 0 < len(calls) <= 16_000
+    assert 0 < len(calls) <= 13_500
     calls.clear()
     assert verify_intro(WzPairId.PAIR_J2, 27, path="exact").passed
     assert 0 < len(calls) <= 480
+    calls.clear()
+    assert check_identity(IdentityId.ID_WHIPPLE, 99).passed
+    assert 0 < len(calls) <= 520
+    calls.clear()
+    assert check_identity(IdentityId.ID_A3, 25).passed
+    assert 0 < len(calls) <= 680

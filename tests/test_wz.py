@@ -187,3 +187,37 @@ def test_wz_terms_pinned():
     for (pair, which), digest in _WZ_TERM_DIGESTS.items():
         text = repr([wz_term_brackets(pair, which, n, k) for n, k in cells])
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (pair, which)
+
+
+#: sha256 of str(witness) of each identity with its right side times q, two
+#: small n each.  a2 and a3 share theirs: their right sides are equal.
+_SHIFTED_WITNESS_DIGESTS = {
+    ("a2", 5): "84f0e9e67a6a65aaef118601fee42c07af9d21f371fd7c28b8f255dc1ab3c4cb",
+    ("a2", 8): "13a46f8079482aaa349b35ea377978fe4fb0a43c79c09ca96d65695b08b4053a",
+    ("a3", 5): "84f0e9e67a6a65aaef118601fee42c07af9d21f371fd7c28b8f255dc1ab3c4cb",
+    ("a3", 8): "13a46f8079482aaa349b35ea377978fe4fb0a43c79c09ca96d65695b08b4053a",
+    ("second", 5): "ce314d3994b85c3a93c8f4cb6aeb325f9ef8aaf8e377d42e177350e36120dd6d",
+    ("second", 8): "5a7fe28213104e6a8019ae8d0395c1fbc768f6ffe68346834021613aab5e3d63",
+    ("second2", 5): "3b57d793c63256324e314fb60c7c804e1a0fde9a62d8965bd605a532240bf599",
+    ("second2", 8): "03ec87c6fa87226e21be09ee2e41b82e89c294749c79bed87805c61d35b7520f",
+    ("whipple", 7): "dba22ce3088dd83519b83dfe953b1bba9a24ec455eec96c1d2e0dae4e67462f7",
+    ("whipple", 15): "0a071d1d9129852592d6f19b2d4be4449c59d338c1689eb6dcd95c6bb3e4c8d1",
+}
+
+
+@pytest.mark.parametrize("name, n", list(_SHIFTED_WITNESS_DIGESTS))
+def test_failing_identity_witnesses_pinned(name, n, monkeypatch):
+    """A failing identity keeps its witness, whatever order `check_identity`
+    sums its terms in."""
+    import qpiverify.wz as wz
+
+    terms = wz.identity_terms
+
+    def shifted(ident, n):
+        lhs, rhs = terms(ident, n)
+        return lhs, [(c, s + 1, f) for c, s, f in rhs]
+
+    monkeypatch.setattr(wz, "identity_terms", shifted)
+    result = check_identity(IdentityId(name), n)
+    assert not result.passed
+    assert hashlib.sha256(str(result.witness).encode()).hexdigest() == _SHIFTED_WITNESS_DIGESTS[name, n]
