@@ -142,10 +142,12 @@ def _residue(N: Sequence[int], D: Sequence[int], mod: Sequence[int]) -> list[Fra
 
 
 def _monic_int(modulus: Poly) -> list[int]:
-    m = modulus.monic()
-    if any(c.denominator != 1 for c in m.coeffs):
+    """The monic integer form of a nonzero modulus: it exists exactly when
+    the primitive part's leading coefficient is +-1."""
+    _, m = content_split(modulus.coeffs)
+    if abs(m[-1]) != 1:
         raise ValueError(f"modulus {modulus!r} has no integral monic form")
-    return [c.numerator for c in m.coeffs]
+    return m if m[-1] == 1 else [-c for c in m]
 
 
 def _mul_mod(a: list[int], b: list[int], mod: list[int], P: int) -> list[int]:

@@ -111,13 +111,6 @@ class BracketProduct:
     def one() -> BracketProduct:
         return _ONE_BP
 
-    @staticmethod
-    def zero() -> BracketProduct:
-        return _ZERO_BP
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
     def cyclo_mults(self) -> dict[int, int]:
         """Multiplicity of each irreducible cyclotomic factor."""
         mults: dict[int, int] = {}
@@ -381,8 +374,9 @@ class Packing:
     |c_j| <= bound lies in [-2**(w - 2), 2**(w - 2)); a value whose slots all
     do is *in range*.  The packing is one-to-one on polynomials whose
     coefficients are below 2**(w - 1) in absolute value.  `fits` checks a
-    narrower range, the headroom a walk needs before its next steps, and
-    `reslot` moves a value into wider slots.
+    narrower range, the headroom a walk needs before its next steps.  A
+    value moves into wider slots as `wider.pack(unpack(v))`, so every change
+    of width is range-checked by `unpack`.
     """
 
     def __init__(self, bound: int, slots: int):
@@ -409,18 +403,6 @@ class Packing:
     def in_range(self, v: int) -> bool:
         """Whether v is an in-range value of at most `slots` slots."""
         return self.fits(v, self.w - 2)
-
-    def reslot(self, v: int, wider: Packing) -> int:
-        """The value with v's slots in `wider`'s, of the same count and at
-        least as wide.  v's slots must be below 2**(w - 1) in absolute
-        value: biased by 2**(w - 1), each is one w-bit field, and the fields
-        move to their new places a byte column at a time."""
-        size, wide = self.w // 8, wider.w // 8
-        data = (v + self._top).to_bytes(self.slots * size, "little")
-        out = bytearray(self.slots * wide)
-        for i in range(size):
-            out[i::wide] = data[i::size]
-        return int.from_bytes(out, "little") - (wider._top >> (wider.w - self.w))
 
     def bracket_mul(self, v: int, m: int) -> int:
         """v * (1 - q**m)."""
@@ -718,15 +700,16 @@ def sum_terms_mod(
     g = bits(G_i), ratio i runs at w only once every slot lies in
     [-2**h, 2**h), h = w - 2 - g (`Packing.fits`): its values then stay below
     G_i * 2**h < 2**(w - 2), so every split is exact and the state is in
-    range when the ratio ends.  On a miss, the state is re-slotted
-    (`Packing.reslot`) to max(1.5*w, w + g) bits in whole bytes, at most the
-    proven width; an in-range state passes the check at w + g.  By induction
-    from the exact start state, every ratio runs in range, nothing is re-run,
-    and the residues are those of any wider packing: they rest on the checks,
-    not on the global bound.  The walk starts at `_START_WIDTH` when the
-    proven width is more than twice that, else at the proven width, and
-    stops checking once it reaches the proven width, where the global bound
-    covers the rest of a walk whose earlier steps were exact.
+    range when the ratio ends.  On a miss, each of the state's six ints is
+    unpacked and packed again at max(1.5*w, w + g) bits in whole bytes, at
+    most the proven width: `Packing.unpack` checks that it is in range, and
+    an in-range state passes the check at w + g.  By induction from the
+    exact start state, every ratio runs in range, nothing is re-run, and the
+    residues are those of any wider packing: they rest on the checks, not on
+    the global bound.  The walk starts at `_START_WIDTH` when the proven
+    width is more than twice that, else at the proven width, and stops
+    checking once it reaches the proven width, where the global bound covers
+    the rest of a walk whose earlier steps were exact.
 
     The residue X - Y + q**n * Y is rebuilt once from X and Y unpacked
     apart, as X - Y need not be in range at a fitted width, through
@@ -831,7 +814,7 @@ def sum_terms_mod(
         h = w - 2 - g
         if h < 0 or not all(map(pack.fits, [*state[0], *state[1], *state[2]], [h] * 6)):
             wider = packing(min(cap, max(w * 3 // 2, w + g)))
-            state = tuple(tuple(pack.reslot(x, wider) for x in v) for v in state)
+            state = tuple(tuple(wider.pack(pack.unpack(x)) for x in v) for v in state)
             pack, w = wider, wider.w
         state, i = _ratio_walk(state, one, step, lin), i + 1
     state = _ratio_walk(state, ratios[i:], step, lin)

@@ -136,11 +136,6 @@ class _Powers:
         self.q, self.q_exp = man << (bits - bc), exp + bc - bits
         self.man, self.exp, self.brackets = [1 << (bits - 1)], [1 - bits], [0]
 
-    @classmethod
-    def of(cls, qm) -> "_Powers":
-        """The table of qm, which may be an mpf q or a table already."""
-        return qm if isinstance(qm, cls) else cls(qm)
-
     def upto(self, top: int) -> None:
         """Grow the table to q^top."""
         man, exp, brackets = self.man, self.exp, self.brackets
@@ -181,16 +176,16 @@ def _series_ratios(sid: SeriesId):
         yield ratio
 
 
-def _series_terms(sid: SeriesId, qm):
-    """The terms t_1, t_2, ... of one of the three series at qm (t_0 = 1),
-    each the one before times its ratio, as pairs (man, exp) for man 2^exp.
+def _series_terms(sid: SeriesId, powers: _Powers):
+    """The terms t_1, t_2, ... of one of the three series at the q of the
+    table `powers` (t_0 = 1), each the one before times its ratio, as pairs
+    (man, exp) for man 2^exp.
 
-    qm is q as an mpf or its `_Powers` table, which `eval_series` shares
-    with `_ratio_bound`.  A term is carried as an integer mantissa of P
-    bits and a binary exponent, so it keeps its relative precision however
-    small it gets; each step multiplies by the ratio's q-power and brackets,
-    divides by its lower brackets once, and floors to P bits."""
-    powers = _Powers.of(qm)
+    `eval_series` shares the table with `_ratio_bound`.  A term is carried
+    as an integer mantissa of P bits and a binary exponent, so it keeps its
+    relative precision however small it gets; each step multiplies by the
+    ratio's q-power and brackets, divides by its lower brackets once, and
+    floors to P bits."""
     bits, man, exp, brackets = powers.bits, powers.man, powers.exp, powers.brackets
     term, term_exp = man[0], exp[0]  # t_0 = 1
     for num, den, shift, ups, downs, top in _series_ratios(sid):
@@ -258,9 +253,9 @@ def eval_series(
         )
 
 
-def _ratio_bound(sid: SeriesId, qm, k: int):
+def _ratio_bound(sid: SeriesId, powers: _Powers, k: int):
     """An upper bound U(k) on |t_(j+1)/t_j| for every j >= k, strict and
-    non-increasing in k; qm is q as an mpf or its `_Powers` table.
+    non-increasing in k, at the q of the table `powers`.
 
     With y = q^(2k+1) and z = qy = q^(2k+2), the true ratios at j = k are
 
@@ -284,7 +279,6 @@ def _ratio_bound(sid: SeriesId, qm, k: int):
     table of powers, and U is one integer quotient, floored, returned as
     (man, exp) for man 2^exp with exp < 0.
     """
-    powers = _Powers.of(qm)
     powers.upto(2 * k + 2)
     bits, one = powers.bits, powers.one
     y, y_exp = powers.man[2 * k + 1], powers.exp[2 * k + 1]

@@ -66,14 +66,19 @@ def wz_term(pair: WzPairId, which: str, n: int, k: int) -> RatFunc:
 
 
 def check_telescoping(pair: WzPairId, n: int, k: int) -> CheckResult:
-    """Exact check of F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k)."""
+    """Exact check of F(n, k-1) - F(n, k) = G(n+1, k) - G(n, k).
+
+    The terms go in as F(n, k-1), -G(n+1, k), -F(n, k), G(n, k), which puts
+    each F beside a G that shares most of its brackets, so the joins of
+    `sum_terms` multiply less than in the order of the equation (see
+    `check_identity`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     label = f"telescoping {pair.value} n={n} k={k}"
     terms = [
         wz_term_factors(pair, "F", n, k - 1),
-        negated(wz_term_factors(pair, "F", n, k)),
         negated(wz_term_factors(pair, "G", n + 1, k)),
+        negated(wz_term_factors(pair, "F", n, k)),
         wz_term_factors(pair, "G", n, k),
     ]
     diff = sum_terms(terms)

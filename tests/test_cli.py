@@ -273,7 +273,7 @@ def test_series_without_a_tail_bound_is_a_fail_row(capsys, monkeypatch):
     from qpiverify import numerics
 
     terms = numerics._series_terms
-    monkeypatch.setattr(numerics, "_series_terms", lambda sid, qm: itertools.islice(terms(sid, qm), 3))
+    monkeypatch.setattr(numerics, "_series_terms", lambda sid, powers: itertools.islice(terms(sid, powers), 3))
     argv = ["eval", "--identity", "slater", "--q", "1/2", "--digits", "20", "--format", "json"]
     code, out = run_capture(capsys, argv)
     report = json.loads(out)

@@ -141,6 +141,19 @@ def test_congruent_zero_constant_modulus_and_zero_function_pass():
         assert result.passed and result.witness is None
 
 
+def test_monic_int_scales_through_the_content():
+    """A modulus has a monic integer form exactly when its primitive part
+    leads with +-1, whatever its rational scale and sign."""
+    phi5 = cyclotomic(5)
+    for scale in (1, -1, 3, Fraction(-2, 7)):
+        assert _monic_int(phi5 * scale) == [1, 1, 1, 1, 1]
+        assert _monic_int(Poly([3, -3]) * scale) == [-1, 1]
+        assert _monic_int(Poly([scale])) == [1]
+    for m in (Poly([1, 2]), Poly([2, 4]), Poly([Fraction(1, 2), 1]), Poly([1, 0, -3])):
+        with pytest.raises(ValueError, match="has no integral monic form"):
+            _monic_int(m)
+
+
 def test_modsun_small_cases_and_witness_shape():
     assert verify_modsun(1).passed
     assert verify_modsun(3).passed
@@ -630,20 +643,21 @@ def test_sum_terms_mod_residues_pinned(case, n):
 @pytest.mark.parametrize("case, n", list(_RESIDUE_DIGESTS))
 def test_sum_terms_mod_residues_pinned_from_a_narrow_start(case, n, monkeypatch):
     """Started at 8-bit slots, the modular walk widens where its checks ask,
-    never overflows a slot, and gives the pinned residues."""
+    never overflows a slot, and gives the pinned residues.  A widening packs
+    the state again, and the walk packs nothing else."""
     import qpiverify.factored as factored
 
     widths = []
-    reslot = factored.Packing.reslot
+    pack = factored.Packing.pack
 
-    def recorded(self, v, wider):
-        widths.append(wider.w)
-        return reslot(self, v, wider)
+    def recorded(self, c):
+        widths.append(self.w)
+        return pack(self, c)
 
     monkeypatch.setattr(factored, "_START_WIDTH", 8)
-    monkeypatch.setattr(factored.Packing, "reslot", recorded)
+    monkeypatch.setattr(factored.Packing, "pack", recorded)
     test_sum_terms_mod_residues_pinned(case, n)
-    assert widths
+    assert widths and min(widths) > 8
 
 
 #: sha256 of repr(sum_terms_mod(...)) for the unsplit intro terms F(k, 0),

@@ -167,8 +167,8 @@ def _poch(base, step, count):
 
 
 def test_pochhammer_zero_factor():
-    assert _poch(0, 2, 1).is_zero()
-    assert _poch(-2, 2, 3).is_zero()  # hits exponent 0 at j=1
+    assert _poch(0, 2, 1).coeff == 0
+    assert _poch(-2, 2, 3).coeff == 0  # hits exponent 0 at j=1
     assert _poch(5, 2, 0) == BracketProduct.one()
     # (q^-1; q^2)_-1 = 1 / (q^-3; q^2)_1 = 1 / (1 - q^-3) = -q^3 / (1 - q^3)
     assert _poch(-1, 2, -1) == BracketProduct.make(1, 0, {-3: -1}) == BracketProduct.make(-1, 3, {3: -1})
@@ -218,8 +218,8 @@ def test_make_matches_evaluation():
             assert _at(bp, x) == value
     # Zero factors: a zero coefficient or a bracket 1 - q^0 in the numerator
     # gives zero; one in the denominator cannot be divided by.
-    assert BracketProduct.make(0, 3, {2: -1}) == BracketProduct.zero()
-    assert BracketProduct.make(2, 1, {0: 2, 3: -1}) == BracketProduct.zero()
+    assert BracketProduct.make(0, 3, {2: -1}) == BracketProduct.make(0)
+    assert BracketProduct.make(2, 1, {0: 2, 3: -1}) == BracketProduct.make(0)
     assert BracketProduct.make(2, 1, {0: 0, 3: 1}) == BracketProduct.make(2, 1, {3: 1})
     with pytest.raises(ZeroDivisionError):
         BracketProduct.make(1, 0, {0: -2})
@@ -230,7 +230,7 @@ def test_make_matches_evaluation():
 def test_from_exponent_zero_index_in_denominator():
     """The single bracket (1 - q**0)**e: zero for e > 0, one for e = 0, and
     no value for e < 0."""
-    assert BracketProduct.make(1, 0, {0: 1}).is_zero()
+    assert BracketProduct.make(1, 0, {0: 1}).coeff == 0
     assert BracketProduct.make(1, 0, {0: 0}) == BracketProduct.one()
     with pytest.raises(ZeroDivisionError):
         BracketProduct.make(1, 0, {0: -1})
@@ -273,7 +273,7 @@ def test_from_pochhammers_matches_definition():
         bp = BracketProduct.from_pochhammers(coeff, shift, factors)
         if zero_powers:
             if sum(zero_powers) > 0:
-                assert bp.is_zero()
+                assert bp.coeff == 0
             continue
         for x in POINTS:
             value = coeff * x**shift
@@ -601,18 +601,25 @@ def test_fits_checks_every_slot_against_its_headroom():
         assert p.fits(_pack(p, coeffs), h) is all(-(1 << h) <= c < 1 << h for c in coeffs)
 
 
-def test_reslot_matches_a_plain_pack_at_the_wider_width():
+def test_widening_matches_a_plain_pack_at_the_wider_width():
+    """`wider.pack(p.unpack(v))`, the walk's widening, is the plain pack at
+    the wider width of an in-range value, and raises SlotOverflow on any
+    other."""
     rng = random.Random(37)
     for _ in range(300):
         slots = rng.randint(1, 12)
         p = Packing(rng.choice([1, 60, 2**20, 2**70]), slots)
         # A bound of at least 2**(p.w - 3) gives a width of at least p.w.
         wider = Packing(rng.choice([0, 1 << (p.w - 2), 2**30, 2**100]) | (1 << (p.w - 3)), slots)
-        half = 1 << (p.w - 1)
-        coeffs = [rng.choice([-half, half - 1, 0, rng.randint(-half, half - 1)]) for _ in range(slots)]
-        assert p.reslot(_pack(p, coeffs), wider) == wider.pack(coeffs) == _pack(wider, coeffs)
-        if wider.w > p.w and all(abs(c) < 1 << (p.w - 2) for c in coeffs):
-            assert wider.unpack(p.reslot(p.pack(coeffs), wider)) == coeffs
+        quarter = 1 << (p.w - 2)
+        coeffs = [rng.choice([-quarter, quarter - 1, 0, rng.randint(-quarter, quarter - 1)]) for _ in range(slots)]
+        assert wider.pack(p.unpack(_pack(p, coeffs))) == wider.pack(coeffs) == _pack(wider, coeffs)
+        assert wider.unpack(wider.pack(p.unpack(p.pack(coeffs)))) == coeffs
+        # One slot out of range, still below 2**(w - 1): p packs it, and
+        # the widening refuses it.
+        coeffs[rng.randrange(slots)] = rng.choice([-2 * quarter, -quarter - 1, quarter, 2 * quarter - 1])
+        with pytest.raises(SlotOverflow):
+            wider.pack(p.unpack(_pack(p, coeffs)))
 
 
 def test_cyclo_multiplicity_counts():
@@ -623,6 +630,15 @@ def test_cyclo_multiplicity_counts():
     assert fs.cyclo_multiplicity(3, 5) == 0
     assert fs.cyclo_multiplicity(6, 5) == 1
     assert fs.cyclo_multiplicity(6, 1) == 1  # saturation at `need`
+
+
+def test_cyclo_multiplicity_saturates_on_the_prefactor_alone():
+    """When the prefactor alone holds Phi_d more than `need` times, the count
+    is `need`, whether or not Phi_d divides the numerator."""
+    for need in (1, 2, 4):
+        prefactor = BracketProduct.make(1, 0, {3: need + 1})
+        for num in ([1], [2, -1], [1, 1, 1]):  # Phi_3 = 1 + q + q^2 divides only the last
+            assert FactoredSum(prefactor, num).cyclo_multiplicity(3, need) == need
 
 
 def test_u_fold_matches_the_dense_remainder():
@@ -675,7 +691,7 @@ def _sum_terms_mod_by_lists(terms, mod, n):
     def shift(c, delta):
         return list_mod_monic([0] * delta + c, work) if c and delta else c
 
-    live = [t for t in terms if not t.is_zero()]
+    live = [t for t in terms if t.coeff != 0]
     kept, passing = [], []
     for i, t in enumerate(live):
         exps, excess = dict(t.exps), {}
@@ -745,20 +761,41 @@ def test_sum_terms_mod_matches_list_walk():
 
 def test_sum_terms_mod_widens_from_a_narrow_start(monkeypatch):
     """Started at 8-bit slots, the walk widens where its checks ask and
-    still matches the list walk."""
+    still matches the list walk.  A widening packs the state again, and the
+    walk packs nothing else."""
     import qpiverify.factored as factored
 
     widths = []
-    reslot = Packing.reslot
+    pack = Packing.pack
 
-    def recorded(self, v, wider):
-        widths.append(wider.w)
-        return reslot(self, v, wider)
+    def recorded(self, c):
+        widths.append(self.w)
+        return pack(self, c)
 
     monkeypatch.setattr(factored, "_START_WIDTH", 8)
-    monkeypatch.setattr(Packing, "reslot", recorded)
+    monkeypatch.setattr(Packing, "pack", recorded)
     test_sum_terms_mod_matches_list_walk()
-    assert widths
+    assert widths and min(widths) > 8
+
+
+def test_sum_terms_mod_bounds_a_shift_of_the_first_term(monkeypatch):
+    """Walks whose first term is c q**s, from the default start and from
+    8-bit slots, against the list walk.  The bound of a times-q**m step
+    keeps X's bound; with Y's in its place the proven width falls short of
+    these values and a slot overflows."""
+    import qpiverify.factored as factored
+
+    cases = [
+        (3, [BracketProduct.make(2, 5), BracketProduct.make(3, 7, {26: 1})]),
+        (2, [BracketProduct.make(3, 1, {18: 1}), BracketProduct.make(-1, 8), BracketProduct.make(-1, 9)]),
+        (3, [BracketProduct.make(1, 14), BracketProduct.make(1, -4, {28: 3})]),
+        (5, [BracketProduct.make(1, 7), BracketProduct.make(1, -8, {7: 1}), BracketProduct.make(1, 3, {59: 3})]),
+    ]
+    for start in (factored._START_WIDTH, 8):
+        monkeypatch.setattr(factored, "_START_WIDTH", start)
+        for n, terms in cases:
+            mod = expand_bracket_powers({n: 2})
+            assert sum_terms_mod([_as_list(t) for t in terms], mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
 
 
 def _factor_list_walks():
@@ -820,8 +857,8 @@ def test_term_ratios_read_off_factor_lists():
     read = zeros = 0
     for walk in _factor_list_walks():
         products = [BracketProduct.from_pochhammers(*t) for t in walk]
-        zeros += sum(bp.is_zero() and t[0] != 0 for t, bp in zip(walk, products))
-        live = [bp for bp in products if not bp.is_zero()]
+        zeros += sum(bp.coeff == 0 and t[0] != 0 for t, bp in zip(walk, products))
+        live = [bp for bp in products if bp.coeff != 0]
         coeff, shift, prev = Fraction(1), 0, BracketProduct.one()
         for (ratio, q_shift, changes, exps), bp in zip(_term_changes(walk), live, strict=True):
             coeff, shift = coeff * ratio, shift + q_shift
@@ -852,12 +889,13 @@ def test_term_ratios_are_ints_where_the_lists_allow():
             for k in range(1, n + 3):
                 cell = [wz_term_factors(pair, w, m, j) for w, m, j in (("F", n, k - 1), ("F", n, k), ("G", n + 1, k), ("G", n, k))]
                 int_walks.append([cell[0], negated(cell[1]), negated(cell[2]), cell[3]])
+                int_walks.append([cell[0], negated(cell[2]), negated(cell[1]), cell[3]])  # check_telescoping's
     ratios = [t[0] for walk in int_walks for t in _term_changes(walk)]
     assert len(ratios) > 300 and all(type(r) is int for r in ratios)
 
     fractions = 0
     for walk in _factor_list_walks():
-        live = [t for t in walk if t[0] != 0 and not BracketProduct.from_pochhammers(*t).is_zero()]
+        live = [t for t in walk if t[0] != 0 and BracketProduct.from_pochhammers(*t).coeff != 0]
         prev = 1
         for (ratio, *_), t in zip(_term_changes(walk), live, strict=True):
             whole = type(t[0]) is int and type(prev) is int and t[0] % prev == 0
@@ -1050,13 +1088,15 @@ def test_sum_terms_outputs_pinned(monkeypatch):
 
 
 def test_sum_terms_multiplication_count_over_the_pinned_sweep(monkeypatch):
-    """The sweep of `_sum_terms_digest` makes 13,018 `Packing.bracket_mul`
+    """The sweep of `_sum_terms_digest` makes 12,628 `Packing.bracket_mul`
     calls, one for each copy of a bracket above the joint minimum of two
-    joined runs, and no division.  The exact J2 congruence at n = 27 makes
-    418 with its right side summed first, and would make 612 with it last.
-    whipple at n = 99 makes 483 with its right side summed first, and 567
-    with it last; a3 at n = 25 makes 632 with its right side in ascending
-    WZ index, and 782 in its own order."""
+    joined runs, and no division; with each WZ cell in the order of its
+    equation, F(n, k-1), -F(n, k), -G(n+1, k), G(n, k), it made 13,018.
+    The exact J2 congruence at n = 27 makes 418 with its right side summed
+    first, and would make 612 with it last.  whipple at n = 99 makes 483
+    with its right side summed first, and 567 with it last; a3 at n = 25
+    makes 632 with its right side in ascending WZ index, and 782 in its own
+    order."""
     from qpiverify.congruences import verify_intro
     from qpiverify.qseries import WzPairId
     from qpiverify.wz import IdentityId, check_identity
@@ -1070,7 +1110,7 @@ def test_sum_terms_multiplication_count_over_the_pinned_sweep(monkeypatch):
 
     monkeypatch.setattr(Packing, "bracket_mul", counting)
     _sum_terms_digest(monkeypatch)
-    assert 0 < len(calls) <= 13_500
+    assert 0 < len(calls) <= 12_800
     calls.clear()
     assert verify_intro(WzPairId.PAIR_J2, 27, path="exact").passed
     assert 0 < len(calls) <= 480

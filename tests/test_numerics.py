@@ -8,6 +8,7 @@ import pytest
 from qpiverify import numerics
 from qpiverify.numerics import (
     ConvergenceBudgetExceeded,
+    _Powers,
     _ratio_bound,
     _series_terms,
     check_identity_numeric,
@@ -88,7 +89,7 @@ def test_series_against_exact_partial_sums():
             with mpmath.workprec(prec):
                 expected = mpmath.mpf(v_exact.numerator) / v_exact.denominator
                 qm = mpmath.mpf(q.numerator) / q.denominator
-                got = sum(map(mpmath.mpf, itertools.islice(_series_terms(sid, qm), 10)), mpmath.mpf(1))
+                got = sum(map(mpmath.mpf, itertools.islice(_series_terms(sid, _Powers(qm)), 10)), mpmath.mpf(1))
                 assert abs(got - expected) < mpmath.mpf(2) ** (-prec + 40)
 
 
@@ -140,6 +141,22 @@ def test_identity_numeric_regression_guard():
         assert abs(lhs.value - (1 + qm) * prod.value) <= mpmath.mpf(10) ** (-digits)
         # perturbed RHS fails by a wide margin
         assert abs(lhs.value - prod.value) > mpmath.mpf(10) ** (-digits)
+
+
+@pytest.mark.parametrize("units, passed", [(2.5, True), (3.5, False)])
+def test_identity_numeric_criterion_edge(units, passed, monkeypatch):
+    """|LHS - RHS| <= 10^-digits plus both sides' tail bounds, near its edge:
+    with each side's report replaced by one whose tail bound is 10^-digits,
+    a difference of 2.5 10^-digits passes and 3.5 10^-digits fails."""
+    digits = 20
+
+    def report(value_units):
+        unit = mpmath.mpf(10) ** -digits
+        return numerics.EvalReport(value_units * unit, unit, 1)
+
+    monkeypatch.setattr(numerics, "eval_series", lambda *args, **kwargs: report(units))
+    monkeypatch.setattr(numerics, "_rep_scale", lambda rep, c: report(0))
+    assert check_identity_numeric("A1", Fraction(1, 2), digits).passed is passed
 
 
 def test_identity_numeric_validation():
@@ -329,13 +346,13 @@ def test_numeric_recurrences_match_the_exact_summands():
             t = [_bracket_value(summand_brackets(sid, None, j), q) for j in range(41)]
             assert t[0] == 1
             with mpmath.workprec(prec):
-                qm = mpmath.mpf(q.numerator) / q.denominator
-                got = list(map(mpmath.mpf, itertools.islice(_series_terms(sid, qm), 40)))
+                powers = _Powers(mpmath.mpf(q.numerator) / q.denominator)
+                got = list(map(mpmath.mpf, itertools.islice(_series_terms(sid, powers), 40)))
                 for j, term in enumerate(got, 1):
                     want = mpmath.mpf(t[j].numerator) / t[j].denominator
                     assert abs(term - want) <= abs(want) * mpmath.mpf(2) ** (-prec + 32)
                 ratios = [_mpf(abs(t[j + 1] / t[j])) for j in range(40)]
-                bounds = [mpmath.mpf(_ratio_bound(sid, qm, k)) for k in range(41)]
+                bounds = [mpmath.mpf(_ratio_bound(sid, powers, k)) for k in range(41)]
                 for k in range(40):
                     assert bounds[k + 1] <= bounds[k], (sid, q, k)
                     assert all(ratio < bounds[k] for ratio in ratios[k:]), (sid, q, k)
@@ -363,12 +380,12 @@ def test_ratio_memo_cap(monkeypatch):
         qm = mpmath.mpf(9) / 10
         for sid in SERIES:
             monkeypatch.setattr(numerics, "_RATIOS", {})
-            want = list(itertools.islice(_series_terms(sid, qm), 40))
+            want = list(itertools.islice(_series_terms(sid, _Powers(qm)), 40))
             with monkeypatch.context() as capped:
                 capped.setattr(numerics, "_RATIOS", {})
                 capped.setattr(numerics, "RATIO_MEMO_CAP", 3)
                 for _ in range(2):
-                    assert list(itertools.islice(_series_terms(sid, qm), 40)) == want
+                    assert list(itertools.islice(_series_terms(sid, _Powers(qm)), 40)) == want
                     assert len(numerics._RATIOS[sid]) == 3
 
 
