@@ -5,10 +5,10 @@ means that in lowest terms M divides A and gcd(B, M) = 1.  Truncated sums are
 checked along two independent routes:
 
 * a modular fast path that accumulates the sum minus its right side in one
-  walk, as a residue pair A / D in Z[q]/((1 - q^n)^2), each residue held as two
-  packed integers X, Y standing for X + (q^n - 1) Y so that a bracket is a
-  rotation of their slots, and reduces A and D by M once (once D is coprime
-  to M, the congruence holds iff A == 0, so a pass inverts nothing), and
+  walk as A / D: the residue A in Z[q]/((1 - q^n)^2), held as two packed
+  integers X, Y standing for X + (q^n - 1) Y so that a bracket is a rotation
+  of their slots and reduced by M once, and D a factor list (once D's
+  brackets are coprime to M, the congruence holds iff A == 0), and
 * an exact path that forms the difference over its structured common
   denominator, folds its numerator once modulo (q^n - 1)^K (`u_fold`), and
   reads off the multiplicity of every irreducible factor of M from that
@@ -19,11 +19,11 @@ checked along two independent routes:
 
 A failure's witness is its residue in Q[q]/(M), certified in integer arithmetic
 by `_residue`, which takes integer lists and the monic integer M.  The modular
-route passes its pair A / D as it stands.  The exact route takes its value as
-`FactoredSum.as_quotient` writes it, a rational scale times integer lists with
-the prefactor's sign, content, cyclotomics and q-shift applied, so this module
-never reads a prefactor's brackets.  `congruent_zero`, the one caller that
-holds a `RatFunc` and a `Poly` modulus, splits off their contents itself.
+route passes A and D's residue, A of a walk over [D].  The exact route takes
+its value from `FactoredSum.as_quotient`: a rational scale times integer lists
+with the prefactor's sign, content, cyclotomics and q-shift applied, so this
+module never reads a prefactor's brackets.  `congruent_zero`, the one caller
+that holds a `RatFunc` and a `Poly` modulus, splits off their contents itself.
 """
 from __future__ import annotations
 
@@ -193,12 +193,12 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
 def _check_congruence_modular(
     terms: list[FactorList], rhs: FactorList, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    acc, den, den_brackets = sum_terms_mod([negated(rhs), *terms], ctx.coeffs, ctx.n)
+    acc, den = sum_terms_mod([negated(rhs), *terms], ctx.coeffs, ctx.n)
     # The accumulated denominator is an integer times a q-power times
     # brackets (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
     for d, _ in ctx.factor_mults:
-        shared = [m for m in den_brackets if m % d == 0]
+        shared = [m for m, *_ in den[2] if m % d == 0]
         if shared:
             raise NonInvertibleDenominator(
                 f"{label}: denominator bracket 1-q^{shared[0]} shares the "
@@ -206,7 +206,8 @@ def _check_congruence_modular(
             )
     if not acc:
         return CheckResult(True, label)
-    return CheckResult(False, label, witness=RatFunc.from_poly(Poly(_residue(acc, den, ctx.coeffs))))
+    w = _residue(acc, sum_terms_mod([den], ctx.coeffs, ctx.n)[0], ctx.coeffs)
+    return CheckResult(False, label, witness=RatFunc.from_poly(Poly(w)))
 
 
 def _check_congruence_exact(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -589,64 +590,71 @@ def sum_terms(terms: Iterable[FactorList]) -> FactoredSum:
 # ---------------------------------------------------------------------------
 # The same accumulation carried out modulo a monic integer polynomial M that
 # divides S = (1 - q**n)**2, as both supercongruence moduli Phi_n**2 and
-# [n] Phi_n do.  Denominators are never inverted: the sum is maintained as
-# A / D with both residues updated multiplicatively, so a congruence whose
-# right side is summed as one more term holds iff A == 0 (mod M) once D is
-# coprime to M, and D gets only denominator brackets.  A and D accumulate in
-# Z[q]/(S), where S = u**2 with u = q**n - 1, each as a pair of n-slot packed
-# ints (X, Y) standing for X + u*Y: as q**n = 1 + u, a q-power or a bracket
-# rotates the slots and adds a small multiple, with no division.  The
-# canonical residue mod S is rebuilt once, and reduced by the dense M once.
-# Reduction mod M is a ring homomorphism Z[q]/(S) -> Z[q]/(M) and remainders
-# by a monic M are unique, so the residues are those of accumulating in
-# Z[q]/(M) throughout.  The walk needs only each term's ratio to the one
-# before (`_term_changes`).
+# [n] Phi_n do.  Denominators are never inverted: the sum is A / D, the
+# walk keeps only the term and A, and D leaves it as a factor list, so a
+# congruence whose right side is summed as one more term holds iff
+# A == 0 (mod M) once D's brackets are coprime to M.  The term and A
+# accumulate in Z[q]/(S), where S = u**2 with u = q**n - 1, each as a pair
+# of n-slot packed ints (X, Y) standing for X + u*Y: as q**n = 1 + u, a
+# q-power or a bracket rotates the slots and adds a small multiple, with no
+# division.  The canonical residue mod S is rebuilt once, and reduced by
+# the dense M once.  Reduction mod M is a ring homomorphism
+# Z[q]/(S) -> Z[q]/(M) and remainders by a monic M are unique, so A is that
+# of accumulating in Z[q]/(M) throughout.  The walk needs only each term's
+# ratio to the one before (`_term_changes`).
 # ---------------------------------------------------------------------------
 
 #: The slot width, in bits, at which `sum_terms_mod` starts checking its
 #: values when the proven width is more than twice as wide.  Below that, the
-#: checks cost more than the narrower slots save: J2 at p = 19 to 31 (proven
-#: widths 72 to 104 bits) ran 10-20% slower checked from 64 bits.
+#: checks cost more than they save: the modular J2 check at p = 19 to 37
+#: (proven widths 72-128 bits) ran 2-14% slower checked from 64 bits (2 CPUs).
 _START_WIDTH = 64
 
 
-def _ratio_walk(state, ratios, step, lin):
-    """The state (term, A, D) after the term-ratio recurrence over `ratios`:
-    term / D is the current summand and A / D the partial sum, each ratio
-    multiplies term by its numerator and A, D by its denominator, and the
-    first ratio of a whole walk is t_0 itself, applied to (1, 0, 1).  A
-    ratio is (brackets, shift, coeff, passing): pairs (m, e) for
-    (1 - q**m)**e, and each m whose 1 - q**m multiplies only the copy of
-    term added into A.  Values are (X, Y) pairs; step(v, m, bracket) is
-    v * (1 - q**m) if bracket else v * q**m, lin(c, v, v2) is c*v + v2."""
-    zero, (term, acc, den) = (0, 0), state
+def _ratio_walk(state, ratios, step):
+    """The state (term, A) after the term-ratio recurrence over `ratios`:
+    term / D is the current summand and A / D the partial sum, D the product
+    of the ratios' denominators: each ratio multiplies term by its numerator
+    and A by its denominator, and the first ratio of a whole walk is t_0
+    itself, applied to (1, 0).  A ratio is (brackets, shift, coeff,
+    passing): pairs (m, e) for (1 - q**m)**e, and pairs (m, x) whose
+    (1 - q**m)**x multiplies only the copy of term added into A.  Values are
+    (X, Y) pairs; step(v, m, e) is v * (1 - q**m)**e, or v * q**m if e = 0."""
+    term, acc = state
     for brackets, shift, coeff, passing in ratios:
         for m, e in brackets:
-            for _ in range(e):
-                term = step(term, m, True)
-            for _ in range(-e):
-                acc, den = step(acc, m, True), step(den, m, True)
+            if e > 0:
+                term = step(term, m, e)
+            else:
+                acc = step(acc, m, -e)
         if shift > 0:
-            term = step(term, shift, False)
+            term = step(term, shift, 0)
         elif shift < 0:
-            acc, den = step(acc, -shift, False), step(den, -shift, False)
+            acc = step(acc, -shift, 0)
         c, d = coeff.numerator, coeff.denominator
         if c != 1:
-            term = lin(c, term, zero)
+            term = c * term[0], c * term[1]
         out = term
-        for m in passing:
-            out = step(out, m, True)
-        acc = lin(d, acc, out)
-        if d != 1:
-            den = lin(d, den, zero)
-    return term, acc, den
+        for m, x in passing:
+            out = step(out, m, x)
+        acc = d * acc[0] + out[0], d * acc[1] + out[1]
+    return term, acc
 
 
-def sum_terms_mod(
-    terms: Iterable[FactorList], mod: Sequence[int], n: int
-) -> tuple[list[int], list[int], dict[int, int]]:
-    """Residues (A, D) with sum(terms) = A / D in Q[q]/(mod), plus the bracket
-    multiset of D.  `mod` must be monic and divide (1 - q**n)**2.
+def _bound_step(n, b, m, e):
+    """`_ratio_walk`'s step on the bounds of `sum_terms_mod`'s walk at index n."""
+    if not e:
+        return b[0], b[1] + (m // n + 1) * b[0]
+    return b[0] << e, (b[1] << e) + ((e * (m // n + 1) * b[0]) << (e - 1))
+
+
+def sum_terms_mod(terms: Iterable[FactorList], mod: Sequence[int], n: int) -> tuple[list[int], FactorList]:
+    """(A, D) with sum(terms) = A / D in Q[q]/(mod), for `mod` monic and
+    dividing (1 - q**n)**2: the residue A, and D the product of the term
+    ratios' denominators as the factor list (c, s, [(m, 1, 1, k), ...]), with
+    c of their coefficients, q**s of their negative shifts and (1 - q**m)**k
+    of their brackets, in the order the ratios bring them, each ratio's
+    sorted.  D's residue is A of the same walk over [D].
 
     Each term is a factor list (coeff, shift, factors), the value of
     `BracketProduct.from_pochhammers(coeff, shift, factors)`, which is never
@@ -660,7 +668,7 @@ def sum_terms_mod(
     ratio walk runs over the kept exponents min(e_im, keep_i(m)), which never
     fall from k > 0.  So D is an integer, a q-power and the brackets of the
     terms' negative exponents, perhaps more often than in their LCD: Phi_d
-    divides D iff d divides a returned m.  Only a bracket whose exponent
+    divides D iff d divides one of its m.  Only a bracket whose exponent
     falls somewhere from p > max(e, 0) can pass, since for any other
     max(e_im, 0) never decreases in i.  On a run of terms where e_im = e is
     constant, with K the least max(e_jm, 0) after the run, keep_i(m) is K
@@ -670,7 +678,7 @@ def sum_terms_mod(
     brackets only: each change (m, e, p) at term i ends a run of p, whose K
     is min(K, max(e, 0)), and the kept exponents change only there.
 
-    The walk keeps the term, A and D as pairs (X, Y) of n-slot packed ints
+    The walk keeps the term and A as pairs (X, Y) of n-slot packed ints
     (`Packing`), X + u*Y in Z[q]/(u**2) with u = q**n - 1.  Write
     m = a*n + r with 0 <= r < n.  Then q**m = q**r (1 + a*u) mod u**2, and
     q**r X = rot_r(X) + u*wrap_r(X), where rot_r rotates the n slots up by r
@@ -682,30 +690,31 @@ def sum_terms_mod(
     coefficients of X and Y go through the same steps:
 
     - times q**m: (bx, by + (a + 1)*bx), which also bounds Z;
-    - times 1 - q**m: the pair plus its q**m image, (2*bx, 2*by + (a + 1)*bx);
+    - times 1 - q**m: the pair plus its q**m image, (2*bx, 2*by + (a + 1)*bx),
+      so e times, by induction, (2**e*bx, 2**e*by + e*(a + 1)*2**(e - 1)*bx);
     - c*v + v2: |c| times v's bounds plus v2's.
 
     No map lowers a bound, |c| >= 1, and A receives each term's last value
-    times its passing brackets, so the bounds at the end of a ratio bound
+    times its passing brackets, so A's bounds at the end of a ratio bound
     every coefficient the ratio splits or computes.  Walked over all ratios
-    from the start values, A's and D's final bx + by bound every coefficient
-    of the walk; a `Packing` for that bound has the *proven* width.  As the
-    bounds double with every bracket, it grows linearly with the bracket
-    count, much faster than the values, so it is only a cap.
+    from the start values (`_bound_step`), A's final bx + by bounds every
+    coefficient of the walk; a `Packing` for that bound has the *proven*
+    width.  As the bounds double with every bracket, it grows linearly with
+    the bracket count, much faster than the values, so it is only a cap.
 
     The walk runs at a width w that follows the values.  The maps are linear
     with nonnegative coefficients, so over ratio i alone, from unit bounds on
-    all six ints, they give G_i: if every slot is at most B in absolute value
-    when ratio i starts, every value inside it is at most G_i * B.  With
-    g = bits(G_i), ratio i runs at w only once every slot lies in
+    all four ints, they give G_i: if every slot is at most B in absolute
+    value when ratio i starts, every value inside it is at most G_i * B.
+    With g = bits(G_i), ratio i runs at w only once every slot lies in
     [-2**h, 2**h), h = w - 2 - g (`Packing.fits`): its values then stay below
     G_i * 2**h < 2**(w - 2), so every split is exact and the state is in
-    range when the ratio ends.  On a miss, each of the state's six ints is
+    range when the ratio ends.  On a miss, each of the state's four ints is
     unpacked and packed again at max(1.5*w, w + g) bits in whole bytes, at
     most the proven width: `Packing.unpack` checks that it is in range, and
     an in-range state passes the check at w + g.  By induction from the
     exact start state, every ratio runs in range, nothing is re-run, and the
-    residues are those of any wider packing: they rest on the checks, not on
+    residue is that of any wider packing: it rests on the checks, not on
     the global bound.  The walk starts at `_START_WIDTH` when the proven
     width is more than twice that, else at the proven width, and stops
     checking once it reaches the proven width, where the global bound covers
@@ -732,7 +741,7 @@ def sum_terms_mod(
         changes.append(ch)
         heads.append((shift, coeff))
     if not changes:
-        return [], [1], {}
+        return [], (1, 0, [])
 
     # Walk back over the falling brackets' changes.  For each such m, `keep`
     # holds K of the run that holds the current term (absent: the last run)
@@ -743,7 +752,7 @@ def sum_terms_mod(
         keep: dict[int, int] = {}
         excess: dict[int, int] = {}
         for i in range(len(changes) - 1, -1, -1):
-            passing[i] = [m for m, x in excess.items() for _ in range(x)]
+            passing[i] = list(excess.items())
             kept = []
             for m, e, p in changes[i]:
                 if m in falls:
@@ -761,9 +770,9 @@ def sum_terms_mod(
                     kept.append((m, e, p))
             changes[i] = kept
 
-    # Each ratio t / prev, from its kept changes.  Its brackets are sorted:
-    # the order of den_brackets picks the bracket that an error on a
-    # non-invertible denominator names, and must not follow set order.
+    # Each ratio t / prev, from its kept changes, and D.  A ratio's brackets
+    # are sorted: the order of D's brackets picks the bracket that an error
+    # on a non-invertible denominator names, and must not follow set order.
     ratios, den_brackets = [], {}
     for ch, (shift, coeff), pas in zip(changes, heads, passing):
         brackets = sorted((m, e - p) for m, e, p in ch)
@@ -771,57 +780,46 @@ def sum_terms_mod(
             if e < 0:
                 den_brackets[m] = den_brackets.get(m, 0) - e
         ratios.append((brackets, shift, coeff, pas))
-
-    def lin(c, v, v2):
-        return c * v[0] + v2[0], c * v[1] + v2[1]
-
-    def step_bound(b, m, bracket):
-        by = b[1] + (m // n + 1) * b[0]
-        return (2 * b[0], b[1] + by) if bracket else (b[0], by)
-
-    def lin_bound(c, b, b2):
-        return lin(abs(c), b, b2)
+    den = (math.prod(c.denominator for _, c in heads), -sum(min(s, 0) for s, _ in heads),
+           [(m, 1, 1, k) for m, k in den_brackets.items()])
 
     def packing(w):
         """n slots of w bits, rounded up to whole bytes."""
         return Packing((1 << (w - 2)) - 1, n)
 
-    start = ((1, 0), (0, 0), (1, 0))
-    _, acc, den = _ratio_walk(start, ratios, step_bound, lin_bound)
-    pack = Packing(max(sum(acc), sum(den)), n)
+    # The bounds walk the ratios with |coeff|, per distinct bracket.
+    unsigned = [(b, s, abs(c), p) for b, s, c, p in ratios]
+    start = (1, 0), (0, 0)
+    bound = partial(_bound_step, n)
+    pack = Packing(sum(_ratio_walk(start, unsigned, bound)[1]), n)
     cap = pack.w
     if cap > 2 * _START_WIDTH:
         pack = packing(_START_WIDTH)
     w = pack.w
 
-    def step(v, m, bracket):
+    def step(v, m, e):
         x, y = v
         a, r = divmod(m, n)
-        z = y + a * x
-        if r:
-            (xl, xh), (zl, zh) = pack.split(x, n - r), pack.split(z, n - r)
-            x2, y2 = (xl << (r * w)) + xh, (zl << (r * w)) + zh + xh
-        else:
-            x2, y2 = x, z
-        return (x - x2, y - y2) if bracket else (x2, y2)
+        for _ in range(e or 1):
+            z = y + a * x
+            if r:
+                (xl, xh), (zl, zh) = pack.split(x, n - r), pack.split(z, n - r)
+                x2, y2 = (xl << (r * w)) + xh, (zl << (r * w)) + zh + xh
+            else:
+                x2, y2 = x, z
+            x, y = (x - x2, y - y2) if e else (x2, y2)
+        return x, y
 
     state, i = start, 0
     while w < cap and i < len(ratios):
-        one = ratios[i : i + 1]
-        # From unit bounds, A's end bounds are the largest: D takes the same
-        # steps, and A adds the term's last value to them.
-        g = max(_ratio_walk(((1, 1),) * 3, one, step_bound, lin_bound)[1]).bit_length()
+        # From unit bounds, A's end bounds are the largest: A adds the
+        # term's last value to its own.
+        g = max(_ratio_walk(((1, 1), (1, 1)), unsigned[i : i + 1], bound)[1]).bit_length()
         h = w - 2 - g
-        if h < 0 or not all(map(pack.fits, [*state[0], *state[1], *state[2]], [h] * 6)):
+        if h < 0 or not all(pack.fits(x, h) for v in state for x in v):
             wider = packing(min(cap, max(w * 3 // 2, w + g)))
             state = tuple(tuple(wider.pack(pack.unpack(x)) for x in v) for v in state)
             pack, w = wider, wider.w
-        state, i = _ratio_walk(state, one, step, lin), i + 1
-    state = _ratio_walk(state, ratios[i:], step, lin)
-
-    def residue(v):
-        x, y = pack.unpack(v[0]), pack.unpack(v[1])
-        return list_mod_monic([a - b for a, b in zip(x, y)] + y, mod)
-
-    _, acc, den = state
-    return residue(acc), residue(den), den_brackets
+        state, i = _ratio_walk(state, ratios[i : i + 1], step), i + 1
+    x, y = (pack.unpack(v) for v in _ratio_walk(state, ratios[i:], step)[1])
+    return list_mod_monic([a - b for a, b in zip(x, y)] + y, mod), den

@@ -25,6 +25,7 @@ from qpiverify.polys import Poly, content_split, cyclotomic
 from qpiverify.qseries import SeriesId, partial_sum, series_factors, sun_closed_form, wz_term_factors
 from qpiverify.ratfunc import RatFunc
 from qpiverify.wz import WzPairId
+from test_factored import walk_triple
 
 
 def test_modulus_build_examples():
@@ -522,6 +523,36 @@ def test_modular_check_is_one_walk(case, monkeypatch):
     assert [BracketProduct.from_pochhammers(*t) for t in walked] == want
 
 
+@pytest.mark.parametrize("shift", [0, 1])
+def test_modular_check_walks_d_only_on_failure(shift, monkeypatch):
+    """A passing modular check makes one walk.  A failing one, J2 at p = 31
+    with its right side times q, makes a second walk over [D] alone, whose A
+    is D's residue in the witness."""
+    import qpiverify.congruences as congruences
+    from qpiverify.congruences import _check_congruence_modular
+    from qpiverify.qseries import parity_power
+
+    calls = []
+    walk = congruences.sum_terms_mod
+
+    def recorded(terms, mod, m):
+        calls.append((list(terms), walk(terms, mod, m)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(congruences, "sum_terms_mod", recorded)
+    n, e = 31, -15
+    ctx = modulus_build(n, ModulusKind.N_PHI)
+    terms = [wz_term_factors(WzPairId.PAIR_J2, "F", k, 0) for k in range(n)]
+    rhs = parity_power(e), e + shift, [(n, 1, 1, 1), (1, 1, 1, -1)]
+    result = _check_congruence_modular(terms, rhs, ctx, "counted")
+    assert result.passed == (shift == 0)
+    assert [len(t) for t, _ in calls] == [n + 1, 1][: 1 + shift]
+    if shift:
+        (_, (acc, den)), ([walked], (den_res, one)) = calls
+        assert walked == den and one == (1, 0, [])
+        assert result.witness == RatFunc.from_poly(Poly(_residue(acc, den_res, ctx.coeffs)))
+
+
 @pytest.mark.parametrize("case, n", [("J2", 97), ("modsun", 99)])
 def test_modular_check_normalizes_no_term(case, n, monkeypatch):
     """The modular route hands `sum_terms_mod` factor lists, the right
@@ -588,7 +619,7 @@ def test_unsplit_j2_terms_keep_their_numerator_brackets_out_of_d():
     ctx = modulus_build(n, ModulusKind.N_PHI)
     terms = [wz_term_factors(WzPairId.PAIR_J2, "F", k, 0) for k in range(n)]
     assert any(m == 7 and e > 0 for m, e in wz_term_brackets(WzPairId.PAIR_J2, "F", 1, 0).exps)
-    _, _, den_brackets = sum_terms_mod(terms, ctx.coeffs, n)
+    _, _, den_brackets = walk_triple(sum_terms_mod(terms, ctx.coeffs, n), ctx.coeffs, n)
     assert den_brackets and all(m % n for m in den_brackets)
 
 
@@ -605,7 +636,7 @@ def _intro_split_terms(pair, n):
     return split
 
 
-#: sha256 of repr(sum_terms_mod(...)) for the terms and modulus of each sweep case.
+#: sha256 of repr(walk_triple(sum_terms_mod(...))) for the terms and modulus of each sweep case.
 _RESIDUE_DIGESTS = {
     ("modsun", 45): "12c77359ef8a11fbab0e6e30a99c38b1069c59bc614110ffc6e14f148bb842e3",
     ("modsun", 63): "016ced8177d5b86f77cce2240b18d12b1e37c371054f59667ba7adb66717908f",
@@ -636,7 +667,7 @@ def test_sum_terms_mod_residues_pinned(case, n):
         ctx = modulus_build(n, ModulusKind.N_PHI)
         pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
         terms = _intro_split_terms(pair, n)
-    out = sum_terms_mod(terms, ctx.coeffs, n)
+    out = walk_triple(sum_terms_mod(terms, ctx.coeffs, n), ctx.coeffs, n)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _RESIDUE_DIGESTS[case, n]
 
 
@@ -660,7 +691,7 @@ def test_sum_terms_mod_residues_pinned_from_a_narrow_start(case, n, monkeypatch)
     assert widths and min(widths) > 8
 
 
-#: sha256 of repr(sum_terms_mod(...)) for the unsplit intro terms F(k, 0),
+#: sha256 of repr(walk_triple(sum_terms_mod(...))) for the unsplit intro terms F(k, 0),
 #: k < p, modulo Phi_p^2, where the walk widens its slots several times.
 _PHI_SQUARED_DIGESTS = {
     ("J2", 199): "674efe40f816a95c6ee8a2a9499d033a27ef36ff930b3a05b7dbdd881f16d486",
@@ -676,11 +707,12 @@ def test_sum_terms_mod_residues_pinned_modulo_phi_squared(case, n):
 
     pair = WzPairId.PAIR_J2 if case == "J2" else WzPairId.PAIR_L2
     terms = [wz_term_factors(pair, "F", k, 0) for k in range(n)]
-    out = sum_terms_mod(terms, modulus_build(n, ModulusKind.PHI_SQUARED).coeffs, n)
+    mod = modulus_build(n, ModulusKind.PHI_SQUARED).coeffs
+    out = walk_triple(sum_terms_mod(terms, mod, n), mod, n)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == _PHI_SQUARED_DIGESTS[case, n]
 
 
-#: sha256 of repr(sum_terms_mod(...)) on the modular route's own walk,
+#: sha256 of repr(walk_triple(sum_terms_mod(...))) on the modular route's own walk,
 #: [-rhs, *terms], pinned from the terms as normalized products.
 _WALK_DIGESTS = {
     ("J2", 199): "3d6a8b597d1196dfcc71157203b7534e8f76e2c05c40348fdd98f137793e3571",
@@ -701,8 +733,9 @@ def test_modular_walk_on_factor_lists_pinned(case, n, monkeypatch):
     walk = congruences.sum_terms_mod
 
     def recorded(terms, mod, m):
-        outs.append(walk(terms, mod, m))
-        return outs[-1]
+        out = walk(terms, mod, m)
+        outs.append(walk_triple(out, mod, m))
+        return out
 
     monkeypatch.setattr(congruences, "sum_terms_mod", recorded)
     if case in ("J2", "L2"):
@@ -898,8 +931,8 @@ def test_negated_rhs_fails_on_modular_route_at_n97():
     assert not result.passed
     w, m = result.witness.num, Poly(ctx.coeffs)
     assert result.witness.den == Poly.one() and w.degree < m.degree
-    acc, den, _ = sum_terms_mod(terms, ctx.coeffs, n)
-    rhs_acc, rhs_den, _ = sum_terms_mod([rhs], ctx.coeffs, n)
+    acc, den, _ = walk_triple(sum_terms_mod(terms, ctx.coeffs, n), ctx.coeffs, n)
+    rhs_acc, rhs_den, _ = walk_triple(sum_terms_mod([rhs], ctx.coeffs, n), ctx.coeffs, n)
     num = Poly(acc) * Poly(rhs_den) - Poly(rhs_acc) * Poly(den)
     assert not (num % m).is_zero()
     assert ((Poly(den) * Poly(rhs_den) * w - num) % m).is_zero()

@@ -3,6 +3,7 @@ the independent dense-polynomial route (Poly / RatFunc with gcd reduction)."""
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -409,7 +410,7 @@ def test_sum_terms_zero_and_empty():
         (1, 0, [(-2, 1, 4, 1)]),
     ]:
         assert sum_terms([zero]).is_zero()
-        assert sum_terms_mod([zero], mod, n) == ([], [1], {})
+        assert walk_triple(sum_terms_mod([zero], mod, n), mod, n) == ([], [1], {})
         assert sum_terms([zero, t]) == sum_terms([t])
         assert sum_terms_mod([t, zero, t], mod, n) == sum_terms_mod([t, t], mod, n)
     for pole in [(1, 0, [(0, 1, 1, -1)]), (2, 1, [(1, 1, 2, 1), (-4, 2, 3, -1)])]:
@@ -669,13 +670,21 @@ def test_sum_terms_mod_matches_exact():
                 exps = {rng.choice(ms): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
                 terms.append(BracketProduct.make(rng.randint(-3, 3) or 1, rng.randint(0, 4), exps))
             lists = [_as_list(t) for t in terms]
-            acc, den, den_brackets = sum_terms_mod(lists, mod, n)
+            acc, den, den_brackets = walk_triple(sum_terms_mod(lists, mod, n), mod, n)
             assert all(m % d for m in den_brackets for d in mults)
             exact = sum_terms(lists).to_ratfunc()
             # acc/den == exact (mod M): cross-multiply.
             lhs = Poly(acc) * exact.den
             rhs = Poly(den) * exact.num
             assert ((lhs - rhs) % Poly(mod)).is_zero()
+
+
+def walk_triple(out, mod, n):
+    """`sum_terms_mod`'s (A, D) as the triple (A, D's residue, D's bracket
+    counts) that the list walk returns and the digests pin.  D's residue is
+    A of the same walk over [D]."""
+    acc, den = out
+    return acc, sum_terms_mod([den], mod, n)[0], {m: k for m, _, _, k in den[2]}
 
 
 def _sum_terms_mod_by_lists(terms, mod, n):
@@ -749,14 +758,15 @@ def test_sum_terms_mod_matches_list_walk():
                 coeff = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 9]))
                 terms.append(BracketProduct.make(coeff, rng.randint(-3 * n - 2, 3 * n + 2), exps))
             mod = rng.choice(moduli)
-            out = sum_terms_mod([_as_list(t) for t in terms], mod, n)
+            out = walk_triple(sum_terms_mod([_as_list(t) for t in terms], mod, n), mod, n)
             assert out == _sum_terms_mod_by_lists(terms, mod, n)
             # D holds exactly the brackets that some term has in its denominator.
             assert set(out[2]) == {m for t in terms for m, e in t.exps if e < 0}
         # At n = 2 every bracket 1 - q doubles X: coefficients near the slot bound.
         terms = [BracketProduct.make(1, 0, {1: 40, n + 1: 3}), BracketProduct.make(-3, 1, {1: 39})]
         for mod in moduli:
-            assert sum_terms_mod([_as_list(t) for t in terms], mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+            out = walk_triple(sum_terms_mod([_as_list(t) for t in terms], mod, n), mod, n)
+            assert out == _sum_terms_mod_by_lists(terms, mod, n)
 
 
 def test_sum_terms_mod_widens_from_a_narrow_start(monkeypatch):
@@ -795,7 +805,35 @@ def test_sum_terms_mod_bounds_a_shift_of_the_first_term(monkeypatch):
         monkeypatch.setattr(factored, "_START_WIDTH", start)
         for n, terms in cases:
             mod = expand_bracket_powers({n: 2})
-            assert sum_terms_mod([_as_list(t) for t in terms], mod, n) == _sum_terms_mod_by_lists(terms, mod, n)
+            out = walk_triple(sum_terms_mod([_as_list(t) for t in terms], mod, n), mod, n)
+            assert out == _sum_terms_mod_by_lists(terms, mod, n)
+
+
+def test_bounds_in_closed_form_match_the_maps_copy_by_copy():
+    """The slot bounds of `sum_terms_mod`'s walk, per distinct bracket in
+    closed form (`_bound_step`), equal the maps of one q-power and one bracket
+    applied copy by copy, over whole ratios of the walk: random ratios with
+    brackets at multiples of n and past 2n, shifts of either sign and
+    passing brackets, from random bounds."""
+    from qpiverify.factored import _bound_step, _ratio_walk
+
+    rng = random.Random(41)
+    for n in (1, 2, 3, 5, 7):
+
+        def copies(b, m, e):
+            for _ in range(e or 1):
+                by = b[1] + (m // n + 1) * b[0]
+                b = (2 * b[0], b[1] + by) if e else (b[0], by)
+            return b
+
+        for _ in range(200):
+            ms = rng.sample(range(1, 3 * n + 3), rng.randint(0, 4)) + [n * rng.randint(1, 3)]
+            brackets = sorted({m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in ms}.items())
+            passing = [(m, rng.randint(1, 3)) for m in rng.sample(range(1, 3 * n + 3), rng.randint(0, 2))]
+            coeff = Fraction(rng.choice([1, 3, 7]), rng.choice([1, 2, 9]))
+            ratio = (brackets, rng.randint(-3 * n, 3 * n), coeff, passing)
+            state = tuple((rng.randint(1, 9), rng.randint(0, 9)) for _ in range(2))
+            assert _ratio_walk(state, [ratio], partial(_bound_step, n)) == _ratio_walk(state, [ratio], copies), (n, ratio)
 
 
 def _factor_list_walks():
@@ -993,8 +1031,8 @@ def test_sum_terms_mod_on_factor_lists_matches_products():
         num, den = [0] * max(pf.shift, 0) + num, [0] * max(-pf.shift, 0) + den
         for n in (3, 7):
             for mod in (expand_bracket_powers({n: 2}), expand_cyclo_powers({n: 2})):
-                acc, d, den_brackets = sum_terms_mod(walk, mod, n)
-                assert (acc, d, den_brackets) == sum_terms_mod(products, mod, n)
+                acc, d, den_brackets = walk_triple(sum_terms_mod(walk, mod, n), mod, n)
+                assert (acc, d, den_brackets) == walk_triple(sum_terms_mod(products, mod, n), mod, n)
                 lhs = list_scale(list_mul(acc, den), pf.coeff.denominator)
                 rhs = list_scale(list_mul(d, num), -pf.coeff.numerator)
                 assert not list_mod_monic(list_add(lhs, rhs), mod)
