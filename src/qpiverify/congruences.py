@@ -7,8 +7,8 @@ checked along two independent routes:
 * a modular fast path that accumulates the sum minus its right side in one
   walk as A / D: the residue A in Z[q]/((1 - q^n)^2), held as two packed
   integers X, Y standing for X + (q^n - 1) Y so that a bracket is a rotation
-  of their slots and reduced by M once, and D a factor list (once D's
-  brackets are coprime to M, the congruence holds iff A == 0), and
+  of their slots and reduced by M once, and D an integer, a q-power and
+  brackets (once they are coprime to M, the congruence holds iff A == 0), and
 * an exact path that forms the difference over its structured common
   denominator, folds its numerator once modulo (q^n - 1)^K (`u_fold`), and
   reads off the multiplicity of every irreducible factor of M from that
@@ -193,12 +193,12 @@ def congruent_zero(r: RatFunc, m: Poly, label: str = "congruent-zero") -> CheckR
 def _check_congruence_modular(
     terms: list[FactorList], rhs: FactorList, ctx: ModulusContext, label: str
 ) -> CheckResult:
-    acc, den = sum_terms_mod([negated(rhs), *terms], ctx.coeffs, ctx.n)
+    acc, (c, s), brackets = sum_terms_mod([negated(rhs), *terms], ctx.coeffs, ctx.n)
     # The accumulated denominator is an integer times a q-power times
     # brackets (1 - q^m); Phi_d divides such a bracket exactly when d | m, so
     # coprimality with the modulus is a divisibility scan, not a gcd.
     for d, _ in ctx.factor_mults:
-        shared = [m for m, *_ in den[2] if m % d == 0]
+        shared = [m for m, *_ in brackets if m % d == 0]
         if shared:
             raise NonInvertibleDenominator(
                 f"{label}: denominator bracket 1-q^{shared[0]} shares the "
@@ -206,7 +206,7 @@ def _check_congruence_modular(
             )
     if not acc:
         return CheckResult(True, label)
-    w = _residue(acc, sum_terms_mod([den], ctx.coeffs, ctx.n)[0], ctx.coeffs)
+    w = _residue(acc, sum_terms_mod([(c, s, brackets)], ctx.coeffs, ctx.n)[0], ctx.coeffs)
     return CheckResult(False, label, witness=RatFunc.from_poly(Poly(w)))
 
 

@@ -648,13 +648,13 @@ def _bound_step(n, b, m, e):
     return b[0] << e, (b[1] << e) + ((e * (m // n + 1) * b[0]) << (e - 1))
 
 
-def sum_terms_mod(terms: Iterable[FactorList], mod: Sequence[int], n: int) -> tuple[list[int], FactorList]:
-    """(A, D) with sum(terms) = A / D in Q[q]/(mod), for `mod` monic and
-    dividing (1 - q**n)**2: the residue A, and D the product of the term
-    ratios' denominators as the factor list (c, s, [(m, 1, 1, k), ...]), with
-    c of their coefficients, q**s of their negative shifts and (1 - q**m)**k
-    of their brackets, in the order the ratios bring them, each ratio's
-    sorted.  D's residue is A of the same walk over [D].
+def sum_terms_mod(terms: Iterable[FactorList], mod: Sequence[int], n: int) -> tuple[list[int], tuple[int, int], list]:
+    """(A, (c, s), brackets) with sum(terms) = A / D in Q[q]/(mod), for `mod`
+    monic and dividing (1 - q**n)**2: the residue A, and D = c * q**s times
+    (1 - q**m)**k for each (m, 1, 1, k) in brackets, the product of the term
+    ratios' denominators: c of their coefficients, q**s of their negative
+    shifts, and their brackets in the order the ratios bring them, each
+    ratio's sorted.  D's residue is A of the same walk over [(c, s, brackets)].
 
     Each term is a factor list (coeff, shift, factors), the value of
     `BracketProduct.from_pochhammers(coeff, shift, factors)`, which is never
@@ -741,7 +741,7 @@ def sum_terms_mod(terms: Iterable[FactorList], mod: Sequence[int], n: int) -> tu
         changes.append(ch)
         heads.append((shift, coeff))
     if not changes:
-        return [], (1, 0, [])
+        return [], (1, 0), []
 
     # Walk back over the falling brackets' changes.  For each such m, `keep`
     # holds K of the run that holds the current term (absent: the last run)
@@ -780,8 +780,7 @@ def sum_terms_mod(terms: Iterable[FactorList], mod: Sequence[int], n: int) -> tu
             if e < 0:
                 den_brackets[m] = den_brackets.get(m, 0) - e
         ratios.append((brackets, shift, coeff, pas))
-    den = (math.prod(c.denominator for _, c in heads), -sum(min(s, 0) for s, _ in heads),
-           [(m, 1, 1, k) for m, k in den_brackets.items()])
+    den = math.prod(c.denominator for _, c in heads), -sum(min(s, 0) for s, _ in heads)
 
     def packing(w):
         """n slots of w bits, rounded up to whole bytes."""
@@ -822,4 +821,4 @@ def sum_terms_mod(terms: Iterable[FactorList], mod: Sequence[int], n: int) -> tu
             pack, w = wider, wider.w
         state, i = _ratio_walk(state, ratios[i : i + 1], step), i + 1
     x, y = (pack.unpack(v) for v in _ratio_walk(state, ratios[i:], step)[1])
-    return list_mod_monic([a - b for a, b in zip(x, y)] + y, mod), den
+    return list_mod_monic([a - b for a, b in zip(x, y)] + y, mod), den, [(m, 1, 1, k) for m, k in den_brackets.items()]

@@ -25,7 +25,7 @@ from qpiverify.polys import Poly, content_split, cyclotomic
 from qpiverify.qseries import SeriesId, partial_sum, series_factors, sun_closed_form, wz_term_factors
 from qpiverify.ratfunc import RatFunc
 from qpiverify.wz import WzPairId
-from test_factored import walk_triple
+from walks import walk_triple
 
 
 def test_modulus_build_examples():
@@ -548,8 +548,8 @@ def test_modular_check_walks_d_only_on_failure(shift, monkeypatch):
     assert result.passed == (shift == 0)
     assert [len(t) for t, _ in calls] == [n + 1, 1][: 1 + shift]
     if shift:
-        (_, (acc, den)), ([walked], (den_res, one)) = calls
-        assert walked == den and one == (1, 0, [])
+        (_, (acc, (c, s), brackets)), ([walked], (den_res, *one)) = calls
+        assert walked == (c, s, brackets) and one == [(1, 0), []]
         assert result.witness == RatFunc.from_poly(Poly(_residue(acc, den_res, ctx.coeffs)))
 
 

@@ -38,6 +38,7 @@ from qpiverify.polys import (
 )
 from qpiverify.qseries import SeriesId
 from qpiverify.ratfunc import RatFunc
+from walks import walk_triple
 
 
 def rand_bracket_product(rng, rational=True):
@@ -677,14 +678,6 @@ def test_sum_terms_mod_matches_exact():
             lhs = Poly(acc) * exact.den
             rhs = Poly(den) * exact.num
             assert ((lhs - rhs) % Poly(mod)).is_zero()
-
-
-def walk_triple(out, mod, n):
-    """`sum_terms_mod`'s (A, D) as the triple (A, D's residue, D's bracket
-    counts) that the list walk returns and the digests pin.  D's residue is
-    A of the same walk over [D]."""
-    acc, den = out
-    return acc, sum_terms_mod([den], mod, n)[0], {m: k for m, _, _, k in den[2]}
 
 
 def _sum_terms_mod_by_lists(terms, mod, n):
