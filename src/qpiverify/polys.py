@@ -12,8 +12,14 @@ only at the end.
 
 Rationals reach the kernels through one scaling, `content_split`, which
 writes them as a content times integers with gcd 1: the `Poly` product (one
-integer convolution times the product of the contents), `poly_gcd`, the
-coefficients of `sum_terms` and the witness residues all use it.
+integer convolution times the product of the contents), `Poly` division (one
+integer pseudo-division, rescaled at the end), `poly_gcd`, the coefficients
+of `sum_terms` and the witness residues all use it.
+
+Every long division is one kernel, `list_divmod`, a pseudo-division over the
+integers: the reductions by a monic modulus, the gcd's remainder sequence,
+the inverse modulo a prime and `Poly` division call it.  Only the exact
+division by one bracket (1 - q**m), `list_bracket_div`, runs its own loop.
 
 A power of a cyclotomic Phi_d enters or leaves a polynomial only through
 `cyclo_powers`, as its Moebius bracket product, one O(length) step per
@@ -121,32 +127,39 @@ def list_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def list_divmod_monic(c: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by a monic integer polynomial.
+def list_divmod(c: Sequence[int], d: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division over the integers: quot and rem with
+    lc(d)**k * c == quot * d + rem, k = max(len(c) - len(d) + 1, 0) and rem
+    shorter than d (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  The one long
+    division of the package; d's last coefficient must be nonzero.
 
     Only the divisor's nonzero coefficients are visited, so a sparse divisor
-    such as (1 - q**n)**2 costs a few operations per coefficient of c.
+    such as (1 - q**n)**2 costs a few operations per coefficient of c, and a
+    monic divisor scales nothing.
     """
-    if not d or d[-1] != 1:
-        raise ValueError("divisor must be monic")
+    if not d or not d[-1]:
+        raise ValueError("divisor needs a nonzero leading coefficient")
     rem = list(c)
-    dn = len(d)
-    if len(rem) < dn:
-        return [], list_trim(rem)
-    tail = [(j, v) for j, v in enumerate(d[:-1]) if v]
+    dn, lc = len(d), d[-1]
+    nonzero = list(itertools.compress(range(dn - 1), d))
     quot = [0] * (len(rem) - dn + 1)
     for i in range(len(quot) - 1, -1, -1):
-        f = rem[i + dn - 1]
+        f = rem.pop()
+        if lc != 1:
+            rem = [lc * v for v in rem]
         if f:
-            quot[i] = f
-            for j, v in tail:
-                rem[i + j] -= f * v
-    return quot, list_trim(rem[: dn - 1])
+            # The i steps still to come scale this quotient coefficient too.
+            quot[i] = f if lc == 1 else f * lc**i
+            for j in nonzero:
+                rem[i + j] -= f * d[j]
+    return quot, list_trim(rem)
 
 
 def list_mod_monic(c: Sequence[int], d: Sequence[int]) -> list[int]:
     """Remainder by a monic integer polynomial."""
-    return list_divmod_monic(c, d)[1]
+    if not d or d[-1] != 1:
+        raise ValueError("divisor must be monic")
+    return list_divmod(c, d)[1]
 
 
 def list_inv_mod_p(c: Sequence[int], d: Sequence[int], p: int) -> list[int] | None:
@@ -156,14 +169,12 @@ def list_inv_mod_p(c: Sequence[int], d: Sequence[int], p: int) -> list[int] | No
     t0, t1 = [], [1]
     # Invariant: t_i * c == r_i (mod d, p).
     while len(r1) > 1:
+        # r0 == quot * m + rem with m = r1 / lc(r1), so the quotient by r1
+        # is quot / lc(r1) (mod p).
         inv = pow(r1[-1], -1, p)
-        rem, quot = list(r0), [0] * (len(r0) - len(r1) + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            f = quot[i] = rem[i + len(r1) - 1] * inv % p
-            for j, v in enumerate(r1 if f else ()):
-                rem[i + j] = (rem[i + j] - f * v) % p
-        t = list_add(t0, list_scale(list_mul(quot, t1), -1))
-        r0, r1 = r1, list_trim(rem[: len(r1) - 1])
+        quot, rem = list_divmod(r0, [v * inv % p for v in r1])
+        t = list_add(t0, list_scale(list_mul([v * inv % p for v in quot], t1), -1))
+        r0, r1 = r1, list_trim([v % p for v in rem])
         t0, t1 = t1, list_trim([v % p for v in t])
     if not r1:
         return None
@@ -327,7 +338,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals its scalar, so it hashes like one.
+        return hash(self.coeffs if len(self.coeffs) > 1 else self.evaluate(0))
 
     def __neg__(self) -> Poly:
         return Poly([-c for c in self.coeffs])
@@ -391,20 +403,12 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly(), self
-        rem = list(self.coeffs)
-        dcs = other.coeffs
-        dn = len(dcs)
-        inv_lead = _ONE / dcs[-1]
-        quot = [_ZERO] * (len(rem) - dn + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            f = rem[i + dn - 1] * inv_lead
-            if f:
-                quot[i] = f
-                for j in range(dn):
-                    rem[i + j] -= f * dcs[j]
-        return Poly(quot), Poly(rem[: dn - 1])
+        # a*c == (a/(b*lc**k)) * quot * (b*d) + (a/lc**k) * rem.
+        (a, c), (b, d) = content_split(self.coeffs), content_split(other.coeffs)
+        quot, rem = list_divmod(c, d)
+        rem_scale = a / d[-1] ** max(len(c) - len(d) + 1, 0)
+        quot_scale = rem_scale / b
+        return Poly([v * quot_scale for v in quot]), Poly([v * rem_scale for v in rem])
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -461,23 +465,6 @@ def _primitive(c: list[int]) -> list[int]:
     return [v // g for v in c]
 
 
-def _int_pseudo_rem(u: list[int], v: list[int]) -> list[int]:
-    """Remainder of u by v over the integers, u scaled by powers of lc(v)."""
-    u = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(u) - 1 >= dv:
-        top = u[-1]
-        u = [lv * c for c in u]
-        off = len(u) - 1 - dv
-        for j in range(len(v)):
-            u[off + j] -= top * v[j]
-        u.pop()
-        if not list_trim(u):
-            break
-    return u
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd, computed by a primitive pseudo-remainder sequence over the
     integers (the rational remainder sequence suffers coefficient blow-up
@@ -489,7 +476,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if len(u) < len(v):
         u, v = v, u
     while v:
-        u, v = v, _primitive(_int_pseudo_rem(u, v))
+        u, v = v, _primitive(list_divmod(u, v)[1])
     return Poly(u).monic()
 
 

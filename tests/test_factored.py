@@ -30,7 +30,7 @@ from qpiverify.polys import (
     list_add,
     list_bracket_div,
     list_bracket_mul,
-    list_divmod_monic,
+    list_divmod,
     list_mod_monic,
     list_mul,
     list_scale,
@@ -106,7 +106,7 @@ def _dense_divide_out(c, d, cap):
     phi = cyclotomic_int(d)
     count = 0
     while count < cap:
-        quot, rem = list_divmod_monic(c, phi)
+        quot, rem = list_divmod(c, phi)
         if rem:
             break
         c, count = quot, count + 1
@@ -121,7 +121,7 @@ def _planted(rng, d, k):
         r = [rng.choice((-1, 1)) * rng.randint(1, 40)]
         r += [rng.randint(-40, 40) for _ in range(rng.randint(0, 2 * len(phi)))]
         r[-1] = r[-1] or 1
-        if list_divmod_monic(r, phi)[1]:
+        if list_divmod(r, phi)[1]:
             break
     c = [0] * rng.randint(0, 2) + r
     for _ in range(k):
@@ -352,21 +352,22 @@ def test_to_ratfunc_matches_dense_division():
 
 
 def test_to_ratfunc_divides_by_no_dense_cyclotomic(monkeypatch):
-    """Every Phi_d leaves the numerator as its bracket product; no dense
-    monic division runs, on a failing identity's witness or a partial sum."""
+    """Every Phi_d leaves the numerator as its bracket product; no long
+    division runs at all, dense or by a cyclotomic, on a failing identity's
+    witness or a partial sum."""
     from qpiverify import polys
     from qpiverify.qseries import series_factors
     from qpiverify.wz import IdentityId, identity_terms
 
     def forbidden(c, d):
-        raise AssertionError("dense division by a cyclotomic")
+        raise AssertionError("long division in to_ratfunc")
 
     lhs, rhs = identity_terms(IdentityId.ID_A2, 10)
     values = [
         sum_terms(series_factors(SeriesId.J2_LHS, None, 12)),
         sum_terms(lhs + [negated((c, s + 1, f)) for c, s, f in rhs]),
     ]
-    monkeypatch.setattr(polys, "list_divmod_monic", forbidden)
+    monkeypatch.setattr(polys, "list_divmod", forbidden)
     for fs in values:
         assert not fs.to_ratfunc().den.is_zero()
 
@@ -1031,14 +1032,27 @@ def test_sum_terms_mod_on_factor_lists_matches_products():
                 assert not list_mod_monic(list_add(lhs, rhs), mod)
 
 
+def _fraction_divmod(c, d):
+    """Quotient and remainder of c by d by long division over Fraction, the
+    reference that the integer kernel and Poly division are checked against."""
+    rem = [Fraction(v) for v in c]
+    quot = [Fraction(0)] * max(len(c) - len(d) + 1, 0)
+    for i in reversed(range(len(quot))):
+        f = quot[i] = rem[i + len(d) - 1] / d[-1]
+        for j, v in enumerate(d):
+            rem[i + j] -= f * v
+    return Poly(quot), Poly(rem[: len(d) - 1])
+
+
 def test_list_mod_and_exact_division():
     phi5 = cyclotomic_int(5)
     # q^5 - 1 = (q - 1) Phi_5, so q^5 reduces to 1.
     assert list_trim(list_mod_monic([0, 0, 0, 0, 0, 1], phi5)) == [1]
     prod = list_bracket_mul(phi5, 2)
-    assert list_divmod_monic(prod, phi5) == ([1, 0, -1], [])
-    assert list_divmod_monic([1, 1], phi5)[1] != []
-    # The monic division agrees with Poly's on sparse and dense divisors.
+    assert list_divmod(prod, phi5) == ([1, 0, -1], [])
+    assert list_divmod([1, 1], phi5)[1] != []
+    # The monic division agrees with a Fraction long division, and so does
+    # Poly's, on sparse and dense divisors.
     rng = random.Random(11)
     sparse_and_dense = [
         expand_cyclo_powers({1: 3, 7: 3}),  # (q^7 - 1)^3
@@ -1049,8 +1063,8 @@ def test_list_mod_and_exact_division():
     for d in sparse_and_dense:
         for length in (0, len(d) - 1, len(d), 3 * len(d)):
             c = [rng.randint(-50, 50) for _ in range(length)]
-            quot, rem = list_divmod_monic(c, d)
-            assert (Poly(quot), Poly(rem)) == divmod(Poly(c), Poly(d))
+            quot, rem = list_divmod(c, d)
+            assert (Poly(quot), Poly(rem)) == _fraction_divmod(c, d) == divmod(Poly(c), Poly(d))
             assert rem == list_trim(list(rem))
 
 

@@ -9,12 +9,16 @@ from qpiverify.polys import (
     Poly,
     content_split,
     cyclotomic,
+    cyclotomic_int,
     divisors,
+    expand_bracket_powers,
     expand_cyclo_powers,
-    list_divmod_monic,
+    list_add,
+    list_divmod,
     list_inv_mod_p,
     list_mod_monic,
     list_mul,
+    list_scale,
     list_trim,
     mobius,
     poly_gcd,
@@ -110,9 +114,11 @@ def test_divmod_roundtrip_randomized():
         b = rand_poly(rng, 4)
         if b.is_zero():
             continue
-        quot, rem = divmod(a, b)
-        assert quot * b + rem == a
-        assert rem.degree < b.degree
+        # Rational coefficients reach the integer kernel through content_split.
+        for x, y in ((a, b), (a / rng.randint(1, 9) + Fraction(1, 3), b * Fraction(-2, 5))):
+            quot, rem = divmod(x, y)
+            assert quot * y + rem == x
+            assert rem.degree < y.degree
 
 
 def test_gcd_ext_divisor_case():
@@ -216,9 +222,48 @@ def test_gcd_ext_certificate_failure_raises():
 
 def test_monic_division_rejects_non_monic_divisor():
     with pytest.raises(ValueError):
-        list_divmod_monic([1, 2, 3], [1, 2])
+        list_mod_monic([1, 2, 3], [1, 2])
     with pytest.raises(ValueError):
-        list_divmod_monic([1, 2, 3], [])
+        list_mod_monic([1, 2, 3], [])
+
+
+def test_list_divmod_identity_randomized():
+    """lc(d)**k * c == quot * d + rem, k = max(len(c) - len(d) + 1, 0), with
+    rem trimmed and shorter than d.  Division with remainder is unique, so
+    the identity and the length pin the kernel's output."""
+    rng = random.Random(33)
+    dividers = [
+        [1],
+        [-3],
+        [0, 0, 0, 1],  # q^3
+        [2, 0, 0, 0, 0, 0, -5],  # sparse, negative leading coefficient
+        expand_bracket_powers({9: 2}),  # (1 - q^9)^2, sparse and monic
+        list(cyclotomic_int(27)),
+        expand_cyclo_powers({1: 3, 7: 1}),  # (q - 1)^3 Phi_7
+    ]
+    for _ in range(20):
+        d = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        dividers.append(d + [rng.choice((-1, 1)) * rng.randint(1, 12)])
+    for d in dividers:
+        for length in (0, 1, len(d) - 1, len(d), len(d) + 1, 3 * len(d) + 2):
+            c = [rng.randint(-50, 50) for _ in range(length)]
+            quot, rem = list_divmod(c, d)
+            k = max(len(c) - len(d) + 1, 0)
+            lhs = list_trim(list_scale(c, d[-1] ** k))
+            assert list_trim(list_add(list_mul(quot, d), rem)) == lhs, (c, d)
+            assert len(rem) < len(d) and rem == list_trim(list(rem)), (c, d)
+    for d in ([], [1, 0], [0]):
+        with pytest.raises(ValueError):
+            list_divmod([1, 2, 3], d)
+
+
+def test_constant_poly_hashes_like_its_scalar():
+    """A constant Poly equals its scalar, so it hashes like it: a set or a
+    dict holds the two as one key."""
+    for p, x in ((Poly(), 0), (Poly([1]), 1), (Poly([Fraction(-3, 4)]), Fraction(-3, 4)), (Poly([5]), Fraction(5))):
+        assert p == x and hash(p) == hash(x), p
+    assert len({Poly([1]), 1}) == 1 and len({Poly(), 0, Fraction(0)}) == 1
+    assert {Poly([1, 2]): 1}[Poly([Fraction(1), Fraction(2)])] == 1
 
 
 def test_cyclotomic_product_must_come_out_monic(monkeypatch):

@@ -150,6 +150,55 @@ def test_cyclotomics_expanded_only_in_polys():
     assert not found, f"cyclotomic_int named outside polys.py: {found}"
 
 
+def _own_nodes(fn):
+    """The nodes of a function's body, without those of functions or
+    classes defined inside it."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _subtracts_multiple(node):
+    """`r[i] -= f * v` or `r[i] = (r[i] - f * v) % p`: a multiple taken off
+    an indexed entry."""
+
+    def mult(e):
+        return isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult)
+
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.target, ast.Subscript) and isinstance(node.op, ast.Sub) and mult(node.value)
+    if isinstance(node, ast.Assign) and any(isinstance(t, ast.Subscript) for t in node.targets):
+        return any(
+            isinstance(e, ast.BinOp) and isinstance(e.op, ast.Sub) and isinstance(e.left, ast.Subscript) and mult(e.right)
+            for e in ast.walk(node.value)
+        )
+    return False
+
+
+def test_one_long_division_loop():
+    """`polys.list_divmod` is the one long division of the package: no other
+    function runs a loop, nested in a loop, that takes a multiple of the
+    divisor off an indexed remainder.  `list_bracket_div`, the exact
+    division by one bracket (1 - q**m), is the named exception."""
+    loops = (ast.For, ast.While)
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            outers = [node for node in _own_nodes(fn) if isinstance(node, loops)]
+            inners = [node for outer in outers for node in ast.walk(outer) if node is not outer and isinstance(node, loops)]
+            if any(_subtracts_multiple(node) for loop in inners for stmt in loop.body for node in ast.walk(stmt)):
+                found.add(f"{path.name}:{fn.name}")
+    others = found - {"polys.py:list_divmod", "polys.py:list_bracket_div"}
+    assert not others, f"long-division loops outside polys.list_divmod: {sorted(others)}"
+    assert "polys.py:list_divmod" in found
+
+
 def test_traced_layers_resolve():
     """The benchmark's tracer wraps these names from outside the package; a
     moved or renamed layer would break its traced run.  Names resolve as the
